@@ -43,7 +43,7 @@ lives in ``docs/PARALLELISM.md``):
   blast radius, never the session.
 * **Checkpoint integration.** Commits are the between-runs boundary:
   the uncommitted tail of the pipeline plus the pending frontier *is*
-  the worklist, so the v2 ``SessionCheckpoint`` machinery applies
+  the worklist, so the ``SessionCheckpoint`` machinery applies
   unchanged and serial and pool sessions resume each other's
   checkpoints (``jobs`` is excluded from the options digest exactly so
   a resumed search may change its parallelism).
@@ -78,6 +78,7 @@ from repro.dart.driver import DRIVER_ENTRY, build_test_program
 from repro.dart.independence import coupling_classes
 from repro.dart.inputs import InputVector
 from repro.dart.instrument import DirectedHooks, ForcingMismatch
+from repro.dart.pathcond import path_digest
 from repro.dart.report import (
     BUG_FOUND,
     INTERNAL_ERROR,
@@ -768,12 +769,12 @@ class _PoolEngine:
                 event["new_path"] = new_path
             trace.forward(event)
 
-    def _witness(self, result, iteration):
+    def _witness(self, result, digest, iteration):
         """Record one worker run as a suite-export witness.
 
-        Mirrors ``_Session._witness``: keyed on (path, error class),
-        applied in commit order, so serial and pool sessions of the
-        same search retain identical witness lists.
+        Mirrors ``_Session._witness``: keyed on the same (path digest,
+        error class) pair, applied in commit order, so serial and pool
+        sessions of the same search retain identical witness lists.
         """
         session = self.session
         error = result["error"]
@@ -784,15 +785,14 @@ class _PoolEngine:
                 "message": error["message"],
                 "location": error["location"],
             }
-        path_key = tuple(result["path"])
         error_key = (witness_error["kind"], str(witness_error["location"])) \
             if witness_error is not None else None
-        witness_key = (path_key, error_key)
+        witness_key = (digest, error_key)
         if witness_key in session._witnessed:
             return
         session._witnessed.add(witness_key)
         session.witnesses.append(PathWitness(
-            result["inputs"], result["kinds"], path_key,
+            result["inputs"], result["kinds"], result["path"],
             {entry for entry in
              ((item[0], item[1], item[2]) for item in result["covered"])
              if is_program_branch(entry)},
@@ -845,11 +845,12 @@ class _PoolEngine:
                     iteration=iteration, detail=record["detail"],
                 )
             return False
-        new_path = session.stats.note_path(tuple(result["path"]))
+        digest = path_digest(result["path"])
+        new_path = session.stats.note_path(digest)
         if result.get("planned"):
             session.stats.runs_forced += 1
         if session._collect_witnesses and result.get("inputs") is not None:
-            self._witness(result, iteration)
+            self._witness(result, digest, iteration)
         self._ship_events(result, iteration, new_path)
         error = result["error"]
         # Insert-time worklist dedup, exactly the serial engine's

@@ -18,6 +18,26 @@ recorded it.  The widening layer enforces this at record time; the slicer
 re-checks it as a fallback-only barrier (see :mod:`repro.dart.slicing`).
 """
 
+import hashlib
+
+#: Length of a :func:`path_digest` (16 hex characters = 64 bits).
+PATH_DIGEST_CHARS = 16
+
+
+def path_digest(path_key):
+    """A stable fixed-width identifier for an executed path.
+
+    ``path_key`` is a sequence of branch bits (:meth:`PathRecord.path_key`
+    or its JSON list form); the result is 16 lowercase hex characters of
+    a 64-bit BLAKE2b digest over the bits as bytes.  Sets of distinct
+    paths and witness dedup keys hold these instead of the full tuples,
+    so their memory and checkpoint size stay linear in the number of
+    paths, not in paths times path length.  At 64 bits a collision among
+    even millions of paths is vanishingly unlikely; it could only merge
+    two paths in the statistics and witness dedup, never in the search.
+    """
+    return hashlib.blake2b(bytes(path_key), digest_size=8).hexdigest()
+
 
 class StackEntry:
     """One conditional's record in the inter-run branch stack."""

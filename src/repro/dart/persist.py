@@ -1,4 +1,4 @@
-"""Inter-run state persistence and v2 session checkpoints.
+"""Inter-run state persistence and v3 session checkpoints.
 
 The paper's architecture re-executes the instrumented *process* for every
 run, so the branch stack and the input vector are "kept in a file between
@@ -16,12 +16,31 @@ Two formats live here:
 
 * **v1** (``save_state``/``load_state``): the bare dfs (stack, IM) pair,
   kept for compatibility with the paper's literal "stack in a file".
-* **v2** (``save_checkpoint``/``load_checkpoint``): the full session
+* **v3** (``save_checkpoint``/``load_checkpoint``): the full session
   checkpoint used by the runner::
 
-      {"version": 2, "checksum": "<sha256 of the body>",
+      {"version": 3, "checksum": "<sha256 of the canonical body text>",
        "body": {"fingerprint": {...}, "engine": ..., "rng": ...,
-                "counters": {...}, "errors": [...], ...}}
+                "counters": {...}, "distinct_paths": ["<16 hex>", ...],
+                "errors": [...], ...}}
+
+  Distinct paths are stored as fixed-width
+  :func:`~repro.dart.pathcond.path_digest` strings, not branch-bit lists,
+  so a checkpoint grows by about 20 bytes per distinct path whatever the
+  path length.  A v2 file (which held the full lists) is a different
+  version and restarts the session cleanly; a v3 file whose
+  ``distinct_paths`` holds anything but 16-hex-character strings is
+  corrupt.
+
+The body is encoded **once** per save: the canonical text
+(``json.dumps(body, sort_keys=True, separators=(",", ":"))``) is both
+what the checksum covers and what is spliced into the file, and the
+loader re-derives the checksum from the parsed body the same way.  The
+file is written from that text, never with ``json.dump(payload,
+handle)``: streaming to a file goes through CPython's pure-Python
+``_iterencode`` instead of the C encoder, and on a long session that
+second, slow encoding of an ever-growing body cost more than the search
+it was protecting.
 
 Writes are atomic and durable: the payload goes to a temp file which is
 fsynced (as is the containing directory) before ``os.replace``, a failed
@@ -40,14 +59,16 @@ import errno
 import hashlib
 import json
 import os
+import re
 import signal
 
 from repro.dart.inputs import InputVector
-from repro.dart.pathcond import StackEntry
+from repro.dart.pathcond import PATH_DIGEST_CHARS, StackEntry
 from repro.faults import points as fault_points
 
 _VERSION = 1
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
+_DIGEST = re.compile("[0-9a-f]{{{}}}".format(PATH_DIGEST_CHARS))
 
 
 # -- shared encoding helpers -------------------------------------------------
@@ -127,10 +148,10 @@ def _defer_signals():
                 os.kill(os.getpid(), signum)
 
 
-def _atomic_write(path, payload):
-    """Durably replace ``path`` with ``payload`` as JSON, or change
-    nothing: temp file + fsync (file and directory) + rename, with the
-    temp file unlinked on any failure."""
+def _atomic_write(path, text):
+    """Durably replace ``path`` with ``text``, or change nothing: temp
+    file + fsync (file and directory) + rename, with the temp file
+    unlinked on any failure."""
     tmp_path = path + ".tmp"
     with _defer_signals():
         handle = open(tmp_path, "w")
@@ -139,13 +160,13 @@ def _atomic_write(path, payload):
             if injector is not None:
                 mode = injector.checkpoint_write()
                 if mode == "partial":
-                    handle.write(json.dumps(payload)[: 40])
+                    handle.write(text[: 40])
                     handle.flush()
                 if mode is not None:
                     raise OSError(errno.ENOSPC, "injected: no space left "
                                                 "on device", tmp_path)
                 injector.mid_checkpoint()
-            json.dump(payload, handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         except BaseException:
@@ -174,20 +195,29 @@ def _fsync_directory(directory):
         os.close(fd)
 
 
+def _canonical(body):
+    """The one encoding of a checkpoint body (C encoder, sorted keys)."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def _text_checksum(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _body_checksum(body):
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """The checksum the loader expects for a (parsed) body."""
+    return _text_checksum(_canonical(body))
 
 
 # -- v1: the paper's bare (stack, IM) pair -----------------------------------
 
 def save_state(path, stack, im):
     """Atomically write the predicted stack and input vector."""
-    _atomic_write(path, {
+    _atomic_write(path, json.dumps({
         "version": _VERSION,
         "stack": _encode_stack(stack),
         "im": _encode_im(im),
-    })
+    }))
 
 
 def load_state(path):
@@ -215,7 +245,7 @@ def clear_state(path):
         pass
 
 
-# -- v2: full session checkpoints --------------------------------------------
+# -- v3: full session checkpoints --------------------------------------------
 
 class SessionCheckpoint:
     """Everything a suspended session needs to resume exactly.
@@ -240,7 +270,7 @@ class SessionCheckpoint:
         self.flags = flags
         #: RunStats integer counters, keyed by attribute name.
         self.counters = counters
-        #: List of path keys (tuples of branch bits).
+        #: List of path digests (16-hex-character strings).
         self.distinct_paths = distinct_paths
         #: List of (function, pc, taken) triples.
         self.covered_branches = covered_branches
@@ -274,7 +304,7 @@ class SessionCheckpoint:
                     self.rng_state[2]],
             "flags": list(self.flags),
             "counters": dict(self.counters),
-            "distinct_paths": [list(path) for path in self.distinct_paths],
+            "distinct_paths": list(self.distinct_paths),
             "covered_branches": [list(entry)
                                  for entry in self.covered_branches],
             "errors": list(self.errors),
@@ -321,7 +351,7 @@ class SessionCheckpoint:
             flags=tuple(bool(flag) for flag in body["flags"]),
             counters={key: int(value)
                       for key, value in body["counters"].items()},
-            distinct_paths=[tuple(path) for path in body["distinct_paths"]],
+            distinct_paths=_decode_digests(body["distinct_paths"]),
             covered_branches=[
                 (entry[0], int(entry[1]), bool(entry[2]))
                 for entry in body["covered_branches"]
@@ -339,14 +369,27 @@ class SessionCheckpoint:
         )
 
 
+def _decode_digests(payload):
+    """Validate a list of path digests; a malformed entry is damage, so
+    it raises (and the loader reports ``"corrupt"``) rather than being
+    coerced into a key nothing will ever match."""
+    if not isinstance(payload, list):
+        raise TypeError("distinct_paths is not a list")
+    for digest in payload:
+        if not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
+            raise ValueError("malformed path digest {!r}".format(digest))
+    return list(payload)
+
+
 def save_checkpoint(path, checkpoint):
-    """Atomically write a v2 session checkpoint with a body checksum."""
-    body = checkpoint.to_body()
-    _atomic_write(path, {
-        "version": _CHECKPOINT_VERSION,
-        "checksum": _body_checksum(body),
-        "body": body,
-    })
+    """Atomically write a v3 session checkpoint with a body checksum.
+
+    The body is encoded exactly once; the same text is checksummed and
+    written (see the module docstring for why it must stay that way).
+    """
+    body = _canonical(checkpoint.to_body())
+    _atomic_write(path, '{{"version":{},"checksum":"{}","body":{}}}'.format(
+        _CHECKPOINT_VERSION, _text_checksum(body), body))
     injector = fault_points.ACTIVE
     if injector is not None:
         # Post-save corruption (torn storage, bit rot): the *next* load
@@ -355,15 +398,16 @@ def save_checkpoint(path, checkpoint):
 
 
 def load_checkpoint_ex(path, fingerprint):
-    """Read and validate a v2 checkpoint; ``(checkpoint, reason)``.
+    """Read and validate a v3 checkpoint; ``(checkpoint, reason)``.
 
     The checkpoint is None whenever it must not be used, and ``reason``
     tells the caller how much to trust the world:
 
     * ``"ok"`` — a valid, matching checkpoint (first element non-None).
     * ``"missing"`` — no file at all: a clean first start.
-    * ``"version"`` — a valid file in a different format (e.g. a v1
-      state file); legitimate, restart cleanly.
+    * ``"version"`` — a valid file in a different format (a v1 state
+      file, a v2 checkpoint with full path tuples); legitimate, restart
+      cleanly.
     * ``"fingerprint"`` — a valid checkpoint for a *different* program,
       toplevel or configuration; legitimate, restart cleanly.
     * ``"corrupt"`` — the file exists but is unreadable, structurally
@@ -400,7 +444,7 @@ def load_checkpoint_ex(path, fingerprint):
 
 
 def load_checkpoint(path, fingerprint):
-    """Read and validate a v2 checkpoint; None when it must not be used.
+    """Read and validate a v3 checkpoint; None when it must not be used.
 
     Rejected (returning None, so the caller restarts cleanly): a missing
     or unreadable file, a version mismatch, a checksum mismatch (torn or

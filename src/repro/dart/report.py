@@ -303,6 +303,8 @@ class RunStats:
         #: Opt-in per-phase wall-time attribution (execute / solve /
         #: cache / checkpoint); enabled by ``profile_phases``.
         self.phases = PhaseTimer()
+        #: :func:`~repro.dart.pathcond.path_digest` of every distinct
+        #: completed path (fixed width, whatever the path length).
         self.distinct_paths = set()
         self.covered_branches = set()
         #: Coverage rollup dict (BranchCoverage.to_dict()), set by the
@@ -316,12 +318,14 @@ class RunStats:
     def finish(self):
         self.elapsed = time.perf_counter() - self.started_at
 
-    def note_path(self, path_key):
-        """Record one completed path; returns True when it is new."""
+    def note_path(self, digest):
+        """Record one completed path, given its
+        :func:`~repro.dart.pathcond.path_digest`; returns True when it
+        is new."""
         self.paths_explored += 1
-        if path_key in self.distinct_paths:
+        if digest in self.distinct_paths:
             return False
-        self.distinct_paths.add(path_key)
+        self.distinct_paths.add(digest)
         self.runs_new_path += 1
         return True
 
@@ -436,7 +440,7 @@ class DartResult:
         #: Branch-direction coverage of the program under test
         #: (:class:`repro.dart.coverage.BranchCoverage`), or None.
         self.coverage = coverage
-        #: True when the session picked up a v2 checkpoint and resumed.
+        #: True when the session picked up a checkpoint and resumed.
         self.resumed = resumed
         #: :class:`PathWitness` list (witness collection enabled), or [].
         self.witnesses = witnesses if witnesses is not None else []

@@ -37,6 +37,7 @@ from repro.dart.driver import DRIVER_ENTRY, build_test_program
 from repro.dart.independence import coupling_classes
 from repro.dart.inputs import InputVector
 from repro.dart.instrument import DirectedHooks, ForcingMismatch
+from repro.dart.pathcond import path_digest
 from repro.dart.report import (
     BUG_FOUND,
     CHECKPOINT_CORRUPT,
@@ -504,14 +505,16 @@ class _Session:
         self.stats.covered_branches |= machine.covered_branches
         new_path = False
         if not outcome.mismatch and not outcome.quarantined:
-            new_path = self.stats.note_path(hooks.record.path_key())
+            path_key = hooks.record.path_key()
+            digest = path_digest(path_key)
+            new_path = self.stats.note_path(digest)
             self.stats.path_length.observe(machine.branches_executed)
             if planned:
                 # The predicted prefix was reached and the run finished:
                 # the flip was successfully forced (funnel stage 3).
                 self.stats.runs_forced += 1
             if self._collect_witnesses:
-                self._witness(im, hooks, machine, outcome.fault)
+                self._witness(im, path_key, digest, machine, outcome.fault)
         wall = time.perf_counter() - started
         # IR lowering happens lazily inside the run window (first call of
         # each function); carve it out of execute so both the phase
@@ -548,10 +551,10 @@ class _Session:
             )
         return outcome
 
-    def _witness(self, im, hooks, machine, fault):
+    def _witness(self, im, path_key, digest, machine, fault):
         """Retain this run for suite export if it is worth keeping.
 
-        Keyed by (path signature, error class): the first run of every
+        Keyed by (path digest, error class): the first run of every
         distinct path is kept, and an *error* run is kept even when its
         branch path was already seen ok (a division fault and the clean
         run share the same branch bits — the error class tells them
@@ -566,10 +569,9 @@ class _Session:
                 "location": str(fault.location)
                 if fault.location is not None else None,
             }
-        path_key = hooks.record.path_key()
         error_key = (error["kind"], str(error["location"])) \
             if error is not None else None
-        witness_key = (path_key, error_key)
+        witness_key = (digest, error_key)
         if witness_key in self._witnessed:
             return
         self._witnessed.add(witness_key)
@@ -760,9 +762,7 @@ class _Session:
             self.flags.all_faithful = checkpoint.flags[3]
         for name in RunStats.COUNTERS:
             setattr(self.stats, name, checkpoint.counters.get(name, 0))
-        self.stats.distinct_paths = {
-            tuple(path) for path in checkpoint.distinct_paths
-        }
+        self.stats.distinct_paths = set(checkpoint.distinct_paths)
         self.stats.covered_branches = set(checkpoint.covered_branches)
         self.stats.quarantined = [
             QuarantineRecord.from_dict(payload)
@@ -782,7 +782,8 @@ class _Session:
             self.status = BUG_FOUND
         for payload in checkpoint.witnesses:
             witness = PathWitness.from_dict(payload)
-            self._witnessed.add((witness.path, witness.error_key))
+            self._witnessed.add((path_digest(witness.path),
+                                 witness.error_key))
             self.witnesses.append(witness)
         self.resumed = True
         self._clean_drain = checkpoint.clean_drain

@@ -73,7 +73,7 @@ def replay_options_dict(options):
 
 def body_checksum(body):
     """sha256 over the canonical JSON of ``body`` (same recipe as the
-    v2 checkpoint format in `repro.dart.persist`)."""
+    session checkpoint format in `repro.dart.persist`)."""
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

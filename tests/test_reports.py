@@ -1,6 +1,7 @@
 """Unit tests for result/report types and session statistics."""
 
 from repro import DartOptions, dart_check
+from repro.dart.pathcond import path_digest
 from repro.dart.report import (
     BUG_FOUND,
     COMPLETE,
@@ -38,11 +39,21 @@ class TestRunStats:
 
     def test_note_path_counts_distinct(self):
         stats = RunStats()
-        stats.note_path((1, 0))
-        stats.note_path((1, 0))
-        stats.note_path((0,))
+        stats.note_path(path_digest((1, 0)))
+        stats.note_path(path_digest([1, 0]))
+        stats.note_path(path_digest((0,)))
         assert stats.paths_explored == 3
         assert len(stats.distinct_paths) == 2
+
+    def test_path_digest_is_fixed_width_and_length_sensitive(self):
+        digests = {path_digest(key)
+                   for key in [(), (0,), (0, 0), (1,), (1, 0), (0, 1)]}
+        assert len(digests) == 6
+        assert all(len(digest) == 16 for digest in digests)
+        # Pinned: a resumed session must key paths exactly as the
+        # session that wrote its checkpoint did.
+        assert path_digest((1, 0)) == path_digest([1, 0]) \
+            == "3ae820785f7a2994"
 
     def test_summary_keys(self):
         stats = RunStats()
