@@ -12,25 +12,21 @@ options digest) so a stale checkpoint from a different program or
 configuration is rejected instead of silently replayed, and a checksum so
 a torn or corrupted file is detected.
 
-Two formats live here:
+The format (``save_checkpoint``/``load_checkpoint``) is **v3**::
 
-* **v1** (``save_state``/``load_state``): the bare dfs (stack, IM) pair,
-  kept for compatibility with the paper's literal "stack in a file".
-* **v3** (``save_checkpoint``/``load_checkpoint``): the full session
-  checkpoint used by the runner::
+    {"version": 3, "checksum": "<sha256 of the canonical body text>",
+     "body": {"fingerprint": {...}, "engine": ..., "rng": ...,
+              "counters": {...}, "distinct_paths": ["<16 hex>", ...],
+              "errors": [...], ...}}
 
-      {"version": 3, "checksum": "<sha256 of the canonical body text>",
-       "body": {"fingerprint": {...}, "engine": ..., "rng": ...,
-                "counters": {...}, "distinct_paths": ["<16 hex>", ...],
-                "errors": [...], ...}}
-
-  Distinct paths are stored as fixed-width
-  :func:`~repro.dart.pathcond.path_digest` strings, not branch-bit lists,
-  so a checkpoint grows by about 20 bytes per distinct path whatever the
-  path length.  A v2 file (which held the full lists) is a different
-  version and restarts the session cleanly; a v3 file whose
-  ``distinct_paths`` holds anything but 16-hex-character strings is
-  corrupt.
+Distinct paths are stored as fixed-width
+:func:`~repro.dart.pathcond.path_digest` strings, not branch-bit lists, so
+a checkpoint grows by about 20 bytes per distinct path whatever the path
+length.  A file of any other version — the bare (stack, IM) v1 state
+file, a v2 checkpoint that held the full lists — carries no usable
+fingerprint or encoding and restarts the session cleanly; a v3 file whose
+``distinct_paths`` holds anything but 16-hex-character strings is
+corrupt.
 
 The body is encoded **once** per save: the canonical text
 (``json.dumps(body, sort_keys=True, separators=(",", ":"))``) is both
@@ -66,7 +62,6 @@ from repro.dart.inputs import InputVector
 from repro.dart.pathcond import PATH_DIGEST_CHARS, StackEntry
 from repro.faults import points as fault_points
 
-_VERSION = 1
 _CHECKPOINT_VERSION = 3
 _DIGEST = re.compile("[0-9a-f]{{{}}}".format(PATH_DIGEST_CHARS))
 
@@ -81,28 +76,20 @@ def _decode_stack(payload):
     return [StackEntry(int(branch), bool(done)) for branch, done in payload]
 
 
-def _encode_im(im):
-    return [[slot.kind, slot.value] for slot in im]
-
-
-def _decode_im(payload):
-    im = InputVector()
-    for ordinal, (kind, value) in enumerate(payload):
-        im.record(ordinal, kind, int(value))
-    return im
-
-
 def encode_input_vector(im):
-    """Public JSON encoding of an :class:`InputVector`: ``[[kind, value],
-    ...]`` in ordinal order — the format checkpoints, fuzz repros and
-    exported suite artifacts (:mod:`repro.suite`) all share."""
-    return _encode_im(im)
+    """JSON encoding of an :class:`InputVector`: ``[[kind, value], ...]``
+    in ordinal order — the format checkpoints, fuzz repros and exported
+    suite artifacts (:mod:`repro.suite`) all share."""
+    return [[slot.kind, slot.value] for slot in im]
 
 
 def decode_input_vector(payload):
     """Inverse of :func:`encode_input_vector` (kinds preserved, so
     pointer-choice slots are rebuilt with the right domains)."""
-    return _decode_im(payload)
+    im = InputVector()
+    for ordinal, (kind, value) in enumerate(payload):
+        im.record(ordinal, kind, int(value))
+    return im
 
 
 @contextlib.contextmanager
@@ -209,33 +196,7 @@ def _body_checksum(body):
     return _text_checksum(_canonical(body))
 
 
-# -- v1: the paper's bare (stack, IM) pair -----------------------------------
-
-def save_state(path, stack, im):
-    """Atomically write the predicted stack and input vector."""
-    _atomic_write(path, json.dumps({
-        "version": _VERSION,
-        "stack": _encode_stack(stack),
-        "im": _encode_im(im),
-    }))
-
-
-def load_state(path):
-    """Read a saved (stack, im) pair; returns None if absent/invalid."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("version") != _VERSION:
-        return None
-    try:
-        stack = _decode_stack(payload["stack"])
-        im = _decode_im(payload["im"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    return stack, im
-
+# -- v3: full session checkpoints --------------------------------------------
 
 def clear_state(path):
     """Remove the state file (called when a search finishes cleanly)."""
@@ -244,16 +205,13 @@ def clear_state(path):
     except OSError:
         pass
 
-
-# -- v3: full session checkpoints --------------------------------------------
-
 class SessionCheckpoint:
     """Everything a suspended session needs to resume exactly.
 
     The runner builds one of these every K runs / on budget exhaustion /
     on SIGINT, and consumes one at session start.  All fields are plain
     JSON-serializable data; the runner owns the translation to and from
-    its live objects (see ``_Session.checkpoint`` / ``_restore``).
+    its live objects (see ``_Session._make_checkpoint`` / ``_restore``).
     """
 
     def __init__(self, fingerprint, engine, rng_state, flags, counters,
@@ -266,7 +224,7 @@ class SessionCheckpoint:
         self.engine = engine
         #: ``random.Random().getstate()`` (tuples converted on load).
         self.rng_state = rng_state
-        #: (all_linear, all_locs_definite, forcing_ok).
+        #: (all_linear, all_locs_definite, forcing_ok, all_faithful).
         self.flags = flags
         #: RunStats integer counters, keyed by attribute name.
         self.counters = counters
@@ -316,10 +274,11 @@ class SessionCheckpoint:
         if self.dfs_pending is not None:
             stack, im = self.dfs_pending
             body["dfs"] = {"stack": _encode_stack(stack),
-                           "im": _encode_im(im)}
+                           "im": encode_input_vector(im)}
         if self.worklist is not None:
             body["worklist"] = [
-                {"stack": _encode_stack(stack), "im": _encode_im(im),
+                {"stack": _encode_stack(stack),
+                 "im": encode_input_vector(im),
                  "bound": bound}
                 for stack, im, bound in self.worklist
             ]
@@ -336,11 +295,12 @@ class SessionCheckpoint:
         dfs_pending = None
         if "dfs" in body:
             dfs_pending = (_decode_stack(body["dfs"]["stack"]),
-                           _decode_im(body["dfs"]["im"]))
+                           decode_input_vector(body["dfs"]["im"]))
         worklist = None
         if "worklist" in body:
             worklist = [
-                (_decode_stack(item["stack"]), _decode_im(item["im"]),
+                (_decode_stack(item["stack"]),
+                 decode_input_vector(item["im"]),
                  int(item["bound"]))
                 for item in body["worklist"]
             ]
@@ -405,8 +365,8 @@ def load_checkpoint_ex(path, fingerprint):
 
     * ``"ok"`` — a valid, matching checkpoint (first element non-None).
     * ``"missing"`` — no file at all: a clean first start.
-    * ``"version"`` — a valid file in a different format (a v1 state
-      file, a v2 checkpoint with full path tuples); legitimate, restart
+    * ``"version"`` — a valid file in another format (a v1 state file,
+      a v2 checkpoint with full path tuples); legitimate, restart
       cleanly.
     * ``"fingerprint"`` — a valid checkpoint for a *different* program,
       toplevel or configuration; legitimate, restart cleanly.

@@ -36,6 +36,17 @@ RESOURCE_EXHAUSTED = "resource-exhausted"  # RecursionError / MemoryError
 CHECKPOINT_CORRUPT = "checkpoint-corrupt"
 
 
+def fault_fields(fault):
+    """A fault's ``{"kind", "message", "location"}`` as JSON-ready data:
+    the shape error reports, suite witnesses and pool results carry."""
+    return {
+        "kind": fault.kind,
+        "message": getattr(fault, "message", str(fault)),
+        "location": str(fault.location)
+        if fault.location is not None else None,
+    }
+
+
 class ErrorReport:
     """One detected program error, with everything needed to replay it."""
 
@@ -68,16 +79,14 @@ class ErrorReport:
 
     def to_dict(self):
         """A JSON-ready representation (also the checkpoint format)."""
-        return {
-            "kind": self.fault.kind,
-            "message": getattr(self.fault, "message", str(self.fault)),
-            "location": str(self.fault.location)
-            if self.fault.location is not None else None,
-            "inputs": list(self.inputs),
-            "kinds": list(self.kinds),
-            "iteration": self.iteration,
-            "path": list(self.path) if self.path is not None else None,
-        }
+        payload = fault_fields(self.fault)
+        payload.update(
+            inputs=list(self.inputs),
+            kinds=list(self.kinds),
+            iteration=self.iteration,
+            path=list(self.path) if self.path is not None else None,
+        )
+        return payload
 
     def __repr__(self):
         return "ErrorReport({!r})".format(self.describe())

@@ -11,6 +11,19 @@ the session reports ``complete``.  A forcing mismatch (the solver's
 prediction diverged at runtime) aborts the directed search and falls back
 to a random restart, as described at the end of Section 2.3.
 
+One run is one call of the kernel, :func:`run_item`: the instrumented
+execution inside the fault boundary (:func:`execute_run`) plus, for the
+worklist strategies, the expansion of the run's children.  Its
+:class:`ItemResult` is folded into the session by one function,
+``_Session._commit``.  The Fig. 5 dfs loop calls the kernel with no
+expansion and plans the next run itself; the "bfs" and "random"
+strategies drain a worklist in one loop, ``_Session.run_worklist``, that
+takes an executor: :class:`_InlineExecutor` runs each item in this
+process, and :mod:`repro.dart.parallel` runs them on a worker pool.  Both
+seed an item's random slot values from ``(session seed, iteration)`` and
+commit in dispatch order, so a serial and a pooled search of the same
+frontier are the same search.
+
 Fault containment (see DESIGN.md, "Robustness & resumability"): the
 paper's architecture re-executes the instrumented *process* per run, so a
 crash loses at most one execution.  This in-process reproduction gets the
@@ -52,6 +65,7 @@ from repro.dart.report import (
     PathWitness,
     QuarantineRecord,
     RunStats,
+    fault_fields,
 )
 from repro.dart.solve import (
     expand_worklist_children,
@@ -71,44 +85,73 @@ from repro.solver.cache import ENCODING_VERSION
 from repro.symbolic.flags import CompletenessFlags
 
 
+class RunContext:
+    """What every run of one (program, toplevel, options) needs.
+
+    The driver module, its compiled closures, the solver, the solver
+    result cache and the worklist-dedup eligibility classes.  Built once
+    by :class:`Dart` and once per pool worker process (closures are not
+    picklable, so each worker lowers its own copy).
+    """
+
+    def __init__(self, source, toplevel, options, filename, cache=None):
+        self.options = options
+        self.module = build_test_program(
+            source, toplevel, depth=options.depth, filename=filename,
+            max_init_depth=options.max_init_depth,
+        )
+        self.solver = Solver(seed=options.seed,
+                             node_budget=options.solver_node_budget)
+        #: Solver result cache (None when disabled); a pool worker passes
+        #: its client of the shared cache server.
+        if cache is None and options.solver_cache:
+            cache = SolverResultCache()
+        self.cache = cache
+        #: The compiled execution engine (repro.interp.compile): functions
+        #: are lowered once and the closures reused across runs.  None
+        #: selects the tree-walking interpreter (``--no-compile``).
+        self.compiled = CompiledProgram(self.module) \
+            if options.compiled_execution else None
+        #: Input coupling classes for the worklist-dedup eligibility
+        #: gate (None — analysis latched or subsumption off — means no
+        #: entry is ever deduped; the UNSAT-core tier is independent).
+        self.independence = coupling_classes(
+            source, toplevel, options.depth, filename=filename,
+        ) if options.subsumption else None
+        #: compile_seconds already attributed to the compile phase.
+        self.compile_seen = self.compiled.compile_seconds \
+            if self.compiled is not None else 0.0
+
+    def machine(self, hooks, flags, deadline=None, interrupt_check=None,
+                trace=None):
+        options = self.options
+        return Machine(self.module, MachineOptions(
+            max_steps=options.max_steps,
+            transparent_memory=options.transparent_memory,
+            memory=options.memory_options(),
+            deadline=deadline,
+            watchdog_interval=options.watchdog_interval,
+            interrupt_check=interrupt_check,
+            trace=trace,
+        ), hooks, flags, compiled=self.compiled)
+
+
 class Dart:
     """A DART session for one program and one toplevel function."""
 
     def __init__(self, source, toplevel, options=None, filename="<program>"):
         self.options = options or DartOptions()
         self.toplevel = toplevel
-        #: Kept so the parallel engine can rebuild the module per worker.
+        #: Kept so the parallel engine can rebuild the context per worker.
         self.source = source
         self.filename = filename
-        self.module = build_test_program(
-            source, toplevel, depth=self.options.depth, filename=filename,
-            max_init_depth=self.options.max_init_depth,
-        )
-        self.solver = Solver(
-            seed=self.options.seed,
-            node_budget=self.options.solver_node_budget,
-        )
-        #: Session-lifetime solver result cache (None when disabled).
-        self.solver_cache = SolverResultCache() \
-            if self.options.solver_cache else None
-        #: The compiled execution engine (repro.interp.compile), shared by
-        #: every machine this session creates — functions are lowered once
-        #: and the closures are reused across runs.  None selects the
-        #: tree-walking interpreter (``--no-compile`` ablation).
-        self.compiled = CompiledProgram(self.module) \
-            if self.options.compiled_execution else None
-        #: Input coupling classes for the worklist-dedup eligibility
-        #: gate (None — analysis latched or subsumption off — means no
-        #: entry is ever deduped; the UNSAT-core tier is independent).
-        self.independence = coupling_classes(
-            source, toplevel, self.options.depth, filename=filename,
-        ) if self.options.subsumption else None
+        self.ctx = RunContext(source, toplevel, self.options, filename)
         #: The structured trace bus (repro.obs.trace).  Disabled — and
         #: free — until run() attaches a sink (``trace_file``), or a
         #: caller attaches one programmatically before run().
         self.trace = TraceBus()
-        if self.solver_cache is not None:
-            self.solver_cache.trace = self.trace
+        if self.ctx.cache is not None:
+            self.ctx.cache.trace = self.trace
         #: Identifies (program, toplevel, search configuration, constraint
         #: encoding) so a checkpoint written by a different session — or
         #: by the same session under an older constraint encoding, whose
@@ -120,6 +163,14 @@ class Dart:
             "options": self.options.digest(),
             "encoding": ENCODING_VERSION,
         }
+
+    @property
+    def module(self):
+        return self.ctx.module
+
+    @property
+    def compiled(self):
+        return self.ctx.compiled
 
     # -- the paper's Fig. 2 -------------------------------------------------
 
@@ -147,6 +198,18 @@ class Dart:
             owned_injector = fault_points.install(
                 FaultInjector(self.options.fault_plan))
         session = _Session(self)
+        # Which engine runs the search: "dfs" (Fig. 5; inherently
+        # sequential — each plan depends on the previous run's path — so
+        # jobs is ignored), "pool" (the worklist drain on the persistent
+        # worker pool) or "serial" (the same drain in this process).
+        # jobs stays out of the checkpoint digest, so the trace is the
+        # only place a run's parallelism is attributable after the fact.
+        if self.options.strategy == "dfs":
+            engine = "dfs"
+        elif self.options.jobs > 1:
+            engine = "pool"
+        else:
+            engine = "serial"
         if self.trace.enabled:
             self.trace.emit(
                 tr.SESSION_STARTED, toplevel=self.toplevel,
@@ -156,11 +219,9 @@ class Dart:
         result = None
         try:
             with session.signal_guard():
-                if self.options.strategy == "dfs":
-                    # dfs is inherently sequential (each plan depends on
-                    # the previous run's path): jobs is ignored.
+                if engine == "dfs":
                     result = session.run_figure5()
-                elif self.options.jobs > 1:
+                elif engine == "pool":
                     # Imported lazily: multiprocessing machinery is only
                     # paid for by sessions that ask for it.
                     from repro.dart.parallel import (
@@ -168,7 +229,7 @@ class Dart:
                     )
                     result = run_parallel_generational(session)
                 else:
-                    result = session.run_generational()
+                    result = session.run_worklist(_InlineExecutor(session))
             if self.options.export_suite is not None:
                 # Export before the sinks detach, so the suite_exported
                 # and artifact_deduped events reach the live trace and
@@ -182,17 +243,6 @@ class Dart:
             session.stats.finish()
             if self.trace.enabled:
                 coverage = result.coverage if result is not None else None
-                # Which engine ran the search: "dfs" (Fig. 5), "pool"
-                # (the persistent worker pool) or "serial" (the
-                # single-process worklist drain).  jobs stays out of the
-                # checkpoint digest, so the trace is the only place a
-                # run's parallelism is attributable after the fact.
-                if self.options.strategy == "dfs":
-                    engine = "dfs"
-                elif self.options.jobs > 1:
-                    engine = "pool"
-                else:
-                    engine = "serial"
                 self.trace.emit(
                     tr.SESSION_FINISHED,
                     status=result.status if result is not None else "error",
@@ -209,7 +259,6 @@ class Dart:
                     }} if coverage is not None else {}),
                 )
                 self.trace.flush()
-            session.detach_sinks()
             if owned_injector is not None:
                 fault_points.uninstall()
             elif fault_points.ACTIVE is not None:
@@ -219,19 +268,6 @@ class Dart:
             if jsonl is not None:
                 self.trace.detach(jsonl)
                 jsonl.close()
-
-    def _machine(self, hooks, flags, deadline=None, interrupt_check=None):
-        machine_options = MachineOptions(
-            max_steps=self.options.max_steps,
-            transparent_memory=self.options.transparent_memory,
-            memory=self.options.memory_options(),
-            deadline=deadline,
-            watchdog_interval=self.options.watchdog_interval,
-            interrupt_check=interrupt_check,
-            trace=self.trace,
-        )
-        return Machine(self.module, machine_options, hooks, flags,
-                       compiled=self.compiled)
 
     # -- replay -----------------------------------------------------------
 
@@ -245,37 +281,12 @@ class Dart:
         aligned ``kinds`` list.  Returns the fault raised, or None if the
         run completes.
         """
+        # The suite's replay run: one concrete forcing replay, no search.
+        from repro.suite.replay import execute_vector
         if isinstance(inputs, ErrorReport):
             kinds = inputs.kinds
             inputs = inputs.inputs
-        im = InputVector()
-        for ordinal, value in enumerate(inputs):
-            kind = kinds[ordinal] if kinds is not None \
-                and ordinal < len(kinds) else "int"
-            im.record(ordinal, kind, value)
-
-        class _ReplayHooks(DirectedHooks):
-            def acquire_input(self, kind):
-                ordinal = self._next_ordinal
-                self._next_ordinal += 1
-                if ordinal < len(self.im):
-                    return self.im[ordinal].value, None
-                return 0, None
-
-            def on_branch(self, taken, constraint, location):
-                pass
-
-        hooks = _ReplayHooks(
-            im, [], CompletenessFlags(), random.Random(0), self.options
-        )
-        machine = self._machine(hooks, CompletenessFlags())
-        try:
-            machine.run(DRIVER_ENTRY)
-        except ExecutionFault as fault:
-            return fault
-        return None
-
-
+        return execute_vector(self, inputs, kinds or ()).fault
 
 
 class _BudgetReached(Exception):
@@ -286,29 +297,268 @@ class _RunInterrupted(Exception):
     """Internal control flow: a signal arrived mid-run; abandon the run."""
 
 
-class _Pending:
-    """A worklist item of the generational search."""
+def _item_seed(base_seed, iteration):
+    """Seed of one generational item's random slot values.
 
-    __slots__ = ("stack", "im", "bound")
+    A function of the session seed and the item's iteration number only,
+    so the in-process and the pool executor draw the same values for the
+    same item whichever process runs it.
+    """
+    return base_seed * 1_000_003 + iteration
 
-    def __init__(self, stack, im, bound):
-        self.stack = stack
+
+# -- the run kernel -----------------------------------------------------------
+
+#: ItemResult statuses (also the ``run_finished`` trace status).
+OK = "ok"
+FAULT = "fault"
+MISMATCH = "mismatch"
+QUARANTINED = "quarantined"
+
+
+class ItemResult:
+    """What one run produced: the kernel's output, the commit's input."""
+
+    __slots__ = ("iteration", "planned", "im", "hooks", "status", "fault",
+                 "path", "digest", "covered", "children", "quarantine")
+
+    def __init__(self, iteration, planned, im, hooks=None):
+        self.iteration = iteration
+        #: True when the run followed a predicted (solved) branch prefix.
+        self.planned = planned
+        #: The input vector as the run left it (undefined slots filled).
         self.im = im
-        #: First branch index this item is allowed to expand (its parent
-        #: already enumerated everything shallower).
-        self.bound = bound
-
-
-class _RunOutcome:
-    """What one contained execution produced."""
-
-    __slots__ = ("hooks", "fault", "mismatch", "quarantined")
-
-    def __init__(self, hooks, fault=None, mismatch=False, quarantined=False):
+        #: The run's DirectedHooks (in-process only: the dfs planner
+        #: reads the path record from them).
         self.hooks = hooks
-        self.fault = fault
-        self.mismatch = mismatch
-        self.quarantined = quarantined
+        self.status = OK
+        #: The ExecutionFault of a FAULT run.
+        self.fault = None
+        #: Branch bits and their path digest, for completed runs.
+        self.path = None
+        self.digest = None
+        #: (function, pc, taken) triples this run exercised.
+        self.covered = ()
+        #: (stack, im, bound, fingerprint) of every child to enqueue.
+        self.children = ()
+        #: The QuarantineRecord of a run lost at the fault boundary (None
+        #: for a run abandoned to a signal: the session is stopping).
+        self.quarantine = None
+
+    @property
+    def completed(self):
+        return self.status == OK or self.status == FAULT
+
+
+def _quarantine(result, classification, exc, bus, tail):
+    """Turn an internal failure into data: the run is lost, not the
+    session (the commit degrades the completeness claim)."""
+    detail = "{}: {}".format(type(exc).__name__, exc)
+    tb = traceback.extract_tb(exc.__traceback__)
+    if tb:
+        frame = tb[-1]
+        detail += " [{}:{} in {}]".format(
+            frame.filename.rsplit("/", 1)[-1], frame.lineno, frame.name
+        )
+    im = result.im
+    result.status = QUARANTINED
+    # The flight recorder: this run's own events up to the failure.
+    result.quarantine = QuarantineRecord(
+        classification, im.values(), [slot.kind for slot in im],
+        result.iteration, detail,
+        trace_tail=tail.tail() if tail is not None else None,
+    )
+    if bus is not None and bus.enabled:
+        bus.emit(tr.QUARANTINE, classification=classification,
+                 iteration=result.iteration, detail=detail)
+
+
+def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
+                session_deadline=None, interrupt_check=None,
+                known_paths=()):
+    """One instrumented run inside the fault boundary.
+
+    Program faults (:class:`ExecutionFault`) are *results* — real bugs
+    found by a real execution.  Everything else escaping the machine is
+    an internal failure: it is classified and returned as a quarantine
+    record, and the search continues — one bad run costs one iteration,
+    not the session.  Signals (KeyboardInterrupt, SystemExit) still
+    propagate.  The run's counters, coverage and phase times go into
+    ``stats``, its flag degradations into ``flags`` and its events onto
+    ``bus``: the session's own for an in-process run, per-item ones in a
+    pool worker.  ``known_paths`` (the session's distinct paths, when at
+    hand) only decides the ``new_path`` field of ``run_finished``.
+    """
+    options = ctx.options
+    planned = bool(stack)
+    # The execute window covers per-run setup (hooks, machine) as well
+    # as the run itself: both are per-execution costs.
+    started = time.perf_counter()
+    hooks = DirectedHooks(im, stack, flags, rng, options)
+    # The tighter of the per-run limit and the session deadline — so a
+    # single pathological run cannot blow past ``time_limit``; the
+    # watchdog trips at most one check interval late.
+    deadline = session_deadline
+    if options.run_time_limit is not None:
+        limit = started + options.run_time_limit
+        if deadline is None or limit < deadline:
+            deadline = limit
+    machine = ctx.machine(hooks, flags, deadline, interrupt_check, bus)
+    traced = bus is not None and bus.enabled
+    tail = None
+    if traced:
+        if options.trace_ring:
+            tail = bus.attach(RingBufferSink(options.trace_ring))
+        bus.emit(tr.RUN_STARTED, iteration=iteration, planned=planned)
+    result = ItemResult(iteration, planned, im, hooks)
+    try:
+        machine.run(DRIVER_ENTRY)
+    except ForcingMismatch:
+        result.status = MISMATCH
+        stats.forcing_failures += 1
+        if traced:
+            bus.emit(tr.FORCING_MISMATCH, iteration=iteration)
+    except ExecutionFault as caught:
+        result.status = FAULT
+        result.fault = caught
+    except _RunInterrupted:
+        # A signal arrived mid-run: abandon the partial run quietly; the
+        # budget check right after will checkpoint and return.
+        result.status = QUARANTINED
+    except RunTimeout as caught:
+        _quarantine(result, RUN_TIMEOUT, caught, bus, tail)
+    except (RecursionError, MemoryError) as caught:
+        _quarantine(result, RESOURCE_EXHAUSTED, caught, bus, tail)
+    except Exception as caught:  # noqa: BLE001 — the fault boundary
+        _quarantine(result, INTERNAL_ERROR, caught, bus, tail)
+    if tail is not None:
+        bus.detach(tail)
+    stats.branches_executed += machine.branches_executed
+    stats.instructions_executed += machine.steps
+    stats.instructions_symbolic += machine.symbolic_steps
+    stats.conjuncts_widened += machine.widener.widened
+    stats.conjuncts_dropped_unfaithful += machine.widener.dropped
+    stats.covered_branches |= machine.covered_branches
+    result.covered = machine.covered_branches
+    new_path = False
+    if result.completed:
+        result.path = hooks.record.path_key()
+        result.digest = path_digest(result.path)
+        new_path = result.digest not in known_paths
+        stats.path_length.observe(machine.branches_executed)
+        if planned:
+            # The predicted prefix was reached and the run finished: the
+            # flip was successfully forced (funnel stage 3).
+            stats.runs_forced += 1
+    wall = time.perf_counter() - started
+    # IR lowering happens lazily inside the run window (first call of
+    # each function); carve it out of execute so both the phase profile
+    # and the trace attribute compilation honestly.
+    compiled = ctx.compiled
+    compile_delta = 0.0
+    if compiled is not None:
+        compile_delta = compiled.compile_seconds - ctx.compile_seen
+        ctx.compile_seen = compiled.compile_seconds
+        if compile_delta > 0.0:
+            wall = max(wall - compile_delta, 0.0)
+            if traced:
+                bus.emit(tr.COMPILE, wall_s=round(compile_delta, 6),
+                         functions=compiled.functions_compiled)
+    if stats.phases.enabled:
+        if compile_delta > 0.0:
+            stats.phases.add(COMPILE, compile_delta)
+        stats.phases.add(EXECUTE, wall)
+    if traced:
+        bus.emit(
+            tr.RUN_FINISHED, iteration=iteration, status=result.status,
+            planned=planned, new_path=new_path, wall_s=round(wall, 6),
+            steps=machine.steps, branches=machine.branches_executed,
+        )
+    return result
+
+
+def timed_plan(stats, bus, iteration, func, *args, **kwargs):
+    """Run one planning call (candidate loop) with phase attribution.
+
+    The whole call — slicing, query building, cache, solver — is one
+    ``plan`` trace event; for the phase timer its wall minus the cache
+    sections recorded inside goes to ``solve``, keeping the phases
+    disjoint.
+    """
+    phases = stats.phases
+    traced = bus is not None and bus.enabled
+    if not (phases.enabled or traced):
+        return func(*args, **kwargs)
+    cache_before = phases.seconds.get(CACHE_PHASE, 0.0)
+    started = time.perf_counter()
+    result = func(*args, **kwargs)
+    wall = time.perf_counter() - started
+    if phases.enabled:
+        cache_delta = phases.seconds.get(CACHE_PHASE, 0.0) - cache_before
+        phases.add(SOLVE, max(wall - cache_delta, 0.0))
+    if traced:
+        bus.emit(tr.PLAN, iteration=iteration, wall_s=round(wall, 6))
+    return result
+
+
+def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
+             **run_options):
+    """The run kernel: execute one item and expand its children.
+
+    ``bound`` is the first branch index the item may expand (its parent
+    already enumerated everything shallower); None runs without
+    expansion (the dfs loop plans its next run itself).  A faulting run
+    is not expanded when the session stops on its first error.  Both
+    executors call this, so a run's result depends on its arguments
+    alone, never on the process it ran in.
+    """
+    result = execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
+                         **run_options)
+    options = ctx.options
+    if bound is not None and (result.status == OK or (
+            result.status == FAULT and not options.stop_on_first_error)):
+        hooks = result.hooks
+        result.children = timed_plan(
+            stats, bus, iteration, expand_worklist_children,
+            hooks.finished_stack(), hooks.record.constraints, im, bound,
+            ctx.solver, flags, stats, options.solver_escalation,
+            cache=ctx.cache, slicing=options.constraint_slicing,
+            trace=bus, subsume=options.subsumption,
+            independence=ctx.independence,
+        )
+    return result
+
+
+class _InlineExecutor:
+    """The ``jobs == 1`` executor: a window of one item, run in this
+    process at dispatch, straight into the session's statistics, flags
+    and trace bus — no payload encoding, no registry merge."""
+
+    def __init__(self, session):
+        self.session = session
+        #: Never holds an item across a checkpoint (the window is one).
+        self.inflight = {}
+        self._result = None
+
+    def start(self, first_index):
+        pass
+
+    def close(self):
+        pass
+
+    def fill(self, pending):
+        session = self.session
+        stack, im, bound = session.pop(pending)
+        # The drain loop has already counted this run: its iteration
+        # number is the item's index.
+        index = session.stats.iterations
+        self._result = session.run_here(
+            stack, im, bound,
+            random.Random(_item_seed(session.options.seed, index)))
+
+    def take(self, index):
+        result, self._result = self._result, None
+        return result
 
 
 class _Session:
@@ -316,27 +566,18 @@ class _Session:
 
     def __init__(self, dart):
         self.dart = dart
+        self.ctx = dart.ctx
         self.options = dart.options
-        self.cache = dart.solver_cache
         self.trace = dart.trace
-        #: Flight recorder: with tracing active, the last ``trace_ring``
-        #: events, snapshotted into quarantine records.  Attached only
-        #: when another sink already enabled the bus, so the ring alone
-        #: never turns tracing on.
-        self.ring = None
-        if self.trace.enabled and self.options.trace_ring:
-            self.ring = self.trace.attach(
-                RingBufferSink(self.options.trace_ring))
         self.flags = CompletenessFlags()
         self.flags.trace = self.trace
         self.stats = RunStats()
         self.stats.phases.enabled = self.options.profile_phases
-        #: compile_seconds high-water mark already attributed to the
-        #: compile phase (the compiled program outlives the session).
-        self._compile_seconds_seen = (
-            dart.compiled.compile_seconds if dart.compiled is not None
-            else 0.0
-        )
+        compiled = self.ctx.compiled
+        if compiled is not None:
+            # The compiled program outlives the session: lowering done
+            # before it (an earlier run, a replay) is not this session's.
+            self.ctx.compile_seen = compiled.compile_seconds
         if fault_points.ACTIVE is not None:
             # Injected faults count into this session's statistics and
             # trace stream (a harness-owned injector is re-bound per
@@ -353,6 +594,8 @@ class _Session:
             self.options.collect_witnesses
             or self.options.export_suite is not None
         )
+        #: dfs: drives the whole search; generational: only the "random"
+        #: strategy's pops (items draw from their own seeds).
         self.rng = random.Random(self.options.seed)
         self.status = EXHAUSTED
         self.resumed = False
@@ -360,6 +603,8 @@ class _Session:
         if self.options.time_limit is not None:
             self._deadline = time.perf_counter() + self.options.time_limit
         self._interrupted = False
+        self._probe = self._interrupt_probe \
+            if self.options.handle_signals else None
         #: True when the session exited through the truncation path
         #: (budget / deadline / signal): the search is unfinished and a
         #: checkpoint was saved.
@@ -368,8 +613,10 @@ class _Session:
             else "generational"
         #: dfs: the (stack, im) plan the next run will execute.
         self._dfs_plan = ([], InputVector())
-        #: generational: the live worklist (mutated in place).
+        #: generational: the frontier (mutated in place) and the items
+        #: dispatched but not committed — together, the worklist.
         self._worklist = []
+        self._inflight = {}
         self._clean_drain = True
         #: generational: (fingerprint, error salt) keys of every child
         #: enqueued this drain — the worklist-dedup seen set (reset on
@@ -413,12 +660,6 @@ class _Session:
         if self._interrupted:
             raise _RunInterrupted()
 
-    def detach_sinks(self):
-        """Drop the session's ring sink from the shared bus (run() end)."""
-        if self.ring is not None:
-            self.trace.detach(self.ring)
-            self.ring = None
-
     # -- shared plumbing ----------------------------------------------------
 
     def _check_budget(self):
@@ -430,128 +671,65 @@ class _Session:
                 and time.perf_counter() > self._deadline:
             raise _BudgetReached()
 
-    def _run_deadline(self):
-        """The wall-clock deadline for the next run, or None.
-
-        The tighter of the per-run limit and the session deadline — so a
-        single pathological run can no longer blow past ``time_limit``;
-        the watchdog trips at most one check interval late.
-        """
-        deadline = None
-        if self.options.run_time_limit is not None:
-            deadline = time.perf_counter() + self.options.run_time_limit
-        if self._deadline is not None \
-                and (deadline is None or self._deadline < deadline):
-            deadline = self._deadline
-        return deadline
-
-    def _execute(self, im, predicted_stack):
-        """One instrumented run inside the fault boundary.
-
-        Program faults (:class:`ExecutionFault`) are *results* — real
-        bugs found by a real execution.  Everything else escaping the
-        machine is an internal failure: it is classified, the input
-        vector is quarantined, the completeness claim is degraded, and
-        the search continues — one bad run costs one iteration, not the
-        session.  Signals (KeyboardInterrupt, SystemExit) still
-        propagate.
-        """
-        self.stats.iterations += 1
-        planned = bool(predicted_stack)
-        # The execute window covers per-run setup (hooks, machine) as
-        # well as the run itself: both are per-execution costs.
-        started = time.perf_counter()
-        hooks = DirectedHooks(
-            im, predicted_stack, self.flags, self.rng, self.options
+    def run_here(self, stack, im, bound, rng):
+        """Run the kernel in this process on the session's own state."""
+        stats = self.stats
+        return run_item(
+            self.ctx, stack, im, bound, rng, stats, self.flags, self.trace,
+            stats.iterations, session_deadline=self._deadline,
+            interrupt_check=self._probe, known_paths=stats.distinct_paths,
         )
-        machine = self.dart._machine(
-            hooks, self.flags, deadline=self._run_deadline(),
-            interrupt_check=self._interrupt_probe
-            if self.options.handle_signals else None,
-        )
-        trace = self.trace
-        if trace.enabled:
-            trace.emit(tr.RUN_STARTED, iteration=self.stats.iterations,
-                       planned=planned)
-        outcome = _RunOutcome(hooks)
-        try:
-            machine.run(DRIVER_ENTRY)
-        except ForcingMismatch:
-            outcome.mismatch = True
-            self.stats.forcing_failures += 1
-            if trace.enabled:
-                trace.emit(tr.FORCING_MISMATCH,
-                           iteration=self.stats.iterations)
-        except ExecutionFault as caught:
-            outcome.fault = caught
-        except _RunInterrupted:
-            # A signal arrived mid-run: abandon the partial run quietly;
-            # the budget check right after will checkpoint and return.
-            outcome.quarantined = True
-        except RunTimeout as caught:
-            outcome.quarantined = True
-            self._quarantine(RUN_TIMEOUT, im, caught)
-        except (RecursionError, MemoryError) as caught:
-            outcome.quarantined = True
-            self._quarantine(RESOURCE_EXHAUSTED, im, caught)
-        except Exception as caught:  # noqa: BLE001 — the fault boundary
-            outcome.quarantined = True
-            self._quarantine(INTERNAL_ERROR, im, caught)
-        self.stats.branches_executed += machine.branches_executed
-        self.stats.instructions_executed += machine.steps
-        self.stats.instructions_symbolic += machine.symbolic_steps
-        self.stats.conjuncts_widened += machine.widener.widened
-        self.stats.conjuncts_dropped_unfaithful += machine.widener.dropped
-        self.stats.covered_branches |= machine.covered_branches
-        new_path = False
-        if not outcome.mismatch and not outcome.quarantined:
-            path_key = hooks.record.path_key()
-            digest = path_digest(path_key)
-            new_path = self.stats.note_path(digest)
-            self.stats.path_length.observe(machine.branches_executed)
-            if planned:
-                # The predicted prefix was reached and the run finished:
-                # the flip was successfully forced (funnel stage 3).
-                self.stats.runs_forced += 1
-            if self._collect_witnesses:
-                self._witness(im, path_key, digest, machine, outcome.fault)
-        wall = time.perf_counter() - started
-        # IR lowering happens lazily inside the run window (first call of
-        # each function); carve it out of execute so both the phase
-        # profile and the trace attribute compilation honestly.
-        compiled = self.dart.compiled
-        compile_delta = 0.0
-        if compiled is not None:
-            compile_delta = \
-                compiled.compile_seconds - self._compile_seconds_seen
-            self._compile_seconds_seen = compiled.compile_seconds
-            if compile_delta > 0.0:
-                wall = max(wall - compile_delta, 0.0)
-                if trace.enabled:
-                    trace.emit(tr.COMPILE, wall_s=round(compile_delta, 6),
-                               functions=compiled.functions_compiled)
-        if self.stats.phases.enabled:
-            if compile_delta > 0.0:
-                self.stats.phases.add(COMPILE, compile_delta)
-            self.stats.phases.add(EXECUTE, wall)
-        if trace.enabled:
-            if outcome.mismatch:
-                status = "mismatch"
-            elif outcome.quarantined:
-                status = "quarantined"
-            elif outcome.fault is not None:
-                status = "fault"
-            else:
-                status = "ok"
-            trace.emit(
-                tr.RUN_FINISHED, iteration=self.stats.iterations,
-                status=status, planned=planned, new_path=new_path,
-                wall_s=round(wall, 6), steps=machine.steps,
-                branches=machine.branches_executed,
-            )
-        return outcome
 
-    def _witness(self, im, path_key, digest, machine, fault):
+    def _commit(self, result, pending=None):
+        """Fold one run's result into the session; True = stop now.
+
+        The one place a run becomes session state, for the dfs loop and
+        both worklist executors alike: path and witness bookkeeping,
+        quarantine, worklist admission of its children (into
+        ``pending``), and the error report.
+        """
+        status = result.status
+        if status == MISMATCH:
+            # §2.3: the run diverged from its prediction and its item is
+            # dropped.  The invariant guarantees a completeness flag was
+            # already cleared, so forcing_ok is restored; only this
+            # drain's completeness is tainted.
+            self.flags.forcing_ok = True
+            self._clean_drain = False
+            return False
+        if status == QUARANTINED:
+            # Contained failure: this item is lost (one run's worth of
+            # work), the rest of the frontier lives.  Mirroring the
+            # paper's ``forcing_ok`` degradation, ``all_linear`` is
+            # cleared — a path this session could not finish executing is
+            # a path it cannot claim to have covered, so Theorem 1(b)
+            # verdicts stay sound.
+            if result.quarantine is not None:
+                self.flags.clear_linear()
+                self.stats.quarantined.append(result.quarantine)
+            self._clean_drain = False
+            return False
+        self.stats.note_path(result.digest)
+        fault = result.fault
+        salt = (fault.kind, str(fault.location)) \
+            if fault is not None else None
+        if self._collect_witnesses:
+            self._witness(result, salt)
+        if pending is not None:
+            pending.extend(self._admit_children(result.children, salt))
+        if fault is None:
+            return False
+        self.status = BUG_FOUND
+        if salt not in self._seen_error_keys:
+            self._seen_error_keys.add(salt)
+            im = result.im
+            self.errors.append(ErrorReport(
+                fault, im.values(), result.iteration, result.path,
+                kinds=[slot.kind for slot in im],
+            ))
+        return self.options.stop_on_first_error
+
+    def _witness(self, result, error_key):
         """Retain this run for suite export if it is worth keeping.
 
         Keyed by (path digest, error class): the first run of every
@@ -561,90 +739,19 @@ class _Session:
         apart).  Only program-function coverage is stored; driver
         scaffolding is not part of the replay contract.
         """
-        error = None
-        if fault is not None:
-            error = {
-                "kind": fault.kind,
-                "message": getattr(fault, "message", str(fault)),
-                "location": str(fault.location)
-                if fault.location is not None else None,
-            }
-        error_key = (error["kind"], str(error["location"])) \
-            if error is not None else None
-        witness_key = (digest, error_key)
+        witness_key = (result.digest, error_key)
         if witness_key in self._witnessed:
             return
         self._witnessed.add(witness_key)
+        fault = result.fault
+        error = fault_fields(fault) if fault is not None else None
+        im = result.im
         self.witnesses.append(PathWitness(
-            im.values(), [slot.kind for slot in im], path_key,
-            {entry for entry in machine.covered_branches
-             if is_program_branch(entry)},
-            error=error, iteration=self.stats.iterations,
+            im.values(), [slot.kind for slot in im], result.path,
+            {entry for entry in result.covered if is_program_branch(entry)},
+            error=error, iteration=result.iteration,
         ))
         self.stats.witnesses_recorded += 1
-
-    def _quarantine(self, classification, im, exc):
-        """Contain an internal failure: record it and degrade honestly.
-
-        Mirroring the paper's ``forcing_ok`` degradation, the ``all
-        linear`` completeness flag is cleared — a path this session could
-        not finish executing is a path it cannot claim to have covered,
-        so Theorem 1(b) verdicts stay sound.
-        """
-        self.flags.clear_linear()
-        detail = "{}: {}".format(type(exc).__name__, exc)
-        tb = traceback.extract_tb(exc.__traceback__)
-        if tb:
-            frame = tb[-1]
-            detail += " [{}:{} in {}]".format(
-                frame.filename.rsplit("/", 1)[-1], frame.lineno, frame.name
-            )
-        trace_tail = self.ring.tail() if self.ring is not None else None
-        self.stats.quarantined.append(QuarantineRecord(
-            classification, im.values(), [slot.kind for slot in im],
-            self.stats.iterations, detail, trace_tail=trace_tail,
-        ))
-        if self.trace.enabled:
-            self.trace.emit(tr.QUARANTINE, classification=classification,
-                            iteration=self.stats.iterations, detail=detail)
-
-    def _plan(self, func, *args, **kwargs):
-        """Run one planning call (candidate loop) with phase attribution.
-
-        The whole call — slicing, query building, cache, solver — is one
-        ``plan`` trace event; for the phase timer its wall minus the
-        cache sections recorded inside goes to ``solve``, keeping the
-        phases disjoint.
-        """
-        phases = self.stats.phases
-        trace = self.trace
-        timed = phases.enabled or trace.enabled
-        if not timed:
-            return func(*args, **kwargs)
-        cache_before = phases.seconds.get(CACHE_PHASE, 0.0)
-        started = time.perf_counter()
-        result = func(*args, **kwargs)
-        wall = time.perf_counter() - started
-        if phases.enabled:
-            cache_delta = phases.seconds.get(CACHE_PHASE, 0.0) - cache_before
-            phases.add(SOLVE, max(wall - cache_delta, 0.0))
-        if trace.enabled:
-            trace.emit(tr.PLAN, iteration=self.stats.iterations,
-                       wall_s=round(wall, 6))
-        return result
-
-    def _record_error(self, fault, im, hooks):
-        """Record a found bug; returns True when the session should stop."""
-        self.status = BUG_FOUND
-        key = (fault.kind, str(fault.location))
-        if key not in self._seen_error_keys:
-            self._seen_error_keys.add(key)
-            self.errors.append(
-                ErrorReport(fault, im.values(), self.stats.iterations,
-                            hooks.record.path_key(),
-                            kinds=[slot.kind for slot in im])
-            )
-        return self.options.stop_on_first_error
 
     def _result(self):
         # A signal that truncated the search wins over a sticky
@@ -656,7 +763,7 @@ class _Session:
         if self._interrupted and (self._truncated
                                   or self.status == EXHAUSTED):
             self.status = INTERRUPTED
-        coverage = BranchCoverage(self.dart.module,
+        coverage = BranchCoverage(self.ctx.module,
                                   self.stats.covered_branches)
         # Surface the rollup through the stats summary too, so JSON
         # reports built from RunStats alone carry the C1 numbers.
@@ -696,9 +803,10 @@ class _Session:
         if self._engine == "dfs":
             checkpoint.dfs_pending = self._dfs_plan
         else:
-            checkpoint.worklist = [
-                (item.stack, item.im, item.bound) for item in self._worklist
-            ]
+            # Dispatched-but-uncommitted items first (dispatch order),
+            # then the frontier: "N runs committed, these remain".
+            checkpoint.worklist = \
+                list(self._inflight.values()) + self._worklist
             checkpoint.dedup_seen = sorted(self._dedup_seen, key=repr)
         return checkpoint
 
@@ -753,13 +861,7 @@ class _Session:
         """Adopt a validated checkpoint's state; returns the work to do."""
         self.rng.setstate(checkpoint.rng_state)
         (self.flags.all_linear, self.flags.all_locs_definite,
-         self.flags.forcing_ok) = checkpoint.flags[:3]
-        # Checkpoints written before the widening layer carry the flag
-        # triple; all_faithful then stays at its True reset value (their
-        # fingerprint predates the "encoding" field, so in practice they
-        # are rejected upstream anyway).
-        if len(checkpoint.flags) > 3:
-            self.flags.all_faithful = checkpoint.flags[3]
+         self.flags.forcing_ok, self.flags.all_faithful) = checkpoint.flags
         for name in RunStats.COUNTERS:
             setattr(self.stats, name, checkpoint.counters.get(name, 0))
         self.stats.distinct_paths = set(checkpoint.distinct_paths)
@@ -794,8 +896,9 @@ class _Session:
 
         A missing, version-mismatched or — most importantly —
         *fingerprint*-mismatched checkpoint (different program, toplevel
-        or search configuration) yields None and the search starts
-        cleanly from scratch, never silently replaying stale state.
+        or search configuration), or a valid one for the other engine,
+        yields None and the search starts cleanly from scratch, never
+        silently replaying stale state.
 
         A **corrupt** checkpoint (the file exists but is torn, bit-rotted
         or structurally broken) also reseeds cleanly, but not silently:
@@ -815,43 +918,22 @@ class _Session:
             return checkpoint
         if reason == "corrupt":
             self._reject_checkpoint(path)
-            return None
-        if checkpoint is not None:
-            # Valid checkpoint for the other engine: legitimate mismatch,
-            # restart cleanly without touching it further.
-            return None
-        if self._engine == "dfs":
-            # Compatibility: a v1 (stack, im) file — the paper's literal
-            # "stack kept in a file" — still seeds the directed search.
-            legacy = persist.load_state(path)
-            if legacy is not None:
-                checkpoint = persist.SessionCheckpoint(
-                    fingerprint=self.dart.fingerprint, engine="dfs",
-                    rng_state=self.rng.getstate(),
-                    flags=self.flags.snapshot(), counters={},
-                    distinct_paths=[], covered_branches=[], errors=[],
-                    quarantined=[], dfs_pending=legacy,
-                )
-                self.resumed = True
-                return checkpoint
         return None
 
     def _reject_checkpoint(self, path):
         """Contain a corrupt checkpoint: count, record, degrade, reseed.
 
-        Mirrors :meth:`_quarantine` for state loss instead of run loss:
-        the session continues from scratch, but the lost coverage makes
-        any completeness claim unsound, so ``all_linear`` is cleared and
-        a ``checkpoint-corrupt`` record preserves the evidence.
+        The state-loss counterpart of a quarantined run: the session
+        continues from scratch, but the lost coverage makes any
+        completeness claim unsound, so ``all_linear`` is cleared and a
+        ``checkpoint-corrupt`` record preserves the evidence.
         """
         self.stats.checkpoints_rejected += 1
         self.flags.clear_linear()
         detail = ("checkpoint {} failed validation (torn, bit-rotted or "
                   "structurally broken); reseeding from scratch".format(path))
-        trace_tail = self.ring.tail() if self.ring is not None else None
         self.stats.quarantined.append(QuarantineRecord(
             CHECKPOINT_CORRUPT, [], [], self.stats.iterations, detail,
-            trace_tail=trace_tail,
         ))
         if self.trace.enabled:
             self.trace.emit(tr.CHECKPOINT_REJECTED, detail=detail)
@@ -878,27 +960,25 @@ class _Session:
                     self._dfs_plan = (predicted_stack, im)
                     self._autosave()
                     self._check_budget()
-                    outcome = self._execute(im, predicted_stack)
-                    if outcome.mismatch:
-                        # §2.3: restart with a fresh random input vector.
-                        self.flags.forcing_ok = True
-                        break
-                    if outcome.quarantined:
-                        # The run died inside the fault boundary; its path
-                        # record cannot be trusted, so fall back to a
-                        # random restart — the one-run cost of the fault.
-                        break
-                    if outcome.fault is not None and self._record_error(
-                        outcome.fault, im, outcome.hooks
-                    ):
+                    self.stats.iterations += 1
+                    result = self.run_here(predicted_stack, im, None, self.rng)
+                    if self._commit(result):
                         self._clear_checkpoint()
                         return self._result()
-                    plan = self._plan(
+                    if not result.completed:
+                        # A mismatch (§2.3) or a run that died inside the
+                        # fault boundary: its path record cannot be
+                        # trusted, so fall back to a random restart — the
+                        # one-run cost of the fault.
+                        break
+                    hooks = result.hooks
+                    plan = timed_plan(
+                        self.stats, self.trace, self.stats.iterations,
                         solve_path_constraint,
-                        outcome.hooks.record, outcome.hooks.finished_stack(),
-                        im, self.dart.solver, "dfs", self.rng, self.flags,
+                        hooks.record, hooks.finished_stack(),
+                        im, self.ctx.solver, "dfs", self.rng, self.flags,
                         self.stats, escalation=self.options.solver_escalation,
-                        cache=self.cache,
+                        cache=self.ctx.cache,
                         slicing=self.options.constraint_slicing,
                         trace=self.trace,
                         subsume=self.options.subsumption,
@@ -922,7 +1002,9 @@ class _Session:
 
     # -- engine 2: generational worklist (footnote 4 done soundly) -----------
 
-    def _pop(self, pending):
+    def pop(self, pending):
+        """The next item to dispatch: FIFO ("bfs") or a session-RNG draw
+        ("random") — a function of the committed prefix alone."""
         if self.options.strategy == "bfs":
             return pending.pop(0)
         return pending.pop(self.rng.randrange(len(pending)))
@@ -956,77 +1038,54 @@ class _Session:
                 seen.add(key)
             yield stack, im, bound
 
-    def run_generational(self):
-        solver = self.dart.solver
-        escalation = self.options.solver_escalation
+    def run_worklist(self, executor):
+        """The generational search: drain the worklist through
+        ``executor``, with random restarts as in Fig. 2.
+
+        The executor dispatches items (in-process, or to a worker pool)
+        and hands back their results in dispatch order; the autosave and
+        the budget check happen once per commit, at the state a
+        checkpoint describes (N runs committed, these remain) — so
+        checkpoint cadence, the between-runs fault seam and budget
+        truncation do not depend on the executor.
+        """
         checkpoint = self._resume()
         pending = None
         if checkpoint is not None and checkpoint.worklist is not None:
-            pending = [
-                _Pending(stack, im, bound)
-                for stack, im, bound in checkpoint.worklist
-            ]
+            pending = list(checkpoint.worklist)
+        self._inflight = executor.inflight
+        executor.start(self.stats.iterations + 1)
+        stats = self.stats
         try:
             while True:  # random restarts, as in Fig. 2
                 if pending is None:
-                    pending = [_Pending([], InputVector(), 0)]
+                    pending = [([], InputVector(), 0)]
                     self._clean_drain = True
                     self._dedup_seen = set()
                 self._worklist = pending
-                self.stats.worklist_depth.set(len(pending))
-                while pending:
+                while pending or executor.inflight:
+                    stats.worklist_depth.set(
+                        len(pending) + len(executor.inflight))
                     self._autosave()
                     self._check_budget()
-                    item = self._pop(pending)
-                    # Live gauge update on every pop and push (below), so
-                    # the depth — and its peak — stays honest for serial
-                    # sessions, matching the parallel engine.
-                    self.stats.worklist_depth.set(len(pending))
-                    outcome = self._execute(item.im, item.stack)
-                    if outcome.mismatch:
-                        # The invariant guarantees a completeness flag was
-                        # already cleared; drop the stale item.
-                        self.flags.forcing_ok = True
-                        self._clean_drain = False
-                        continue
-                    if outcome.quarantined:
-                        # Contained failure: this item is lost (one run's
-                        # worth of work), the rest of the frontier lives.
-                        self._clean_drain = False
-                        continue
-                    if outcome.fault is not None and self._record_error(
-                        outcome.fault, item.im, outcome.hooks
-                    ):
+                    stats.iterations += 1
+                    executor.fill(pending)
+                    if self._commit(executor.take(stats.iterations),
+                                    pending):
                         self._clear_checkpoint()
                         return self._result()
-                    children = self._plan(
-                        expand_worklist_children,
-                        outcome.hooks.finished_stack(),
-                        outcome.hooks.record.constraints,
-                        item.im, item.bound, solver, self.flags,
-                        self.stats, escalation, cache=self.cache,
-                        slicing=self.options.constraint_slicing,
-                        trace=self.trace,
-                        subsume=self.options.subsumption,
-                        independence=self.dart.independence,
-                    )
-                    salt = (outcome.fault.kind, str(outcome.fault.location)) \
-                        if outcome.fault is not None else None
-                    pending.extend(
-                        _Pending(stack, im, bound)
-                        for stack, im, bound
-                        in self._admit_children(children, salt)
-                    )
-                    self.stats.worklist_depth.set(len(pending))
+                stats.worklist_depth.set(0)
                 if self._clean_drain and self._finished_complete():
                     self._clear_checkpoint()
                     return self._result()
-                self.stats.random_restarts += 1
+                stats.random_restarts += 1
                 pending = None
         except _BudgetReached:
             self._truncated = True
             self._save_checkpoint()
             return self._result()
+        finally:
+            executor.close()
 
 
 def dart_check(source, toplevel, options=None, **option_kwargs):

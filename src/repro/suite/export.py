@@ -23,6 +23,7 @@ statistics; the export itself lands as one ``suite_exported`` event.
 
 import os
 
+from repro.dart.report import fault_fields
 from repro.obs import trace as tr
 from repro.suite.artifact import (
     ARTIFACTS_DIR,
@@ -58,15 +59,9 @@ def _rematerialize_errors(dart, result, witnessed_error_keys):
         outcome = execute_vector(dart, error.inputs, error.kinds)
         if outcome.error_key != key:
             continue
-        fault = outcome.fault
         extra.append(Artifact(
             error.inputs, error.kinds, outcome.path, outcome.covered,
-            error={
-                "kind": fault.kind,
-                "message": getattr(fault, "message", str(fault)),
-                "location": str(fault.location)
-                if fault.location is not None else None,
-            },
+            error=fault_fields(outcome.fault),
             iteration=error.iteration,
         ))
     return extra

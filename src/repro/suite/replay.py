@@ -45,7 +45,7 @@ class _ReplayRecordingHooks(DirectedHooks):
     ``on_branch`` still appends every branch to the path record, and
     with an empty predicted stack it can never raise a forcing
     mismatch.  A program that asks for more inputs than were recorded
-    gets zeros — the same contract as ``Dart.replay``.
+    gets zeros.
     """
 
     def acquire_input(self, kind):
@@ -99,9 +99,10 @@ def _replay_options(option_fields):
 def execute_vector(dart, inputs, kinds):
     """One forcing replay of ``inputs`` on a built :class:`Dart`.
 
-    Shared by artifact replay and by the exporter (which rematerializes
-    path/coverage for checkpoint-restored errors that predate witness
-    collection).  Returns a :class:`ReplayOutcome`.
+    Shared by artifact replay, :meth:`Dart.replay` and the exporter
+    (which rematerializes path/coverage for checkpoint-restored errors
+    that predate witness collection).  Slots beyond ``kinds`` replay as
+    "int".  Returns a :class:`ReplayOutcome`.
     """
     im = InputVector()
     for ordinal, value in enumerate(inputs):
@@ -109,7 +110,7 @@ def execute_vector(dart, inputs, kinds):
         im.record(ordinal, kind, value)
     hooks = _ReplayRecordingHooks(
         im, [], CompletenessFlags(), random.Random(0), dart.options)
-    machine = dart._machine(hooks, CompletenessFlags())
+    machine = dart.ctx.machine(hooks, CompletenessFlags(), trace=dart.trace)
     fault = None
     try:
         machine.run(DRIVER_ENTRY)

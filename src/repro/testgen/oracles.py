@@ -368,7 +368,7 @@ class OracleBattery:
                     self._dart_options(**overrides))
         violations = []
         if check_models and overrides.get("jobs", 1) == 1:
-            dart.solver = _CheckingSolver(dart.solver, violations)
+            dart.ctx.solver = _CheckingSolver(dart.ctx.solver, violations)
         result = dart.run()
         self.counters["dart_sessions"] += 1
         self.counters["conjuncts_widened"] += \
@@ -391,7 +391,15 @@ class OracleBattery:
         return sorted((error.kind, str(error.location))
                       for error in result.errors)
 
-    def _compare_sessions(self, label_a, a, label_b, b):
+    @staticmethod
+    def _search(result):
+        return result.iterations, [(error.kind, str(error.location),
+                                    error.inputs) for error in result.errors]
+
+    def _compare_sessions(self, label_a, a, label_b, b, same_search=False):
+        """Definitive pairs must agree on verdict, error set and coverage;
+        with ``same_search`` (serial vs. pool: one search, two executors)
+        also on the run count and every error's input vector."""
         divergences = []
         if self._definitive(a) and self._definitive(b):
             self.counters["definitive_pairs"] += 1
@@ -411,6 +419,11 @@ class OracleBattery:
                     "branch coverage differs between {} and {} "
                     "(symmetric difference {})"
                 ).format(label_a, label_b, sorted(missing)[:4])))
+            if same_search and self._search(a) != self._search(b):
+                divergences.append(Divergence("config", (
+                    "(iterations, error inputs) differ: {}={} vs {}={}"
+                ).format(label_a, self._search(a),
+                         label_b, self._search(b))))
         else:
             self.counters["skipped_pairs"] += 1
         return divergences
@@ -461,7 +474,8 @@ class OracleBattery:
         divergences.extend(
             self._quarantine_divergences("parallel", parallel))
         divergences.extend(
-            self._compare_sessions("serial", serial, "jobs", parallel))
+            self._compare_sessions("serial", serial, "jobs", parallel,
+                                   same_search=True))
         return divergences
 
     # -- oracle 3: solver vs. brute force -----------------------------------

@@ -12,12 +12,30 @@ import random
 from repro.dart.inputs import _DOMAINS, InputVector, random_value
 from repro.dart.pathcond import StackEntry
 from repro.dart.persist import (
-    _decode_im,
-    _encode_im,
-    load_state,
-    save_state,
+    SessionCheckpoint,
+    decode_input_vector,
+    encode_input_vector,
+    load_checkpoint,
+    save_checkpoint,
 )
 from repro.dart.runner import Dart, dart_check
+
+FINGERPRINT = {"source": "roundtrip", "toplevel": "f", "options": "-",
+               "encoding": 0}
+
+
+def checkpoint_roundtrip(path, stack, im):
+    """Write (stack, im) as both a dfs plan and a worklist item of a v3
+    checkpoint, read it back, and return the two decoded copies."""
+    save_checkpoint(path, SessionCheckpoint(
+        fingerprint=FINGERPRINT, engine="generational",
+        rng_state=random.Random(0).getstate(), flags=(True,) * 4,
+        counters={}, distinct_paths=[], covered_branches=[], errors=[],
+        quarantined=[], dfs_pending=(stack, im), worklist=[(stack, im, 0)],
+    ))
+    loaded = load_checkpoint(path, FINGERPRINT)
+    (item_stack, item_im, _bound), = loaded.worklist
+    return loaded.dfs_pending, (item_stack, item_im)
 
 
 def boundary_values(kind):
@@ -32,7 +50,7 @@ class TestEncodeDecode:
             values = boundary_values(kind)
             for ordinal, value in enumerate(values):
                 im.record(ordinal, kind, value)
-            decoded = _decode_im(_encode_im(im))
+            decoded = decode_input_vector(encode_input_vector(im))
             assert [slot.kind for slot in decoded] == [kind] * len(values)
             assert decoded.values() == values
 
@@ -42,7 +60,7 @@ class TestEncodeDecode:
         kinds = sorted(_DOMAINS) * 3
         for ordinal, kind in enumerate(kinds):
             im.record(ordinal, kind, random_value(kind, rng))
-        decoded = _decode_im(_encode_im(im))
+        decoded = decode_input_vector(encode_input_vector(im))
         assert [slot.kind for slot in decoded] == kinds
         assert decoded.values() == im.values()
         assert decoded.domains() == im.domains()
@@ -51,7 +69,7 @@ class TestEncodeDecode:
         im = InputVector()
         im.record(0, "ptr_choice", 1)
         im.record(1, "int", -(1 << 31))
-        decoded = _decode_im(_encode_im(im))
+        decoded = decode_input_vector(encode_input_vector(im))
         assert decoded.value_or_none(0, "ptr_choice") == 1
         assert decoded.value_or_none(0, "int") is None
         assert decoded.value_or_none(1, "int") == -(1 << 31)
@@ -66,12 +84,11 @@ class TestStateFileRoundTrip:
         for ordinal, kind in enumerate(kinds):
             im.record(ordinal, kind, random_value(kind, rng))
         stack = [StackEntry(1, False), StackEntry(0, True)]
-        save_state(path, stack, im)
-        loaded_stack, loaded_im = load_state(path)
-        assert [slot.kind for slot in loaded_im] == kinds
-        assert loaded_im.values() == im.values()
-        assert [(e.branch, e.done) for e in loaded_stack] == \
-            [(1, False), (0, True)]
+        for loaded_stack, loaded_im in checkpoint_roundtrip(path, stack, im):
+            assert [slot.kind for slot in loaded_im] == kinds
+            assert loaded_im.values() == im.values()
+            assert [(e.branch, e.done) for e in loaded_stack] == \
+                [(1, False), (0, True)]
 
     def test_double_round_trip_is_stable(self, tmp_path):
         path = str(tmp_path / "state.json")
@@ -79,11 +96,11 @@ class TestStateFileRoundTrip:
         for ordinal, kind in enumerate(sorted(_DOMAINS)):
             lo, hi = _DOMAINS[kind]
             im.record(ordinal, kind, hi)
-        save_state(path, [StackEntry(0, False)], im)
-        _, once = load_state(path)
-        save_state(path, [StackEntry(0, False)], once)
-        _, twice = load_state(path)
-        assert _encode_im(once) == _encode_im(twice) == _encode_im(im)
+        (_, once), _ = checkpoint_roundtrip(path, [StackEntry(0, False)], im)
+        (_, twice), _ = checkpoint_roundtrip(
+            path, [StackEntry(0, False)], once)
+        assert encode_input_vector(once) == encode_input_vector(twice) \
+            == encode_input_vector(im)
 
 
 POINTER_PROGRAM = """
@@ -112,15 +129,15 @@ class TestReplayReproduction:
     def test_replay_accepts_persisted_inputs(self, tmp_path):
         result = dart_check(POINTER_PROGRAM, "f", seed=3, max_iterations=40)
         report = result.errors[0]
-        # Round-trip the report's inputs through the v1 state file, as a
+        # Round-trip the report's inputs through a checkpoint, as a
         # resumed session would, then replay from the decoded vector.
         im = InputVector()
         for ordinal, (kind, value) in enumerate(
                 zip(report.kinds, report.inputs)):
             im.record(ordinal, kind, value)
         path = str(tmp_path / "state.json")
-        save_state(path, [StackEntry(0, False)], im)
-        _, loaded = load_state(path)
+        (_, loaded), _ = checkpoint_roundtrip(
+            path, [StackEntry(0, False)], im)
         assert loaded.values() == report.inputs
         dart = Dart(POINTER_PROGRAM, "f")
         fault = dart.replay(loaded.values(),

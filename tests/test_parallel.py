@@ -23,6 +23,19 @@ def error_set(result):
     return sorted({(e.kind, str(e.location)) for e in result.errors})
 
 
+def assert_same_search(serial, parallel, label=None):
+    """The pool runs the serial search, not merely an equivalent one:
+    same iterations, same error inputs, same witnesses in order."""
+    assert serial.status == parallel.status, label
+    assert serial.iterations == parallel.iterations, label
+    assert [(e.kind, str(e.location), e.inputs, e.iteration)
+            for e in serial.errors] == \
+        [(e.kind, str(e.location), e.inputs, e.iteration)
+         for e in parallel.errors], label
+    assert [w.to_dict() for w in serial.witnesses] == \
+        [w.to_dict() for w in parallel.witnesses], label
+
+
 class TestOptionValidation:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -50,12 +63,13 @@ class TestSamplesParallelMatchesSerial:
         ):
             serial = run(source, toplevel, 1, strategy="bfs",
                          max_iterations=300, seed=7,
-                         stop_on_first_error=False)
+                         stop_on_first_error=False, collect_witnesses=True)
             parallel = run(source, toplevel, 4, strategy="bfs",
                            max_iterations=300, seed=7,
-                           stop_on_first_error=False)
-            assert error_set(serial) == error_set(parallel), toplevel
-            assert serial.status == parallel.status, toplevel
+                           stop_on_first_error=False,
+                           collect_witnesses=True)
+            assert serial.witnesses, toplevel
+            assert_same_search(serial, parallel, toplevel)
 
     def test_complete_verdict_preserved(self):
         serial = run(samples.Z_SOURCE, "f", 1, strategy="bfs",
@@ -69,10 +83,12 @@ class TestSamplesParallelMatchesSerial:
 
     def test_random_strategy_same_errors(self):
         serial = run(samples.FILTER_SOURCE, "entry", 1, strategy="random",
-                     max_iterations=300, seed=5)
+                     max_iterations=300, seed=5, collect_witnesses=True)
         parallel = run(samples.FILTER_SOURCE, "entry", 4,
-                       strategy="random", max_iterations=300, seed=5)
-        assert error_set(serial) == error_set(parallel)
+                       strategy="random", max_iterations=300, seed=5,
+                       collect_witnesses=True)
+        assert serial.errors
+        assert_same_search(serial, parallel)
 
     def test_parallel_is_deterministic(self):
         results = [
@@ -154,9 +170,10 @@ class TestCheckpointInterop:
 
 
 class TestFaultContainment:
-    def test_worker_quarantines_pathological_run(self):
+    def test_worker_quarantines_pathological_run(self, tmp_path):
         # A run exceeding the per-run watchdog budget is quarantined by
-        # the worker and reported as data; the generation survives.
+        # the kernel and reported as data; the generation survives.  Both
+        # executors record it identically, flight-recorder tail included.
         source = """
         int spin(int n) {
           if (n > 0) {
@@ -165,10 +182,22 @@ class TestFaultContainment:
           return n;
         }
         """
-        result = run(source, "spin", 2, strategy="bfs", max_iterations=20,
-                     seed=0, run_time_limit=0.2, max_steps=100_000_000)
-        assert result.quarantined
-        classifications = {q.classification for q in result.quarantined}
-        assert classifications <= {"run-timeout", "resource-exhausted"}
-        # Degraded honestly: a lost run voids the completeness claim.
-        assert result.status != "complete"
+
+        def quarantines(jobs):
+            result = run(source, "spin", jobs, strategy="bfs",
+                         max_iterations=20, seed=0, run_time_limit=0.2,
+                         max_steps=100_000_000,
+                         trace_file=str(tmp_path / "trace{}.jsonl".format(
+                             jobs)))
+            # Degraded honestly: a lost run voids the completeness claim.
+            assert result.status != "complete"
+            return [(record.classification, record.iteration,
+                     [event["type"] for event in record.trace_tail])
+                    for record in result.quarantined]
+
+        serial = quarantines(1)
+        assert serial
+        assert {classification for classification, _, _ in serial} <= \
+            {"run-timeout", "resource-exhausted"}
+        assert all(tail for _, _, tail in serial)
+        assert quarantines(2) == serial

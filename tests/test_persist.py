@@ -1,8 +1,8 @@
 """Tests for inter-run state persistence (resume after budget)."""
 
+import json
 import os
-
-import pytest
+import random
 
 from repro import DartOptions
 from repro.dart import persist
@@ -13,10 +13,24 @@ from repro.programs.ac_controller import AC_CONTROLLER_SOURCE
 
 
 class TestFileFormat:
+    FINGERPRINT = {"source": "persist", "toplevel": "f", "options": "-",
+                   "encoding": 0}
+
+    def save(self, path, stack, im):
+        persist.save_checkpoint(path, persist.SessionCheckpoint(
+            fingerprint=self.FINGERPRINT, engine="dfs",
+            rng_state=random.Random(0).getstate(), flags=(True,) * 4,
+            counters={}, distinct_paths=[], covered_branches=[], errors=[],
+            quarantined=[], dfs_pending=(stack, im),
+        ))
+
     def roundtrip(self, tmp_path, stack, im):
         path = str(tmp_path / "state.json")
-        persist.save_state(path, stack, im)
-        return persist.load_state(path)
+        self.save(path, stack, im)
+        return persist.load_checkpoint(path, self.FINGERPRINT).dfs_pending
+
+    def reason(self, path):
+        return persist.load_checkpoint_ex(str(path), self.FINGERPRINT)
 
     def test_roundtrip(self, tmp_path):
         stack = [StackEntry(1, True), StackEntry(0, False)]
@@ -36,21 +50,21 @@ class TestFileFormat:
         assert loaded_stack == [] and len(loaded_im) == 0
 
     def test_missing_file(self, tmp_path):
-        assert persist.load_state(str(tmp_path / "nope.json")) is None
+        assert self.reason(tmp_path / "nope.json") == (None, "missing")
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        assert persist.load_state(str(path)) is None
+        assert self.reason(path) == (None, "corrupt")
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text('{"version": 99, "stack": [], "im": []}')
-        assert persist.load_state(str(path)) is None
+        assert self.reason(path) == (None, "version")
 
     def test_clear_state(self, tmp_path):
         path = str(tmp_path / "state.json")
-        persist.save_state(path, [], InputVector())
+        self.save(path, [], InputVector())
         persist.clear_state(path)
         assert not os.path.exists(path)
         persist.clear_state(path)  # idempotent
@@ -136,17 +150,21 @@ class TestResume:
         assert resumed.status == fresh.status == "complete"
         assert resumed.iterations == fresh.iterations
 
-    def test_legacy_v1_state_still_seeds_a_dfs_session(self, tmp_path):
-        # The paper's literal "stack kept in a file" format (v1) remains
-        # accepted as a seed for the directed search.
-        path = str(tmp_path / "v1.json")
-        stack = [StackEntry(1, False)]
-        im = InputVector()
-        im.record(0, "int", 3)
-        persist.save_state(path, stack, im)
+    def test_legacy_v1_state_restarts_cleanly(self, tmp_path):
+        # The bare (stack, IM) v1 file carries no fingerprint, so nothing
+        # tells which program or configuration wrote it: it is another
+        # format, not a seed, and the session starts from scratch.
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(
+            {"version": 1, "stack": [[1, 0]], "im": [["int", 3]]}))
+        assert persist.load_checkpoint_ex(str(path), {}) == (None, "version")
         result = Dart(
             AC_CONTROLLER_SOURCE, "ac_controller",
-            DartOptions(max_iterations=100, seed=0, state_file=path),
+            DartOptions(max_iterations=100, seed=0, state_file=str(path)),
         ).run()
-        assert result.resumed
+        assert not result.resumed
+        assert result.stats.checkpoints_rejected == 0
+        assert not [record for record in result.quarantined
+                    if record.classification == "checkpoint-corrupt"]
         assert result.status == "complete"
+        assert not path.exists()

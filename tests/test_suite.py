@@ -82,10 +82,10 @@ def export_campaign(source, toplevel, out_dir, **overrides):
     return Dart(source, toplevel, options).run()
 
 
-def build_golden_suite(out_dir):
+def build_golden_suite(out_dir, jobs=1):
     """(Re)generate the golden AC-controller suite — see GOLDEN_CAMPAIGN."""
     return export_campaign(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
-                           out_dir, **GOLDEN_CAMPAIGN)
+                           out_dir, jobs=jobs, **GOLDEN_CAMPAIGN)
 
 
 def make_artifact(path, error=None, covered=(), inputs=(1, 2)):
@@ -301,9 +301,14 @@ class TestGoldenSuite:
             "tests/golden_suite/ lost its exported suite"
         assert os.path.exists(os.path.join(GOLDEN_DIR, "manifest.json"))
 
-    def test_export_is_deterministic_and_matches_golden(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_export_is_deterministic_and_matches_golden(self, tmp_path,
+                                                        jobs):
+        # jobs=2 must export the very same bytes: the pool runs the same
+        # kernel on the same items with the same seeds, and commits in
+        # dispatch order.
         out = str(tmp_path / "suite")
-        build_golden_suite(out)
+        build_golden_suite(out, jobs=jobs)
         fresh = _tree_bytes(out)
         golden = _tree_bytes(GOLDEN_DIR)
         assert sorted(fresh) == sorted(golden)
@@ -397,25 +402,17 @@ class TestC1Accounting:
         parallel = campaign(2)
         assert parallel.coverage.to_dict() == serial.coverage.to_dict()
 
-        # Concrete random *seeds* differ between the engines (workers
-        # draw their own restart vectors — pre-existing contract, see
-        # test_parallel), but the discovered (path, error, coverage)
-        # facts must agree...
-        def fact(witness):
-            return (witness.path, witness.error_key,
-                    tuple(sorted(witness.covered)))
-
-        assert {fact(w) for w in parallel.witnesses} == \
-            {fact(w) for w in serial.witnesses}
-
-        # ...and the parallel merge itself must be deterministic:
-        # re-running the same campaign reproduces the witness list
-        # bit-for-bit, concrete inputs and dispatch order included.
+        # The pool is the same search: the witness lists agree exactly,
+        # concrete inputs, dispatch order and iterations included...
         def exact(witness):
             return (tuple(witness.inputs), tuple(witness.kinds),
                     witness.path, tuple(sorted(witness.covered)),
-                    witness.error_key)
+                    witness.error_key, witness.iteration)
 
+        assert [exact(w) for w in parallel.witnesses] == \
+            [exact(w) for w in serial.witnesses]
+
+        # ...and the parallel merge itself is deterministic.
         again = campaign(2)
         assert [exact(w) for w in again.witnesses] == \
             [exact(w) for w in parallel.witnesses]
