@@ -17,10 +17,17 @@ source code* for a driver that simulates the most general environment:
 
 The driver text is appended to the program text and the combination is
 compiled into a single self-executable module — "there is no need to write
-any test driver or harness code".
+any test driver or harness code".  The program is lexed, parsed and
+analysed once (:class:`repro.minic.SourceUnit`): the interface comes from
+that analysis, and only the driver text is lexed again, its tokens spliced
+after the program's.
 """
 
-from repro.minic import compile_program
+from repro.minic import SourceUnit
+# compile_program is not called here: build_test_program compiles through
+# a SourceUnit.  The name stays bound because perfbench/tracer.py wraps it
+# at this module, and every name the tracer wraps must resolve.
+from repro.minic import compile_program  # noqa: F401
 from repro.minic import typesys as ts
 from repro.minic.errors import SemanticError
 from repro.dart.interface import extract_interface
@@ -300,9 +307,14 @@ def build_test_program(source, toplevel, depth=1, filename="<program>",
     """Interface extraction + driver generation + compilation, in one step.
 
     Returns the compiled :class:`repro.minic.ir.Module` of the combined
-    program+driver, whose entry point is :data:`DRIVER_ENTRY`.
+    program+driver, whose entry point is :data:`DRIVER_ENTRY`: the module
+    ``compile_program(source + driver)`` gives, with the program lexed once.
+    ``source`` is the program text or a :class:`repro.minic.SourceUnit` of
+    it (whose own filename then applies), so a caller can share the
+    unit's analysis with :func:`repro.dart.independence.coupling_classes`.
     """
-    interface, _ = extract_interface(source, toplevel, filename=filename)
+    unit = SourceUnit.of(source, filename)
+    interface, _ = extract_interface(unit, toplevel, filename=filename)
     driver = generate_driver(interface, depth=depth,
                              max_init_depth=max_init_depth)
-    return compile_program(source + driver, filename=filename)
+    return unit.compile_with(driver)

@@ -39,9 +39,13 @@ parameter ``i``; calls share no state, so classes replicate per call.
 """
 
 from repro.dart.interface import extract_interface
+from repro.minic import SourceUnit
 from repro.minic import typesys as ts
 from repro.minic import ast_nodes as ast
-from repro.minic.parser import parse_program
+# parse_program is not called here: the AST comes from a SourceUnit.  The
+# name stays bound because perfbench/tracer.py wraps it at this module,
+# and every name the tracer wraps must resolve.
+from repro.minic.parser import parse_program  # noqa: F401
 
 
 class _Ineligible(Exception):
@@ -297,11 +301,14 @@ def coupling_classes(source, toplevel, depth, filename="<program>"):
     ``depth * nparams`` ordinals, or None when any conservative latch
     fires — the caller must then disable worklist dedup entirely (the
     UNSAT-core tier is unaffected; it is sound unconditionally).
+    ``source`` is program text or a :class:`repro.minic.SourceUnit`, whose
+    analysed AST is then walked (the analysis only annotates nodes).
     """
     try:
-        interface, _info = extract_interface(source, toplevel,
+        unit = SourceUnit.of(source, filename)
+        interface, _info = extract_interface(unit, toplevel,
                                              filename=filename)
-        program = parse_program(source, filename=filename)
+        program, _ = unit.analysis()
         _scalar_params(interface)
         _no_hidden_state(interface, program)
         func = _toplevel_def(program, toplevel)

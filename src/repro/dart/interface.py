@@ -12,9 +12,12 @@ All three are discovered by the front end's lightweight static pass
 generator.
 """
 
+from repro.minic import SourceUnit
 from repro.minic.errors import SemanticError
-from repro.minic.parser import parse_program
-from repro.minic.semantic import analyze
+# parse_program is not called here: the analysis comes from a SourceUnit.
+# The name stays bound because perfbench/tracer.py wraps it at this
+# module, and every name the tracer wraps must resolve.
+from repro.minic.parser import parse_program  # noqa: F401
 
 
 class ToplevelInterface:
@@ -46,12 +49,12 @@ class ToplevelInterface:
 def extract_interface(source, toplevel, filename="<program>"):
     """Parse ``source`` and extract the interface for ``toplevel``.
 
-    Returns (:class:`ToplevelInterface`, ProgramInfo).  Raises
-    :class:`SemanticError` if the toplevel function is not defined by the
-    program.
+    ``source`` is program text or a :class:`repro.minic.SourceUnit`, whose
+    one analysis is then reused.  Returns (:class:`ToplevelInterface`,
+    ProgramInfo).  Raises :class:`SemanticError` if the toplevel function
+    is not defined by the program.
     """
-    program = parse_program(source, filename=filename)
-    info = analyze(program)
+    _, info = SourceUnit.of(source, filename).analysis()
     func = info.functions.get(toplevel)
     if func is None:
         raise SemanticError(
@@ -66,12 +69,3 @@ def extract_interface(source, toplevel, filename="<program>"):
     )
     return interface, info
 
-
-def exported_functions(source, filename="<program>"):
-    """All defined functions and their types — used by the oSIP-style sweep
-    (Section 4.3: every externally visible function becomes a toplevel)."""
-    program = parse_program(source, filename=filename)
-    info = analyze(program)
-    return {
-        name: decl.ftype for name, decl in sorted(info.functions.items())
-    }

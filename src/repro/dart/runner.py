@@ -76,6 +76,7 @@ from repro.faults.points import FaultInjector
 from repro.interp.faults import ExecutionFault, RestoredFault, RunTimeout
 from repro.interp.compile import CompiledProgram
 from repro.interp.machine import Machine, MachineOptions
+from repro.minic import SourceUnit
 from repro.obs import trace as tr
 from repro.obs.profile import CACHE as CACHE_PHASE
 from repro.obs.profile import CHECKPOINT, COMPILE, EXECUTE, SOLVE
@@ -96,8 +97,11 @@ class RunContext:
 
     def __init__(self, source, toplevel, options, filename, cache=None):
         self.options = options
+        # One lex, parse and analysis of the source serves the driver's
+        # interface, the compiled module and the independence analysis.
+        unit = SourceUnit(source, filename)
         self.module = build_test_program(
-            source, toplevel, depth=options.depth, filename=filename,
+            unit, toplevel, depth=options.depth, filename=filename,
             max_init_depth=options.max_init_depth,
         )
         self.solver = Solver(seed=options.seed,
@@ -116,7 +120,7 @@ class RunContext:
         #: gate (None — analysis latched or subsumption off — means no
         #: entry is ever deduped; the UNSAT-core tier is independent).
         self.independence = coupling_classes(
-            source, toplevel, options.depth, filename=filename,
+            unit, toplevel, options.depth, filename=filename,
         ) if options.subsumption else None
         #: compile_seconds already attributed to the compile phase.
         self.compile_seen = self.compiled.compile_seconds \

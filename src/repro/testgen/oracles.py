@@ -1,7 +1,7 @@
 """The differential oracle battery.
 
-Four independent ways the pipeline can contradict itself, each checked on
-every generated program:
+Seven independent ways the pipeline can contradict itself, each checked
+on every generated program (the fault-containment probe on a sample):
 
 1. **Instrumentation transparency** — the same input vector is executed
    three times: concretely (no symbolic tracking), concretely again (VM
@@ -39,6 +39,15 @@ every generated program:
    ``compiled_execution=False``, so a lowering bug that only shows up
    across a full directed search (not a single vector) is caught as a
    verdict/coverage disagreement.
+6. **Fault containment** (sampled) — see :meth:`OracleBattery.check_chaos`.
+7. **Front-end identity** — a session lexes its program once and splices
+   the generated driver's tokens after the program's
+   (:class:`repro.minic.SourceUnit`).  The module that builds must list
+   (disassembly, driver included, plus every instruction's source
+   location, the globals and the strings) exactly as the module
+   ``compile_program(source + driver)`` builds from the plain text, and the
+   coupling classes computed from the session's shared AST must equal those
+   computed from the source text alone.
 
 **Soundness.** Every oracle compares two independent derivations of the
 same fact (two executions, two configurations, a model vs. its
@@ -52,7 +61,10 @@ import itertools
 import random
 
 from repro.dart.config import DartOptions
-from repro.dart.driver import DRIVER_ENTRY, build_test_program
+from repro.dart.driver import DRIVER_ENTRY, build_test_program, \
+    generate_driver
+from repro.dart.independence import coupling_classes
+from repro.dart.interface import extract_interface
 from repro.dart.inputs import InputVector
 from repro.dart.instrument import DirectedHooks, ForcingMismatch
 from repro.dart.report import BUG_FOUND, COMPLETE, RunStats
@@ -61,6 +73,8 @@ from repro.dart.solve import solve_path_constraint, solve_with_retry
 from repro.interp.compile import CompiledProgram
 from repro.interp.faults import ExecutionFault
 from repro.interp.machine import Machine, MachineOptions
+from repro.minic import SourceUnit, compile_program
+from repro.minic.disasm import disassemble
 from repro.minic.errors import MiniCError
 from repro.solver import Solver, SolverResultCache
 from repro.symbolic.expr import CmpExpr, EQ, GE, GT, LE, LT, LinExpr, NE
@@ -73,7 +87,8 @@ class Divergence:
 
     def __init__(self, oracle, detail, inputs=None, kinds=None):
         #: Which oracle fired: "determinism", "transparency", "engine",
-        #: "config", "quarantine", "substitution", "solver" or "chaos".
+        #: "config", "quarantine", "substitution", "solver", "chaos" or
+        #: "frontend".
         self.oracle = oracle
         self.detail = detail
         #: The triggering input vector, when the oracle has one.
@@ -186,6 +201,46 @@ def _substitution_error(constraints, domains, model):
                     var, model[var], lo, hi)
         if not constraint.evaluate(model):
             return "model {} violates {!r}".format(model, constraint)
+    return None
+
+
+def _module_listing(module):
+    """What must not change when the front end changes: the disassembly
+    with the driver, each instruction's source location, the globals and
+    the interned strings."""
+    locations = [
+        (name, [str(instr.location) for instr in function.instrs])
+        for name, function in sorted(module.functions.items())
+    ]
+    globals_ = [(var.name, str(var.ctype)) for var in module.globals]
+    return (disassemble(module, include_driver=True), locations, globals_,
+            module.strings)
+
+
+def front_end_divergence(source, toplevel, depth=1, max_init_depth=None):
+    """How a session's one-lex front end disagrees with the plain
+    pipeline on ``source``, or None.
+
+    The session side is what :class:`repro.dart.runner.RunContext` does:
+    one :class:`SourceUnit` serves ``build_test_program`` and then
+    ``coupling_classes``.  The reference compiles ``source + driver`` as
+    plain text and computes the classes from the source text.
+    """
+    unit = SourceUnit(source, "<program>")
+    module = build_test_program(unit, toplevel, depth=depth,
+                                max_init_depth=max_init_depth)
+    shared = coupling_classes(unit, toplevel, depth)
+    interface, _ = extract_interface(source, toplevel)
+    reference = compile_program(source + generate_driver(
+        interface, depth=depth, max_init_depth=max_init_depth),
+        "<program>")
+    if _module_listing(module) != _module_listing(reference):
+        return ("the module built from one lex differs from "
+                "compile_program(source + driver)")
+    alone = coupling_classes(source, toplevel, depth)
+    if shared != alone:
+        return "coupling classes from the shared AST {} != {} from the " \
+            "source text".format(shared, alone)
     return None
 
 
@@ -669,6 +724,12 @@ class OracleBattery:
         )
         return [Divergence("chaos", violation) for violation in violations]
 
+    # -- oracle 7: front-end identity ----------------------------------------
+
+    def check_front_end(self, program):
+        detail = front_end_divergence(program.render(), program.toplevel)
+        return [] if detail is None else [Divergence("frontend", detail)]
+
     # -- the full battery ---------------------------------------------------
 
     def check(self, program, parallel=False, solver_rng=None, chaos=False):
@@ -680,7 +741,7 @@ class OracleBattery:
             return [Divergence(
                 "generator", "generated program does not compile: {}"
                 .format(error))]
-        divergences = []
+        divergences = self.check_front_end(program)
         divergences.extend(self.check_transparency(program, module))
         divergences.extend(self.check_forcing(program, module))
         divergences.extend(self.check_config_invariance(program))
@@ -709,4 +770,6 @@ class OracleBattery:
                     if d.oracle == oracle]
         if oracle == "chaos":
             return self.check_chaos(program)
+        if oracle == "frontend":
+            return self.check_front_end(program)
         return []

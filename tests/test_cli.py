@@ -67,6 +67,19 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("char", ["@", "\u00b2"])
+    def test_unexpected_character_is_a_located_diagnostic(
+            self, tmp_path, capsys, char):
+        # A superscript digit passes str.isdigit() but not int(): it must
+        # be reported like any other stray character, not crash the lexer.
+        path = tmp_path / "f.c"
+        path.write_text("int f(int x){return x + %s;}" % char,
+                        encoding="utf-8")
+        code = main([str(path), "f"])
+        assert code == 2
+        assert "error: {}:1:25: unexpected character {!r}".format(
+            path, char) in capsys.readouterr().err
+
     def test_missing_toplevel_function(self, program_file, capsys):
         code = main([program_file, "nonexistent"])
         assert code == 2

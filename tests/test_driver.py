@@ -9,7 +9,7 @@ from repro.dart.driver import (
     render_declarator,
     render_type,
 )
-from repro.dart.interface import extract_interface, exported_functions
+from repro.dart.interface import extract_interface
 from repro.minic import compile_program
 from repro.minic import typesys as ts
 from repro.minic.errors import SemanticError
@@ -46,9 +46,6 @@ class TestInterfaceExtraction:
     def test_missing_toplevel_rejected(self):
         with pytest.raises(SemanticError, match="toplevel"):
             extract_interface(SOURCE, "no_such_function")
-
-    def test_exported_functions_lists_definitions(self):
-        assert list(exported_functions(SOURCE)) == ["process"]
 
     def test_array_param_decays(self):
         iface, _ = extract_interface(

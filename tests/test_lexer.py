@@ -1,9 +1,24 @@
-"""Unit tests for the mini-C lexer."""
+"""Unit tests for the mini-C lexer, and its differential test against
+the character-at-a-time reference scan in ``tests/char_walk_lexer.py``."""
 
+import ast
+import glob
+import json
+import os
+import random
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.minic.errors import LexError
 from repro.minic.lexer import tokenize
+from repro.programs import samples
+from repro.programs.ac_controller import AC_CONTROLLER_SOURCE
+from repro.programs.needham_schroeder import TOPLEVELS, ns_source
+from repro.programs.osip import OsipLibrary
+from repro.testgen import generate_program
+from tests import char_walk_lexer
 from repro.minic.tokens import (
     CHAR_LIT,
     EOF,
@@ -176,3 +191,167 @@ class TestLocations:
     def test_columns_advance_across_token(self):
         tokens = tokenize("abc def")
         assert tokens[1].location.column == 5
+
+
+class TestNonAsciiDigits:
+    def test_superscript_digit_is_an_unexpected_character(self):
+        # '\u00b2'.isdigit() is true but int() cannot read it.
+        with pytest.raises(LexError) as caught:
+            tokenize("x + \u00b2;", filename="f.c")
+        assert caught.value.message == "unexpected character '\u00b2'"
+        assert str(caught.value.location) == "f.c:1:5"
+
+    def test_superscript_digit_ends_a_number(self):
+        with pytest.raises(LexError) as caught:
+            tokenize("12\u00b2")
+        assert caught.value.message == "unexpected character '\u00b2'"
+        assert caught.value.location.column == 3
+
+    def test_superscript_digit_continues_an_identifier(self):
+        assert texts("x\u00b2 + 1") == ["x\u00b2", "+", "1"]
+
+    def test_non_ascii_decimal_digits_are_digits(self):
+        assert values("\u0663\u0661") == [31]
+
+
+class TestSplicing:
+    def test_text_lexed_from_an_eof_location_splices(self):
+        source = "int x; /* a\nb */ int y"
+        head = tokenize(source, filename="p.c")
+        tail = tokenize("\nint z;", filename="p.c",
+                        start=head[-1].location)
+        assert _keys(head[:-1] + tail) == _keys(
+            tokenize(source + "\nint z;", filename="p.c"))
+
+
+# -- differential test against the reference scan ----------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _keys(tokens):
+    return [(t.kind, t.text, t.value, t.location.filename, t.location.line,
+             t.location.column) for t in tokens]
+
+
+def _outcome(lex, source):
+    """Tokens as comparable tuples, or the LexError's message and place."""
+    try:
+        return _keys(lex(source, filename="f.c"))
+    except LexError as error:
+        return ("LexError", error.message, str(error.location))
+
+
+def _assert_same(source):
+    assert _outcome(tokenize, source) == _outcome(
+        char_walk_lexer.tokenize, source)
+
+
+def _program_sources():
+    library = OsipLibrary()
+    sources = [("osip:" + module, library.source_for_module(module))
+               for module in library.module_names]
+    sources.append(("osip:full", library.full_source()))
+    for model in sorted(TOPLEVELS):
+        for fix in ("none", "buggy", "correct"):
+            sources.append(("ns:{}:{}".format(model, fix),
+                            ns_source(model, fix)))
+    sources.append(("ac", AC_CONTROLLER_SOURCE))
+    for name, (source, _, _) in sorted(samples.ALL_SAMPLES.items()):
+        sources.append(("sample:" + name, source))
+    for path in sorted(glob.glob(os.path.join(ROOT, "tests", "corpus",
+                                              "*.json"))):
+        with open(path) as handle:
+            sources.append(("corpus:" + os.path.basename(path),
+                            json.load(handle)["source"]))
+    # Every string constant of the examples, C listings and prose alike:
+    # both lexers must agree on the error when it is not C.
+    for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        constants = [node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str)]
+        for index, text in enumerate(constants):
+            sources.append(("example:{}:{}".format(
+                os.path.basename(path), index), text))
+    return sources
+
+
+PROGRAM_SOURCES = _program_sources()
+
+MALFORMED = [
+    "a /* never closed",
+    "a /* nearly */ b /*/",
+    "int @x;",
+    "0x",
+    "0xg",
+    "0x1g",
+    "0xu",
+    "09",
+    "08u",
+    "12abc",
+    "12_",
+    "12u\u00e9",
+    "1\u00b2",
+    "\u00b2",
+    "\u00bd",
+    "\u00e9t\u00e9 = 1;",
+    "'a",
+    "'",
+    "''",
+    "'ab'",
+    "'\\q'",
+    "'\\x'",
+    "'\\x41",
+    "'\\x41g'",
+    "'\\",
+    "'\n'",
+    "'\u20ac'",
+    '"abc',
+    '"abc\ndef"',
+    '"a\\qb"',
+    '"\\x"',
+    '"\\',
+    '"caf\u00e9 \u20ac\\x100"',
+    # Unterminated after many hex escapes: linear, not one try per way
+    # of splitting the escapes' digits.
+    '"' + "\\xff" * 40,
+    '"' + "\\xff" * 40 + "\n",
+    "'" + "\\xff" * 40,
+    "x = 42",
+    "x = 0x1F",
+    "x = 017",
+    "a // comment at EOF",
+    "a # line at EOF",
+    "#",
+    "//",
+    "a\r\nb\r\n",
+    "a\fb\vc\td",
+    "\\",
+    "a...b->c<<=d>>=e",
+    "",
+]
+
+
+class TestAgainstCharWalkLexer:
+    @pytest.mark.parametrize("name,source", PROGRAM_SOURCES,
+                             ids=[name for name, _ in PROGRAM_SOURCES])
+    def test_program_sources(self, name, source):
+        _assert_same(source)
+
+    @pytest.mark.parametrize("source", MALFORMED)
+    def test_malformed_and_edge_inputs(self, source):
+        _assert_same(source)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=2 ** 32))
+    def test_generated_programs(self, seed):
+        program = generate_program(random.Random(seed), seed=seed)
+        _assert_same(program.render())
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.text(alphabet="ax_0179xXuLq \t\r\n\f\v'\"\\/*#+-<>=.;@"
+                            "\u00b2\u00e9\u0663", max_size=40))
+    def test_random_text(self, source):
+        _assert_same(source)
