@@ -26,17 +26,18 @@ workload is the whole search tree, not just the run that finds the bug):
   full-exploration reference C1 — coverage accounting that drifts, or a
   search that stops discovering, fails the gate.
 * **phases** — one profiled (``profile_phases=True``) depth-2 dfs run
-  recording where the session's wall time goes (execute / compile /
-  solve / cache / checkpoint, from :mod:`repro.obs.profile`), plus a
-  tracing-overhead row: the same search with and without
-  instrumentation, gating that disabled observability stays within the
-  noise (<= 2% is the budget; the check uses best-of-3 walls to damp
-  scheduler jitter).
+  recording where the session's wall time goes (the exclusive layers of
+  :mod:`repro.obs.clock`: execute / compile / plan / cache / solver /
+  checkpoint / commit), gating that the layers attribute >= 90% of it,
+  plus two overhead rows against the plain search: the clock alone
+  (``clock_overhead``) and the clock with JSONL tracing
+  (``instrumentation_overhead``), each a best-of-N wall to damp
+  scheduler jitter.
 * **throughput** — the PR 7 compiled-engine gate: the same oSIP-shaped
   compute kernel (symbolic command dispatch around concrete parse/
   checksum loops) searched to completion under the compiled engine and
   under ``--no-compile``; executed instructions per second over the
-  execute(+compile) phases must improve by >= 3x, with identical
+  execute(+compile) layers must improve by >= 3x, with identical
   verdicts, error sets and instruction counts (the engines are
   observationally identical — only the clock may move).
 
@@ -312,7 +313,7 @@ def subsumption_section(failures):
 
 
 def phases_section(failures):
-    """Phase breakdown of a profiled run, plus the tracing-overhead row."""
+    """Layer breakdown of a profiled run, plus the overhead rows."""
     common = dict(depth=2, max_iterations=1000, seed=0, strategy="dfs",
                   stop_on_first_error=False)
 
@@ -321,14 +322,14 @@ def phases_section(failures):
     start = time.perf_counter()
     result = dart.run()
     wall = time.perf_counter() - start
-    snapshot = result.stats.phases.snapshot()
+    snapshot = result.stats.summary()["phases"]
     attributed = sum(entry["seconds"] for entry in snapshot.values())
-    coverage = attributed / wall if wall else 1.0
+    coverage = attributed / wall
 
     def best_of(n, **overrides):
         walls = []
         for _ in range(n):
-            # Compile outside the window: the phases attribute *search*
+            # Compile outside the window: the layers attribute *search*
             # time, not the one-off front-end cost.
             dart = Dart(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
                         DartOptions(**overrides, **common))
@@ -338,6 +339,7 @@ def phases_section(failures):
         return min(walls)
 
     plain = best_of(WALL_RUNS)
+    clocked = best_of(WALL_RUNS, profile_phases=True)
     instrumented = best_of(WALL_RUNS, trace_file=os.devnull,
                            profile_phases=True)
     row = {
@@ -347,15 +349,15 @@ def phases_section(failures):
         "phase_coverage": round(coverage, 4),
         "runs": WALL_RUNS,
         "plain_wall_s": round(plain, 4),
+        "clocked_wall_s": round(clocked, 4),
+        "clock_overhead": round(clocked / plain - 1.0, 4),
         "instrumented_wall_s": round(instrumented, 4),
-        "instrumentation_overhead": round(instrumented / plain - 1.0, 4)
-        if plain else 0.0,
+        "instrumentation_overhead": round(instrumented / plain - 1.0, 4),
     }
     if coverage < 0.9:
         failures.append(
-            "phases: only {:.1%} of wall time attributed to "
-            "execute/solve/cache/checkpoint (>= 90% required)"
-            .format(coverage)
+            "phases: only {:.1%} of wall time attributed to the layer "
+            "clock (>= 90% required)".format(coverage)
         )
     return row
 
@@ -434,7 +436,7 @@ def throughput_section(failures):
 
     Each configuration explores the kernel to completion ``WALL_RUNS``
     times under ``profile_phases=True``; the per-run metric is executed
-    instructions per second over the execute(+compile) phase seconds,
+    instructions per second over the execute(+compile) layer seconds,
     and the configuration keeps its best run.  Gates: >= 3x speedup,
     identical status/errors/instruction counts (observational identity
     is enforced separately by the engine-differential oracle; here it
@@ -449,11 +451,9 @@ def throughput_section(failures):
             dart = Dart(THROUGHPUT_SOURCE, "osip_like", DartOptions(
                 compiled_execution=compiled_execution, **common))
             result = dart.run()
-            snapshot = result.stats.phases.snapshot()
-            seconds = sum(
-                snapshot.get(phase, {"seconds": 0.0})["seconds"]
-                for phase in ("execute", "compile"))
             summary = result.stats.summary()
+            seconds = sum(summary["phases"][layer]["seconds"]
+                          for layer in ("execute", "compile"))
             row = {
                 "status": result.status,
                 "errors": sorted({
@@ -645,11 +645,12 @@ def main(argv=None):
         "/".join(str(entry["budget"]) for entry in curve),
         report["coverage"]["reference"]["c1_percent"]))
     phases = report["phases"]
-    print("phases: {:.1%} of wall attributed ({}); tracing+profiling "
-          "overhead {:+.1%}".format(
+    print("phases: {:.1%} of wall attributed ({}); clock overhead "
+          "{:+.1%}, tracing+clock overhead {:+.1%}".format(
               phases["phase_coverage"],
               ", ".join("{} {:.4f}s".format(name, entry["seconds"])
                         for name, entry in phases["phases"].items()),
+              phases["clock_overhead"],
               phases["instrumentation_overhead"]))
     throughput = report["throughput"]
     print("throughput: {:.0f} -> {:.0f} instructions/s "

@@ -13,9 +13,10 @@ the pipeline against its own oracles, shrink and serialize any
 divergence.  Exit status: 0 = clean campaign, 1 = divergence(s) found.
 
 ``python -m repro trace-summary TRACE.jsonl`` renders a structured trace
-written with ``--trace``: the per-phase time breakdown (execute / solve /
-cache / checkpoint), the branch-flip funnel (attempted → sat → forced →
-new path), verdict and cache-tier tallies (see docs/OBSERVABILITY.md).
+written with ``--trace``: the session's layer clock (execute / compile /
+plan / cache / solver / checkpoint / commit), the branch-flip funnel
+(attempted → sat → forced → new path), verdict and cache-tier tallies
+(see docs/OBSERVABILITY.md).
 
 ``python -m repro chaos [options]`` runs the chaos harness
 (:mod:`repro.faults.chaos`): seeded fault schedules injected into full
@@ -46,6 +47,7 @@ from repro.dart.runner import Dart
 from repro.minic import compile_program
 from repro.minic.disasm import disassemble
 from repro.minic.errors import MiniCError
+from repro.obs.clock import render_layers
 
 
 def build_parser():
@@ -105,9 +107,12 @@ def build_parser():
                              "session (render it with "
                              "'python -m repro trace-summary PATH')")
     parser.add_argument("--profile-phases", action="store_true",
-                        help="attribute session wall time to execute / "
-                             "solve / cache / checkpoint phases "
-                             "(reported in the stats summary)")
+                        help="run the layer clock: exclusive session wall "
+                             "time per layer (execute / compile / plan / "
+                             "cache / solver / checkpoint / commit), "
+                             "printed as a table after the statistics and "
+                             "in --json as stats.phases (a --trace run "
+                             "records it too)")
     parser.add_argument("--export-suite", default=None, metavar="DIR",
                         dest="export_suite",
                         help="after the campaign (finished or "
@@ -286,7 +291,7 @@ def build_trace_summary_parser():
     parser = argparse.ArgumentParser(
         prog="repro trace-summary",
         description="Summarize a JSONL structured trace written with "
-                    "--trace: phase time breakdown, branch-flip funnel, "
+                    "--trace: layer clock, branch-flip funnel, "
                     "verdict and cache-tier tallies",
     )
     parser.add_argument("trace", help="JSONL trace file (from --trace)")
@@ -599,4 +604,7 @@ def main(argv=None):
         "instructions: {instructions_executed} executed / "
         "{instructions_symbolic} symbolic".format(**stats)
     )
+    if "phases" in stats:
+        for line in render_layers(stats["phases"], result.stats.elapsed):
+            print(line)
     return _exit_code(result)

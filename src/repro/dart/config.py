@@ -153,9 +153,10 @@ class DartOptions:
         #: attached to quarantine records.  0 disables it.  Only active
         #: when tracing is on (a sink is attached).
         self.trace_ring = trace_ring
-        #: Attribute session wall time to execute / solve / cache /
-        #: checkpoint phases (repro.obs.profile); adds two clock reads
-        #: per section, so it is opt-in.
+        #: Run the layer clock (repro.obs.clock): exclusive session wall
+        #: time per engine layer, reported as ``stats.phases``.  Traced
+        #: sessions run it regardless; it reads the time at every layer
+        #: boundary, so it is otherwise opt-in.
         self.profile_phases = profile_phases
         #: Deterministic fault-injection schedule (``--fault-plan``): a
         #: :class:`repro.faults.plan.FaultPlan`, a spec string

@@ -46,10 +46,10 @@ What the executor adds to the in-process one (the full argument lives in
   search may change its parallelism).
 
 A worker returns each result as plain data: the run's metrics-registry
-and phase snapshots, its flags, covered branches and trace events.  The
-parent folds them into the session (deterministic merges — see
-`repro.obs.metrics`) and re-emits the events in commit order before the
-commit itself.
+and layer-clock snapshots, its flags, covered branches and trace events.
+The parent folds them into the session (deterministic merges — see
+`repro.obs.metrics`; the fold is the parent's ``commit`` layer) and
+re-emits the events in commit order before the commit itself.
 """
 
 import multiprocessing
@@ -76,6 +76,7 @@ from repro.dart.runner import (
 from repro.faults import points as fault_points
 from repro.interp.faults import RestoredFault
 from repro.obs import trace as tr
+from repro.obs.clock import COMMIT
 from repro.obs.trace import ListSink, TraceBus
 from repro.solver.shared import CacheServer, SharedCacheClient
 from repro.symbolic.flags import CompletenessFlags
@@ -99,8 +100,7 @@ def _run_payload(ctx, index, payload):
     a private bus with an in-memory sink; the parent folds them into the
     session at commit.
     """
-    stats = RunStats()
-    stats.phases.enabled = payload["profile"]
+    stats = RunStats(clocked=payload["profile"])
     flags = CompletenessFlags()
     bus = sink = None
     if payload["trace"]:
@@ -109,6 +109,8 @@ def _run_payload(ctx, index, payload):
         flags.trace = bus
     if ctx.cache is not None:
         ctx.cache.trace = bus
+    if ctx.compiled is not None:
+        ctx.compiled.clock = stats.phases
     result = run_item(
         ctx, persist._decode_stack(payload["stack"]),
         persist.decode_input_vector(payload["im"]), payload["bound"],
@@ -363,7 +365,14 @@ class _ProcessExecutor:
         self._retried.discard(index)
         if "lost" in out:
             return self._lost(index, stack, im, out["lost"])
-        return self._fold(index, out)
+        clock = self.session.stats.phases
+        timed = clock.enabled
+        if timed:
+            prev = clock.enter(COMMIT)
+        result = self._fold(index, out)
+        if timed:
+            clock.leave(prev)
+        return result
 
     def _fold(self, index, out):
         session = self.session
@@ -380,7 +389,7 @@ class _ProcessExecutor:
         # histograms add elementwise; commit order makes it stable,
         # commutativity makes it independent of worker scheduling.
         stats.registry.merge(out["metrics"])
-        if out["phases"]:
+        if stats.phases.enabled:
             stats.phases.merge(out["phases"])
         stats.covered_branches |= out["covered"]
         result = ItemResult(index, out["planned"],

@@ -5,18 +5,18 @@ Session statistics are no longer an ad-hoc bag of ints: every counter of
 :class:`repro.obs.metrics.MetricsRegistry` (attribute access is a thin
 facade), which gives all of them deterministic cross-worker merging,
 JSON round-trips, and sits histograms (solver latency, path length) and
-the opt-in :class:`repro.obs.profile.PhaseTimer` next to them in one
+the session's :class:`repro.obs.clock.LayerClock` next to them in one
 catalog — see ``docs/OBSERVABILITY.md``.
 """
 
 import time
 
+from repro.obs.clock import LayerClock
 from repro.obs.metrics import (
     PATH_LENGTH_BUCKETS,
     SOLVER_LATENCY_BUCKETS_S,
     MetricsRegistry,
 )
-from repro.obs.profile import PhaseTimer
 
 #: Session outcome statuses (Theorem 1's three cases, plus budget cutoffs).
 BUG_FOUND = "bug_found"  # case (a): a sound error was found
@@ -293,7 +293,7 @@ class RunStats:
         "flips_subsumed_core", "worklist_deduped",
     )
 
-    def __init__(self):
+    def __init__(self, clocked=False):
         registry = MetricsRegistry()
         self.registry = registry
         for name in self.COUNTERS:
@@ -309,9 +309,6 @@ class RunStats:
         #: Items dispatched to pool workers and not yet committed
         #: (pipeline occupancy; the peak shows how full the window ran).
         self.pool_inflight = registry.gauge("pool_inflight")
-        #: Opt-in per-phase wall-time attribution (execute / solve /
-        #: cache / checkpoint); enabled by ``profile_phases``.
-        self.phases = PhaseTimer()
         #: :func:`~repro.dart.pathcond.path_digest` of every distinct
         #: completed path (fixed width, whatever the path length).
         self.distinct_paths = set()
@@ -323,8 +320,14 @@ class RunStats:
         self.quarantined = []
         self.started_at = time.perf_counter()
         self.elapsed = 0.0
+        #: Exclusive wall time per engine layer (repro.obs.clock); on
+        #: for ``profile_phases`` and traced sessions.  Its window opens
+        #: after ``started_at`` and closes before ``elapsed`` is read, so
+        #: the layers never sum past the session's wall time.
+        self.phases = LayerClock(clocked)
 
     def finish(self):
+        self.phases.stop()
         self.elapsed = time.perf_counter() - self.started_at
 
     def note_path(self, digest):
@@ -410,7 +413,7 @@ class RunStats:
                 "path_length": self.path_length.to_dict(),
             },
         }
-        if self.phases.enabled or self.phases.seconds:
+        if self.phases.enabled:
             summary["phases"] = self.phases.snapshot()
         if self.coverage is not None:
             summary["coverage"] = self.coverage

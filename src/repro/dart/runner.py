@@ -24,6 +24,10 @@ seed an item's random slot values from ``(session seed, iteration)`` and
 commit in dispatch order, so a serial and a pooled search of the same
 frontier are the same search.
 
+The run, the planning call and the checkpoint are layers of the
+session's :class:`repro.obs.clock.LayerClock` (``compile``, ``cache``
+and ``solver`` nest inside them, each charged its exclusive time).
+
 Fault containment (see DESIGN.md, "Robustness & resumability"): the
 paper's architecture re-executes the instrumented *process* per run, so a
 crash loses at most one execution.  This in-process reproduction gets the
@@ -78,8 +82,7 @@ from repro.interp.compile import CompiledProgram
 from repro.interp.machine import Machine, MachineOptions
 from repro.minic import SourceUnit
 from repro.obs import trace as tr
-from repro.obs.profile import CACHE as CACHE_PHASE
-from repro.obs.profile import CHECKPOINT, COMPILE, EXECUTE, SOLVE
+from repro.obs.clock import CHECKPOINT, EXECUTE, PLAN
 from repro.obs.trace import JsonlTraceSink, RingBufferSink, TraceBus
 from repro.solver import Solver, SolverResultCache
 from repro.solver.cache import ENCODING_VERSION
@@ -122,9 +125,6 @@ class RunContext:
         self.independence = coupling_classes(
             unit, toplevel, options.depth, filename=filename,
         ) if options.subsumption else None
-        #: compile_seconds already attributed to the compile phase.
-        self.compile_seen = self.compiled.compile_seconds \
-            if self.compiled is not None else 0.0
 
     def machine(self, hooks, flags, deadline=None, interrupt_check=None,
                 trace=None):
@@ -253,6 +253,8 @@ class Dart:
                     engine=engine,
                     iterations=session.stats.iterations,
                     wall_s=round(session.stats.elapsed, 6),
+                    **({"phases": session.stats.phases.snapshot()}
+                       if session.stats.phases.enabled else {}),
                     **({"coverage": {
                         "covered_directions": coverage.covered_directions,
                         "total_directions": coverage.total_directions,
@@ -387,7 +389,7 @@ def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
     an internal failure: it is classified and returned as a quarantine
     record, and the search continues — one bad run costs one iteration,
     not the session.  Signals (KeyboardInterrupt, SystemExit) still
-    propagate.  The run's counters, coverage and phase times go into
+    propagate.  The run's counters, coverage and layer times go into
     ``stats``, its flag degradations into ``flags`` and its events onto
     ``bus``: the session's own for an in-process run, per-item ones in a
     pool worker.  ``known_paths`` (the session's distinct paths, when at
@@ -395,16 +397,20 @@ def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
     """
     options = ctx.options
     planned = bool(stack)
-    # The execute window covers per-run setup (hooks, machine) as well
-    # as the run itself: both are per-execution costs.
-    started = time.perf_counter()
+    clock = stats.phases
+    timed = clock.enabled
+    if timed:
+        # The execute layer covers per-run setup (hooks, machine) as
+        # well as the run itself: both are per-execution costs.  Lazy
+        # IR lowering inside the run is its own (nested) compile layer.
+        prev = clock.enter(EXECUTE)
     hooks = DirectedHooks(im, stack, flags, rng, options)
     # The tighter of the per-run limit and the session deadline — so a
     # single pathological run cannot blow past ``time_limit``; the
     # watchdog trips at most one check interval late.
     deadline = session_deadline
     if options.run_time_limit is not None:
-        limit = started + options.run_time_limit
+        limit = time.perf_counter() + options.run_time_limit
         if deadline is None or limit < deadline:
             deadline = limit
     machine = ctx.machine(hooks, flags, deadline, interrupt_check, bus)
@@ -454,54 +460,14 @@ def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
             # The predicted prefix was reached and the run finished: the
             # flip was successfully forced (funnel stage 3).
             stats.runs_forced += 1
-    wall = time.perf_counter() - started
-    # IR lowering happens lazily inside the run window (first call of
-    # each function); carve it out of execute so both the phase profile
-    # and the trace attribute compilation honestly.
-    compiled = ctx.compiled
-    compile_delta = 0.0
-    if compiled is not None:
-        compile_delta = compiled.compile_seconds - ctx.compile_seen
-        ctx.compile_seen = compiled.compile_seconds
-        if compile_delta > 0.0:
-            wall = max(wall - compile_delta, 0.0)
-            if traced:
-                bus.emit(tr.COMPILE, wall_s=round(compile_delta, 6),
-                         functions=compiled.functions_compiled)
-    if stats.phases.enabled:
-        if compile_delta > 0.0:
-            stats.phases.add(COMPILE, compile_delta)
-        stats.phases.add(EXECUTE, wall)
     if traced:
         bus.emit(
             tr.RUN_FINISHED, iteration=iteration, status=result.status,
-            planned=planned, new_path=new_path, wall_s=round(wall, 6),
+            planned=planned, new_path=new_path,
             steps=machine.steps, branches=machine.branches_executed,
         )
-    return result
-
-
-def timed_plan(stats, bus, iteration, func, *args, **kwargs):
-    """Run one planning call (candidate loop) with phase attribution.
-
-    The whole call — slicing, query building, cache, solver — is one
-    ``plan`` trace event; for the phase timer its wall minus the cache
-    sections recorded inside goes to ``solve``, keeping the phases
-    disjoint.
-    """
-    phases = stats.phases
-    traced = bus is not None and bus.enabled
-    if not (phases.enabled or traced):
-        return func(*args, **kwargs)
-    cache_before = phases.seconds.get(CACHE_PHASE, 0.0)
-    started = time.perf_counter()
-    result = func(*args, **kwargs)
-    wall = time.perf_counter() - started
-    if phases.enabled:
-        cache_delta = phases.seconds.get(CACHE_PHASE, 0.0) - cache_before
-        phases.add(SOLVE, max(wall - cache_delta, 0.0))
-    if traced:
-        bus.emit(tr.PLAN, iteration=iteration, wall_s=round(wall, 6))
+    if timed:
+        clock.leave(prev)
     return result
 
 
@@ -522,14 +488,19 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
     if bound is not None and (result.status == OK or (
             result.status == FAULT and not options.stop_on_first_error)):
         hooks = result.hooks
-        result.children = timed_plan(
-            stats, bus, iteration, expand_worklist_children,
+        clock = stats.phases
+        timed = clock.enabled
+        if timed:
+            prev = clock.enter(PLAN)
+        result.children = expand_worklist_children(
             hooks.finished_stack(), hooks.record.constraints, im, bound,
             ctx.solver, flags, stats, options.solver_escalation,
             cache=ctx.cache, slicing=options.constraint_slicing,
             trace=bus, subsume=options.subsumption,
             independence=ctx.independence,
         )
+        if timed:
+            clock.leave(prev)
     return result
 
 
@@ -575,13 +546,13 @@ class _Session:
         self.trace = dart.trace
         self.flags = CompletenessFlags()
         self.flags.trace = self.trace
-        self.stats = RunStats()
-        self.stats.phases.enabled = self.options.profile_phases
-        compiled = self.ctx.compiled
-        if compiled is not None:
-            # The compiled program outlives the session: lowering done
-            # before it (an earlier run, a replay) is not this session's.
-            self.ctx.compile_seen = compiled.compile_seconds
+        # The layer clock runs whenever someone can read it: the stats
+        # summary under ``profile_phases``, or session_finished in a
+        # trace.
+        self.stats = RunStats(
+            clocked=self.options.profile_phases or self.trace.enabled)
+        if self.ctx.compiled is not None:
+            self.ctx.compiled.clock = self.stats.phases
         if fault_points.ACTIVE is not None:
             # Injected faults count into this session's statistics and
             # trace stream (a harness-owned injector is re-bound per
@@ -817,7 +788,10 @@ class _Session:
     def _save_checkpoint(self):
         if self.options.state_file is None:
             return
-        started = time.perf_counter()
+        clock = self.stats.phases
+        timed = clock.enabled
+        if timed:
+            prev = clock.enter(CHECKPOINT)
         try:
             persist.save_checkpoint(self.options.state_file,
                                     self._make_checkpoint())
@@ -834,13 +808,11 @@ class _Session:
                                 error=type(exc).__name__,
                                 detail=str(exc)[:200])
             return
-        wall = time.perf_counter() - started
-        if self.stats.phases.enabled:
-            self.stats.phases.add(CHECKPOINT, wall)
+        finally:
+            if timed:
+                clock.leave(prev)
         if self.trace.enabled:
-            self.trace.emit(tr.CHECKPOINT,
-                            iteration=self.stats.iterations,
-                            wall_s=round(wall, 6))
+            self.trace.emit(tr.CHECKPOINT, iteration=self.stats.iterations)
 
     def _autosave(self):
         """Periodic checkpoint at the between-runs boundary.
@@ -976,9 +948,11 @@ class _Session:
                         # one-run cost of the fault.
                         break
                     hooks = result.hooks
-                    plan = timed_plan(
-                        self.stats, self.trace, self.stats.iterations,
-                        solve_path_constraint,
+                    clock = self.stats.phases
+                    timed = clock.enabled
+                    if timed:
+                        prev = clock.enter(PLAN)
+                    plan = solve_path_constraint(
                         hooks.record, hooks.finished_stack(),
                         im, self.ctx.solver, "dfs", self.rng, self.flags,
                         self.stats, escalation=self.options.solver_escalation,
@@ -987,6 +961,8 @@ class _Session:
                         trace=self.trace,
                         subsume=self.options.subsumption,
                     )
+                    if timed:
+                        clock.leave(prev)
                     if plan is None:
                         search_finished = True
                         break

@@ -23,6 +23,12 @@ Two throughput layers plug in here (see DESIGN.md, "Performance"):
   queries — frequent once slicing shrinks them — are answered without a
   solver call, as are supersets of known-UNSAT sets and queries satisfied
   by a previously found model.
+
+The caller runs a planning call inside the session's ``plan`` layer
+(:mod:`repro.obs.clock`); :func:`solve_with_retry` enters the ``cache``
+layer around each cache access and the ``solver`` layer around solver
+calls and core extraction, so each is charged exclusively to its own
+layer.
 """
 
 import hashlib
@@ -31,7 +37,7 @@ import time
 from repro.dart.independence import dedup_eligible
 from repro.dart.slicing import ConstraintSlicer
 from repro.obs import trace as tr
-from repro.obs.profile import CACHE, PhaseTimer
+from repro.obs.clock import CACHE, SOLVER
 from repro.solver.cache import SolverResultCache
 from repro.solver.core import UNKNOWN, SolverResult
 from repro.symbolic.widen import (
@@ -39,9 +45,6 @@ from repro.symbolic.widen import (
     flatten_constraints,
     negation_candidates,
 )
-
-#: Shared disabled timer so the hot path below never branches on None.
-_NO_PHASES = PhaseTimer()
 
 
 def _safe_solve(solver, constraints, domains, stats, trace, **kwargs):
@@ -109,46 +112,51 @@ def solve_with_retry(solver, constraints, domains, stats=None,
     ``flips_subsumed_core`` and emit a ``flip_subsumed`` trace event.
 
     Observability: actual solver calls are timed into the
-    ``solver_latency_s`` histogram, cache lookups/stores into the
-    ``cache`` phase, and — when ``trace`` is an enabled bus — a
-    ``solver_answered`` event carries verdict, wall time and (sliced)
-    query size.  The cache emits its own lookup/store events (see
-    :mod:`repro.solver.cache`); the ``solve`` phase is attributed by the
-    *caller* around the whole planning call, minus the cache sections,
-    so the phases stay disjoint.
+    ``solver_latency_s`` histogram and — when ``trace`` is an enabled
+    bus — a ``solver_answered`` event carries verdict, wall time and
+    (sliced) query size.  The cache emits its own lookup/store events
+    (see :mod:`repro.solver.cache`).  With the stats' layer clock on,
+    cache accesses run in the ``cache`` layer and solver calls in the
+    ``solver`` layer, nested inside the caller's ``plan``.
     """
-    phases = stats.phases if stats is not None else _NO_PHASES
+    clock = stats.phases if stats is not None else None
+    timed = clock is not None and clock.enabled
     cache_usable = cache is not None
     if cache_usable:
+        if timed:
+            prev = clock.enter(CACHE)
         try:
-            with phases.section(CACHE):
-                hit = cache.lookup(constraints, domains)
+            hit = cache.lookup(constraints, domains)
         except Exception as exc:
             # Corrupted cache state: self-heal and fall through to a
             # real solver call; skip the store below (the cache just
             # proved untrustworthy for this query).
             _contain_cache_failure(cache, exc, stats, trace)
             cache_usable = False
-        else:
-            if hit is not None:
-                result, tier = hit
-                if tier == "unsat-core" and trace is not None \
-                        and trace.enabled:
-                    trace.emit(tr.FLIP_SUBSUMED,
-                               constraints=len(constraints))
-                if stats is not None:
-                    if tier == "exact":
-                        stats.cache_hits += 1
-                    elif tier == "unsat-core":
-                        stats.flips_subsumed_core += 1
-                    elif tier == "unsat-superset":
-                        stats.cache_unsat_shortcuts += 1
-                    else:
-                        stats.cache_model_reuses += 1
-                return result
+            hit = None
+        if timed:
+            clock.leave(prev)
+        if hit is not None:
+            result, tier = hit
+            if tier == "unsat-core" and trace is not None \
+                    and trace.enabled:
+                trace.emit(tr.FLIP_SUBSUMED,
+                           constraints=len(constraints))
             if stats is not None:
-                stats.cache_misses += 1
+                if tier == "exact":
+                    stats.cache_hits += 1
+                elif tier == "unsat-core":
+                    stats.flips_subsumed_core += 1
+                elif tier == "unsat-superset":
+                    stats.cache_unsat_shortcuts += 1
+                else:
+                    stats.cache_model_reuses += 1
+            return result
+        if cache_usable and stats is not None:
+            stats.cache_misses += 1
     escalated = False
+    if timed:
+        prev = clock.enter(SOLVER)
     started = time.perf_counter()
     result = _safe_solve(solver, constraints, domains, stats, trace)
     if result.status == "unknown" and escalation and escalation > 1:
@@ -162,6 +170,8 @@ def solve_with_retry(solver, constraints, domains, stats=None,
         if stats is not None and result.status != "unknown":
             stats.solver_escalations += 1
     wall = time.perf_counter() - started
+    if timed:
+        clock.leave(prev)
     if stats is not None:
         stats.solver_calls += 1
         stats.solver_constraints += len(constraints)
@@ -176,22 +186,30 @@ def solve_with_retry(solver, constraints, domains, stats=None,
         trace.emit(tr.SOLVER_ANSWERED, verdict=result.status,
                    wall_s=round(wall, 6), constraints=len(constraints),
                    escalated=escalated)
-    if cache_usable:
-        try:
-            with phases.section(CACHE):
-                cache.store(constraints, domains, result)
-        except Exception as exc:
-            _contain_cache_failure(cache, exc, stats, trace)
-            cache_usable = False
+    if not cache_usable:
+        return result
+    if timed:
+        prev = clock.enter(CACHE)
+    try:
+        cache.store(constraints, domains, result)
+    except Exception as exc:
+        _contain_cache_failure(cache, exc, stats, trace)
+        cache_usable = False
     if (subsume and cache_usable and result.status == "unsat"
             and 2 <= len(constraints) <= _CORE_EXTRACT_LIMIT):
+        # Core extraction is solver work, nested in the cache layer.
+        if timed:
+            inner = clock.enter(SOLVER)
         core = _extract_core(solver, constraints, domains, stats, trace)
+        if timed:
+            clock.leave(inner)
         if core is not None:
             try:
-                with phases.section(CACHE):
-                    cache.store_core(core, domains)
+                cache.store_core(core, domains)
             except Exception as exc:
                 _contain_cache_failure(cache, exc, stats, trace)
+    if timed:
+        clock.leave(prev)
     return result
 
 

@@ -38,13 +38,12 @@ machine's exact wrap semantics; division by a folded zero is *not* folded
 are never folded (their addresses are per-machine).
 
 Lowering is lazy — a function is compiled on its first call — and
-:class:`CompiledProgram` accumulates ``compile_seconds`` so the session
-profiler can attribute lowering to its own ``compile`` phase instead of
-polluting ``execute``.
+:class:`CompiledProgram` enters the session's ``compile`` layer
+(:mod:`repro.obs.clock`) around it, so lowering never counts as
+``execute``.
 """
 
 import operator
-import time
 
 from repro.interp.builtins import BUILTINS, INPUT_INTRINSICS
 from repro.interp.faults import (
@@ -57,6 +56,7 @@ from repro.interp.values import c_div, c_mod, wrap
 from repro.minic import ast_nodes as ast
 from repro.minic import ir
 from repro.minic.symbols import ENUM_CONST, GLOBAL
+from repro.obs.clock import COMPILE
 from repro.symbolic.evaluate import constraint_from_branch
 from repro.symbolic.expr import EQ, LinExpr
 
@@ -1002,26 +1002,29 @@ class CompiledProgram:
     One instance is shared by every :class:`Machine` a session creates
     (closures bake in only module-level facts — types, offsets, operator
     shapes — never per-machine state, which always arrives through the
-    ``m`` argument).  Functions are lowered lazily on first call;
-    ``compile_seconds`` / ``functions_compiled`` let the runner attribute
-    lowering to the ``compile`` phase.
+    ``m`` argument).  Functions are lowered lazily on first call, inside
+    the ``compile`` layer of ``clock``.
     """
 
     def __init__(self, module):
         self.module = module
         self._functions = {}
         self._compiler = _Compiler(module)
-        #: Cumulative lowering wall time (read by the session profiler).
-        self.compile_seconds = 0.0
         self.functions_compiled = 0
+        #: The running session's LayerClock (set by the runner), or None.
+        self.clock = None
 
     def function(self, ir_function):
         """The compiled form of ``ir_function`` (lowered on first use)."""
         compiled = self._functions.get(ir_function.name)
         if compiled is None:
-            started = time.perf_counter()
+            clock = self.clock
+            timed = clock is not None and clock.enabled
+            if timed:
+                prev = clock.enter(COMPILE)
             compiled = self._compile(ir_function)
-            self.compile_seconds += time.perf_counter() - started
+            if timed:
+                clock.leave(prev)
             self.functions_compiled += 1
             self._functions[ir_function.name] = compiled
         return compiled

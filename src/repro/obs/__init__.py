@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, and phase profiling.
+"""Observability: structured tracing, metrics, and the layer clock.
 
 Three orthogonal instruments, all zero-overhead when unused:
 
@@ -9,14 +9,16 @@ Three orthogonal instruments, all zero-overhead when unused:
 * :mod:`repro.obs.metrics` — the ``MetricsRegistry`` of counters, gauges
   and fixed-bucket histograms backing ``RunStats``, with deterministic
   cross-worker merging.
-* :mod:`repro.obs.profile` — the ``PhaseTimer`` attributing session wall
-  time to execute / solve / cache / checkpoint phases.
+* :mod:`repro.obs.clock` — the ``LayerClock`` splitting session wall
+  time into exclusive per-layer times (execute, compile, plan, cache,
+  solver, checkpoint, commit).
 
 ``python -m repro trace-summary TRACE.jsonl`` renders a trace file
 (:mod:`repro.obs.summary`).  The full event schema and metrics catalog
 live in ``docs/OBSERVABILITY.md``.
 """
 
+from repro.obs.clock import LAYERS, LayerClock
 from repro.obs.metrics import (
     PATH_LENGTH_BUCKETS,
     SOLVER_LATENCY_BUCKETS_S,
@@ -25,7 +27,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import PhaseTimer
 from repro.obs.summary import render_summary, summarize_trace
 from repro.obs.trace import (
     JsonlTraceSink,
@@ -40,10 +41,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlTraceSink",
+    "LAYERS",
+    "LayerClock",
     "ListSink",
     "MetricsRegistry",
     "PATH_LENGTH_BUCKETS",
-    "PhaseTimer",
     "RingBufferSink",
     "SOLVER_LATENCY_BUCKETS_S",
     "TraceBus",

@@ -2,10 +2,11 @@
 
 Reads a JSONL trace (written with ``--trace PATH``) and computes:
 
-* a **per-phase time breakdown** — execute / solve / cache / checkpoint
-  wall time summed from the durations the events carry, plus the
-  unattributed remainder ("other") against the session's total wall
-  time;
+* the **layer clock** — the session's exclusive wall time per layer
+  (:mod:`repro.obs.clock`), carried verbatim by ``session_finished``,
+  plus the unattributed remainder ("other") against the session's wall
+  time.  A trace cut off before ``session_finished`` has no clock and
+  reports none;
 * the **branch-flip funnel** — attempted (conjuncts negated and handed
   to the solver or cache) → sat (feasible flips) → forced (planned runs
   that reached their predicted path) → new path (runs that discovered a
@@ -19,13 +20,12 @@ The funnel equals the session's reported statistics by construction:
 """
 
 from repro.obs import trace as tr
+from repro.obs.clock import render_layers
 
 
 def summarize_trace(events):
     """Aggregate an event stream into a JSON-ready summary dict."""
     counts = {}
-    phases = {"execute": 0.0, "solve": 0.0, "cache": 0.0, "checkpoint": 0.0,
-              "compile": 0.0}
     funnel = {"attempted": 0, "sat": 0, "forced": 0, "new_path": 0}
     instructions = 0
     verdicts = {"sat": 0, "unsat": 0, "unknown": 0}
@@ -33,8 +33,7 @@ def summarize_trace(events):
     subsumption = {"flips_subsumed": 0, "worklist_deduped": 0}
     runs = {"total": 0, "ok": 0, "fault": 0, "mismatch": 0,
             "quarantined": 0}
-    plan_wall = 0.0
-    solver_wall = 0.0
+    phases = None
     total_wall = None
     status = None
     engine = None
@@ -44,7 +43,6 @@ def summarize_trace(events):
         etype = event.get("type")
         counts[etype] = counts.get(etype, 0) + 1
         if etype == tr.RUN_FINISHED:
-            phases["execute"] += event.get("wall_s", 0.0)
             instructions += event.get("steps", 0)
             runs["total"] += 1
             run_status = event.get("status")
@@ -55,51 +53,39 @@ def summarize_trace(events):
             if event.get("new_path"):
                 funnel["new_path"] += 1
         elif etype == tr.SOLVER_ANSWERED:
-            solver_wall += event.get("wall_s", 0.0)
             verdict = event.get("verdict")
             if verdict in verdicts:
                 verdicts[verdict] += 1
             if verdict == "sat":
                 funnel["sat"] += 1
-        elif etype in (tr.CACHE_LOOKUP, tr.CACHE_STORE):
-            phases["cache"] += event.get("wall_s", 0.0)
-            if etype == tr.CACHE_LOOKUP:
-                tier = event.get("tier") or "miss"
-                cache_tiers[tier] = cache_tiers.get(tier, 0) + 1
-                verdict = event.get("verdict")
-                if verdict in verdicts:
-                    verdicts[verdict] += 1
-                if verdict == "sat":
-                    funnel["sat"] += 1
+        elif etype == tr.CACHE_LOOKUP:
+            tier = event.get("tier") or "miss"
+            cache_tiers[tier] = cache_tiers.get(tier, 0) + 1
+            verdict = event.get("verdict")
+            if verdict in verdicts:
+                verdicts[verdict] += 1
+            if verdict == "sat":
+                funnel["sat"] += 1
         elif etype == tr.CONJUNCT_NEGATED:
             funnel["attempted"] += 1
         elif etype == tr.FLIP_SUBSUMED:
             subsumption["flips_subsumed"] += 1
         elif etype == tr.WORKLIST_DEDUP:
             subsumption["worklist_deduped"] += 1
-        elif etype == tr.PLAN:
-            plan_wall += event.get("wall_s", 0.0)
-        elif etype == tr.CHECKPOINT:
-            phases["checkpoint"] += event.get("wall_s", 0.0)
-        elif etype == tr.COMPILE:
-            phases["compile"] += event.get("wall_s", 0.0)
         elif etype == tr.SESSION_FINISHED:
             total_wall = event.get("wall_s")
+            phases = event.get("phases")
             status = event.get("status")
             engine = event.get("engine")
             iterations = event.get("iterations", 0)
             coverage = event.get("coverage")
-    # "solve" covers the whole planning call (slicing, query building,
-    # solver) minus the cache time recorded separately inside it; traces
-    # without plan events (e.g. a bare worker stream) fall back to the
-    # actual solver-call walls.
-    if plan_wall:
-        phases["solve"] = max(plan_wall - phases["cache"], solver_wall)
-    else:
-        phases["solve"] = solver_wall
-    attributed = sum(phases.values())
-    if total_wall is None:
-        total_wall = attributed
+    attributed = other = ratio = per_s = None
+    if phases is not None:
+        attributed = sum(entry["seconds"] for entry in phases.values())
+        other = round(total_wall - attributed, 6)
+        ratio = round(attributed / total_wall, 4)
+        execute_s = phases["execute"]["seconds"]
+        per_s = round(instructions / execute_s, 1) if execute_s else None
     summary = {
         "events": sum(counts.values()),
         "event_counts": {k: counts[k] for k in sorted(counts)},
@@ -108,16 +94,14 @@ def summarize_trace(events):
         # (absent in traces written before the field existed).
         "engine": engine,
         "iterations": iterations,
-        "wall_s": round(total_wall, 6),
-        "phases": {name: round(seconds, 6)
-                   for name, seconds in phases.items()},
-        "phase_other_s": round(max(total_wall - attributed, 0.0), 6),
-        "phase_coverage": round(attributed / total_wall, 4)
-        if total_wall else 1.0,
+        "wall_s": total_wall,
+        # The session's layer clock, as session_finished carries it (None
+        # when the trace ends early: nothing is re-derived from events).
+        "phases": phases,
+        "phase_other_s": other,
+        "phase_coverage": ratio,
         "instructions": instructions,
-        "instructions_per_s": round(
-            instructions / phases["execute"], 1
-        ) if phases["execute"] else 0.0,
+        "instructions_per_s": per_s,
         "funnel": funnel,
         "verdicts": verdicts,
         "cache_tiers": {k: cache_tiers[k] for k in sorted(cache_tiers)},
@@ -134,31 +118,22 @@ def summarize_trace(events):
     return summary
 
 
-def _bar(fraction, width=24):
-    filled = int(round(fraction * width))
-    return "#" * filled + "." * (width - filled)
-
-
 def render_summary(summary):
     """Human-readable report (the non-``--json`` output)."""
     lines = []
+    wall = summary["wall_s"]
     lines.append("trace summary: {} event(s), session status {}, "
-                 "{} engine, {} run(s), {:.4f}s wall".format(
+                 "{} engine, {} run(s), {} wall".format(
                      summary["events"], summary["status"] or "?",
                      summary.get("engine") or "?",
-                     summary["runs"]["total"], summary["wall_s"]))
+                     summary["runs"]["total"],
+                     "{:.4f}s".format(wall) if wall is not None else "?"))
     lines.append("")
-    lines.append("phase breakdown (attributed {:.1%} of wall time):".format(
-        summary["phase_coverage"]))
-    total = summary["wall_s"] or 1.0
-    for name in ("execute", "compile", "solve", "cache", "checkpoint"):
-        seconds = summary["phases"].get(name, 0.0)
-        frac = seconds / total
-        lines.append("  {:<10} {:>9.4f}s  {:>6.1%}  {}".format(
-            name, seconds, frac, _bar(frac)))
-    other = summary["phase_other_s"]
-    lines.append("  {:<10} {:>9.4f}s  {:>6.1%}  {}".format(
-        "other", other, other / total, _bar(other / total)))
+    if summary["phases"] is not None:
+        lines.extend(render_layers(summary["phases"], wall))
+    else:
+        lines.append("no layer clock recorded (trace ends before "
+                     "session_finished)")
     lines.append("")
     funnel = summary["funnel"]
     lines.append("branch-flip funnel:")
@@ -185,9 +160,13 @@ def render_summary(summary):
     lines.append("runs: {total} total, {ok} ok, {fault} fault, "
                  "{mismatch} mismatch, {quarantined} quarantined"
                  .format(**runs))
-    lines.append("throughput: {} instruction(s), {}/s over the execute "
-                 "phase".format(summary["instructions"],
-                                summary["instructions_per_s"]))
+    if summary["instructions_per_s"] is not None:
+        lines.append("throughput: {} instruction(s), {}/s over the execute "
+                     "layer".format(summary["instructions"],
+                                    summary["instructions_per_s"]))
+    else:
+        lines.append("throughput: {} instruction(s)".format(
+            summary["instructions"]))
     coverage = summary.get("coverage")
     if coverage is not None:
         lines.append(

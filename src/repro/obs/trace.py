@@ -11,7 +11,7 @@ schema — every type and its fields — is documented in
 **Zero overhead when disabled.**  Emission sites follow one idiom::
 
     if bus.enabled:
-        bus.emit(trace.RUN_FINISHED, iteration=n, wall_s=dt, ...)
+        bus.emit(trace.RUN_FINISHED, iteration=n, status=status, ...)
 
 ``enabled`` is a plain attribute kept in sync by attach/detach, so a
 session without sinks pays one attribute read per *site*, and neither
@@ -53,7 +53,6 @@ CONJUNCT_DROPPED = "conjunct_dropped"
 QUARANTINE = "quarantine"
 CHECKPOINT = "checkpoint"
 GENERATION = "generation"
-PLAN = "plan"
 FAULT_INJECTED = "fault_injected"
 SOLVER_FAILED = "solver_failed"
 CACHE_FAILED = "cache_failed"
@@ -69,9 +68,6 @@ POOL_STOPPED = "pool_stopped"
 POOL_STEAL = "pool_steal"
 #: A worker process died; its claimed items are re-dispatched once.
 WORKER_LOST = "worker_lost"
-#: IR lowering by the compiled execution engine (one event per run that
-#: lowered at least one function; carries ``wall_s`` and ``functions``).
-COMPILE = "compile"
 #: A regression suite was written (repro.suite); carries ``dir``,
 #: ``artifacts``, ``errors``, ``deduped``, ``pruned`` and the suite's
 #: ``c1_percent``.
@@ -93,11 +89,11 @@ EVENT_TYPES = (
     SESSION_STARTED, SESSION_FINISHED, RUN_STARTED, RUN_FINISHED,
     BRANCH, CONJUNCT_NEGATED, SOLVER_ANSWERED, CACHE_LOOKUP, CACHE_STORE,
     FORCING_MISMATCH, FLAG_DEGRADED, CONJUNCT_WIDENED, CONJUNCT_DROPPED,
-    QUARANTINE, CHECKPOINT, GENERATION, PLAN,
+    QUARANTINE, CHECKPOINT, GENERATION,
     FAULT_INJECTED, SOLVER_FAILED, CACHE_FAILED,
     CHECKPOINT_FAILED, CHECKPOINT_REJECTED, POOL_RETRY,
     POOL_STARTED, POOL_STOPPED, POOL_STEAL, WORKER_LOST,
-    COMPILE, SUITE_EXPORTED, ARTIFACT_DEDUPED,
+    SUITE_EXPORTED, ARTIFACT_DEDUPED,
     FLIP_SUBSUMED, WORKLIST_DEDUP,
 )
 

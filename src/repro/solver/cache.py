@@ -48,7 +48,9 @@ the search somewhere the solver would not have.
 
 With a :class:`repro.obs.trace.TraceBus` attached (the ``trace``
 attribute, set by the runner), each lookup/store emits an event carrying
-the tier (or miss) and its wall time.
+the tier (or miss) and the verdict.  The cache reads no clock: the
+caller (:func:`repro.dart.solve.solve_with_retry`) charges every access
+to the session's ``cache`` layer.
 
 Under ``jobs>1`` this cache becomes the *local* layer of a two-layer
 scheme: each pool worker consults a per-item instance (all four tiers),
@@ -58,7 +60,6 @@ a pure function of its payload, which the pool's determinism argument
 in docs/PARALLELISM.md rests on).
 """
 
-import time
 from collections import OrderedDict
 
 from repro.faults import points as fault_points
@@ -90,6 +91,22 @@ EXACT = "exact"
 UNSAT_CORE = "unsat-core"
 UNSAT_SUPERSET = "unsat-superset"
 MODEL_REUSE = "model-reuse"
+
+
+def trace_lookup(trace, hit, constraints):
+    """Emit one ``cache_lookup`` event (the tier, or None on a miss)."""
+    if trace is not None and trace.enabled:
+        trace.emit(tr.CACHE_LOOKUP,
+                   tier=hit[1] if hit is not None else None,
+                   verdict=hit[0].status if hit is not None else None,
+                   constraints=len(constraints))
+
+
+def trace_store(trace, verdict, constraints):
+    """Emit one ``cache_store`` event."""
+    if trace is not None and trace.enabled:
+        trace.emit(tr.CACHE_STORE, verdict=verdict,
+                   constraints=len(constraints))
 
 
 def _smallest_key(cons_keys):
@@ -183,19 +200,8 @@ class SolverResultCache:
         :data:`EXACT`, :data:`UNSAT_CORE`, :data:`UNSAT_SUPERSET`,
         :data:`MODEL_REUSE`.
         """
-        trace = self.trace
-        if trace is None or not trace.enabled:
-            return self._lookup(constraints, domains)
-        started = time.perf_counter()
         hit = self._lookup(constraints, domains)
-        wall = time.perf_counter() - started
-        trace.emit(
-            tr.CACHE_LOOKUP,
-            tier=hit[1] if hit is not None else None,
-            verdict=hit[0].status if hit is not None else None,
-            constraints=len(constraints),
-            wall_s=round(wall, 6),
-        )
+        trace_lookup(self.trace, hit, constraints)
         return hit
 
     def _lookup(self, constraints, domains):
@@ -280,19 +286,6 @@ class SolverResultCache:
         """Record a decided result; ``unknown`` is never cached."""
         if result.status not in ("sat", "unsat"):
             return
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            started = time.perf_counter()
-            self._store(constraints, domains, result)
-            trace.emit(
-                tr.CACHE_STORE, verdict=result.status,
-                constraints=len(constraints),
-                wall_s=round(time.perf_counter() - started, 6),
-            )
-            return
-        self._store(constraints, domains, result)
-
-    def _store(self, constraints, domains, result):
         injector = fault_points.ACTIVE
         if injector is not None:
             injector.cache_access()
@@ -311,6 +304,7 @@ class SolverResultCache:
             self._store_unsat_set(self._unsat, self._unsat_index,
                                   self._max_unsat_sets, key, constraints,
                                   domains)
+        trace_store(self.trace, result.status, constraints)
 
     def store_core(self, constraints, domains):
         """Record a minimal conflicting conjunct set (the subsumption
@@ -321,25 +315,13 @@ class SolverResultCache:
         domains) is refuted without a solver call.  Goes through the
         same fault seam and trace events as a plain store.
         """
-        trace = self.trace
-        if trace is None or not trace.enabled:
-            self._store_core(constraints, domains)
-            return
-        started = time.perf_counter()
-        self._store_core(constraints, domains)
-        trace.emit(
-            tr.CACHE_STORE, verdict="unsat-core",
-            constraints=len(constraints),
-            wall_s=round(time.perf_counter() - started, 6),
-        )
-
-    def _store_core(self, constraints, domains):
         injector = fault_points.ACTIVE
         if injector is not None:
             injector.cache_access()
         key = self.query_key(constraints, domains)
         self._store_unsat_set(self._cores, self._core_index,
                               self._max_cores, key, constraints, domains)
+        trace_store(self.trace, "unsat-core", constraints)
 
     @staticmethod
     def _store_unsat_set(store, index, bound, key, constraints, domains):

@@ -48,21 +48,23 @@ worker pays each miss is not (nothing pins per-worker attribution).
 waiters never hang on a dead claimant; a client-side ``clear()`` — the
 cache self-heal path — releases that worker's outstanding claims.
 Losing the whole store merely costs re-derived solver calls, exactly
-like clearing the serial cache.
+like clearing the serial cache.  The client reads no clock: its caller
+charges each access, waits on a claimant included, to the worker's
+``cache`` layer.
 """
 
 import threading
-import time
 from collections import OrderedDict
 from multiprocessing import Pipe
 from multiprocessing.connection import wait as _wait_ready
 
-from repro.obs import trace as tr
 from repro.solver.cache import (
     _DEFAULT_DOMAIN,
     ENCODING_VERSION,
     EXACT,
     SolverResultCache,
+    trace_lookup,
+    trace_store,
 )
 from repro.solver.core import SolverResult
 
@@ -303,18 +305,8 @@ class SharedCacheClient:
     # -- the SolverResultCache interface ------------------------------------
 
     def lookup(self, constraints, domains):
-        trace = self.trace
-        if trace is None or not trace.enabled:
-            return self._lookup(constraints, domains)
-        started = time.perf_counter()
         hit = self._lookup(constraints, domains)
-        trace.emit(
-            tr.CACHE_LOOKUP,
-            tier=hit[1] if hit is not None else None,
-            verdict=hit[0].status if hit is not None else None,
-            constraints=len(constraints),
-            wall_s=round(time.perf_counter() - started, 6),
-        )
+        trace_lookup(self.trace, hit, constraints)
         return hit
 
     def _lookup(self, constraints, domains):
@@ -345,17 +337,9 @@ class SharedCacheClient:
             # is never cached (same rule as the serial cache).
             self._conn.send(("resolve", key, result.status, None))
             return
-        trace = self.trace
-        started = time.perf_counter() \
-            if trace is not None and trace.enabled else None
         self.local.store(constraints, domains, result)
         self._conn.send(("resolve", key, result.status, result.model))
-        if started is not None:
-            trace.emit(
-                tr.CACHE_STORE, verdict=result.status,
-                constraints=len(constraints),
-                wall_s=round(time.perf_counter() - started, 6),
-            )
+        trace_store(self.trace, result.status, constraints)
 
     def clear(self):
         """Self-heal: drop local state and release outstanding claims."""

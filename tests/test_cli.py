@@ -6,6 +6,11 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.obs import LAYERS
+from repro.programs.ac_controller import (
+    AC_CONTROLLER_SOURCE,
+    AC_CONTROLLER_TOPLEVEL,
+)
 
 
 @pytest.fixture
@@ -189,3 +194,19 @@ class TestCli:
                      "--max-iterations", "100"]) == 0
         assert main([str(path), "ctl", "--depth", "2",
                      "--max-iterations", "500"]) == 1
+
+    def test_profile_phases_prints_the_layer_table(self, tmp_path, capsys):
+        path = tmp_path / "ac.c"
+        path.write_text(AC_CONTROLLER_SOURCE)
+        argv = [str(path), AC_CONTROLLER_TOPLEVEL, "--depth", "2",
+                "--seed", "7"]
+        assert main(argv) == 1
+        plain = capsys.readouterr().out
+        assert "phase breakdown" not in plain
+        assert main(argv + ["--profile-phases"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("phase breakdown (layer clock"))
+        assert lines[header - 1].startswith("instructions: ")
+        rows = [line.split()[0] for line in lines[header + 1:]]
+        assert rows == list(LAYERS) + ["other"]

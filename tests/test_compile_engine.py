@@ -35,6 +35,7 @@ from repro.interp.compile import CompiledProgram
 from repro.interp.faults import ExecutionFault, InterpreterError
 from repro.interp.machine import Machine, MachineOptions
 from repro.minic import compile_program
+from repro.obs.clock import COMPILE, LayerClock
 from repro.symbolic.flags import CompletenessFlags
 from repro.testgen import GeneratorOptions, generate_program, load_repro
 
@@ -224,6 +225,7 @@ class TestLoweringMechanics:
     def test_lowering_is_lazy_and_cached(self):
         module = build_test_program(self.SOURCE, "top")
         compiled = CompiledProgram(module)
+        compiled.clock = LayerClock(enabled=True)
         assert compiled.functions_compiled == 0
         im = InputVector()
         im.record(0, "int", 3)
@@ -231,10 +233,11 @@ class TestLoweringMechanics:
                           compiled=compiled)
         assert outcome["fault"] is None
         # a=3 never calls helper: only the executed functions (driver +
-        # top) were lowered, and lowering time was accounted.
+        # top) were lowered, each inside the clock's compile layer.
         lowered = compiled.functions_compiled
         assert 0 < lowered < len(module.functions) + 1
-        assert compiled.compile_seconds > 0.0
+        entry = compiled.clock.snapshot()[COMPILE]
+        assert entry["entries"] == lowered and entry["seconds"] > 0.0
         im = InputVector()
         im.record(0, "int", 50)
         _run(module, _LoggingFixedHooks(im), compiled=compiled)

@@ -2,12 +2,14 @@
 
 Covers the trace bus and its sinks (round-trip through the JSONL
 format), the metrics registry's deterministic merge semantics, the
-phase timer, and the zero-overhead-when-disabled contract: a session
-without sinks must never construct an event.
+layer clock, and the zero-overhead-when-disabled contract: a session
+without sinks must never construct an event, and a session without a
+clock never reads one.
 """
 
 import io
 import json
+import time
 
 import pytest
 
@@ -16,16 +18,18 @@ from repro.obs import (
     Counter,
     Gauge,
     Histogram,
+    LAYERS,
     JsonlTraceSink,
+    LayerClock,
     ListSink,
     MetricsRegistry,
-    PhaseTimer,
     RingBufferSink,
     TraceBus,
     read_trace,
     summarize_trace,
 )
 from repro.obs import trace as tr
+from repro.obs.clock import CACHE, OTHER, PLAN, SOLVER
 from repro.programs import samples
 
 
@@ -151,12 +155,18 @@ class TestDisabledOverheadGuard:
                             max_iterations=50, seed=0)
         assert result.found_error  # the search itself still works
 
-    def test_section_is_shared_noop_when_disabled(self):
-        timer = PhaseTimer()
-        assert timer.section("execute") is timer.section("solve")
-        with timer.section("execute"):
-            pass
-        assert timer.seconds == {}
+    def test_disabled_clock_records_nothing(self, monkeypatch):
+        def boom(self, layer):  # pragma: no cover - guard
+            raise AssertionError("LayerClock.enter called while disabled")
+
+        monkeypatch.setattr(LayerClock, "enter", boom)
+        result = dart_check(samples.H_SOURCE, samples.H_TOPLEVEL,
+                            max_iterations=50, seed=0)
+        assert result.found_error
+        assert not result.stats.phases.enabled
+        assert "phases" not in result.stats.summary()
+        assert all(entry == {"seconds": 0.0, "entries": 0}
+                   for entry in result.stats.phases.snapshot().values())
 
 
 class TestCounterGauge:
@@ -255,23 +265,53 @@ class TestMetricsRegistry:
         assert other.to_dict() == registry.to_dict()
 
 
-class TestPhaseTimer:
-    def test_sections_accumulate_when_enabled(self):
-        timer = PhaseTimer(enabled=True)
-        with timer.section("solve"):
+class TestLayerClock:
+    @staticmethod
+    def spin(seconds):
+        end = time.perf_counter() + seconds
+        while time.perf_counter() < end:
             pass
-        with timer.section("solve"):
-            pass
-        snap = timer.snapshot()
-        assert snap["solve"]["count"] == 2
-        assert snap["solve"]["seconds"] >= 0.0
 
-    def test_merge_adds_seconds_and_counts(self):
-        a, b = PhaseTimer(), PhaseTimer()
-        a.add("execute", 0.25, count=2)
-        b.add("execute", 0.75, count=3)
-        b.add("cache", 0.1)
+    def test_nested_enter_leave_charges_exclusive_time(self):
+        clock = LayerClock(enabled=True)
+        outer = clock.enter(PLAN)
+        assert outer == OTHER
+        self.spin(0.002)
+        inner = clock.enter(CACHE)
+        assert inner == PLAN
+        self.spin(0.02)
+        clock.leave(inner)
+        self.spin(0.002)
+        clock.leave(outer)
+        clock.stop()
+        snap = clock.snapshot()
+        # The nested cache time is charged to cache alone: plan holds
+        # only its own ~4 ms, far below the 20 ms spent inside it.
+        assert snap[CACHE]["seconds"] >= 0.02
+        assert 0.004 <= snap[PLAN]["seconds"] < 0.02
+        assert snap[PLAN]["entries"] == 1 and snap[CACHE]["entries"] == 1
+        assert snap[SOLVER] == {"seconds": 0.0, "entries": 0}
+
+    def test_layers_plus_other_partition_the_window(self):
+        clock = LayerClock(enabled=True)
+        opened = clock._mark
+        for layer in LAYERS:
+            prev = clock.enter(layer)
+            nested = clock.enter(SOLVER)
+            clock.leave(nested)
+            clock.leave(prev)
+        clock.stop()
+        # Integer nanoseconds: the partition is exact, not approximate.
+        assert sum(clock._ns.values()) == clock._mark - opened
+        assert set(clock.snapshot()) == set(LAYERS)
+
+    def test_merge_is_additive(self):
+        a, b = LayerClock(enabled=True), LayerClock(enabled=True)
+        a.merge({PLAN: {"seconds": 0.25, "entries": 2}})
+        b.merge({PLAN: {"seconds": 0.75, "entries": 3},
+                 CACHE: {"seconds": 0.1, "entries": 1}})
         a.merge(b.snapshot())
         snap = a.snapshot()
-        assert snap["execute"] == {"seconds": 1.0, "count": 5}
-        assert snap["cache"] == {"seconds": 0.1, "count": 1}
+        assert snap[PLAN] == {"seconds": 1.0, "entries": 5}
+        assert snap[CACHE] == {"seconds": 0.1, "entries": 1}
+        assert snap[SOLVER] == {"seconds": 0.0, "entries": 0}
