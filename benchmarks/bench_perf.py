@@ -99,8 +99,8 @@ def _run(source, toplevel, **overrides):
         "cache_hit_rate": round(stats.cache_hit_rate, 4),
         "cache_hits": stats.cache_hits,
         "cache_unsat_shortcuts": stats.cache_unsat_shortcuts,
-        "cache_model_reuses": stats.cache_model_reuses,
         "cache_misses": stats.cache_misses,
+        "cache_failures": stats.cache_failures,
         "flips_subsumed_core": stats.flips_subsumed_core,
         "worklist_deduped": stats.worklist_deduped,
         "conjuncts_widened": stats.conjuncts_widened,
@@ -152,6 +152,16 @@ def parallel_check(name, source, toplevel, failures, **common):
     return row
 
 
+def cache_failure_gate(section, rows, failures):
+    """Fail on any cache access that raised: no fault is injected here,
+    so a failure is a bug (each one also wipes the cache it hit)."""
+    for label, row in rows:
+        if row["cache_failures"]:
+            failures.append(
+                "{}: {} session logged {} cache failure(s)".format(
+                    section, label, row["cache_failures"]))
+
+
 #: Depth-scaled workload for the persistent-pool gate: the concrete
 #: loop nest makes every run ~15k instructions (execution dominates the
 #: session), and the four independent symbolic guards fan the bfs
@@ -191,10 +201,11 @@ def pipeline_gate(failures):
     """The persistent-pool hard gate on the depth-scaled benchmark.
 
     Serial and jobs=2 each run ``WALL_RUNS`` sessions (best wall kept).
-    Always gated: identical status/errors/iterations, and the pool's
-    cache hit rate at least the serial session's (the shared store must
-    never lose sharing the serial cache had).  Gated when the host has
-    >= 2 usable CPUs: pool wall-clock strictly below serial wall-clock.
+    Always gated: identical status/errors/iterations, no cache failure
+    in either session, and the pool's cache hit rate at least the serial
+    session's (the shared store must never lose sharing the serial cache
+    had).  Gated when the host has >= 2 usable CPUs: pool wall-clock
+    strictly below serial wall-clock.
     """
     common = dict(max_iterations=200, seed=0, strategy="bfs",
                   stop_on_first_error=False)
@@ -224,6 +235,8 @@ def pipeline_gate(failures):
             failures.append(
                 "pipeline: {} differs (serial {!r}, jobs=2 {!r})"
                 .format(field, serial[field], pool[field]))
+    cache_failure_gate("pipeline", (("serial", serial), ("jobs=2", pool)),
+                       failures)
     if pool["cache_hit_rate"] < serial["cache_hit_rate"]:
         failures.append(
             "pipeline: pool cache hit rate {:.2%} below serial {:.2%}"
@@ -266,6 +279,7 @@ def subsumption_section(failures):
     set and verdict, with both pruning counters visibly non-zero (and
     zero under the ablation).  A jobs=2 session under subsumption must
     match the serial one exactly — commit-order dedup is deterministic.
+    No session may log a cache failure.
     """
     common = dict(depth=2, max_iterations=400, seed=0, strategy="bfs",
                   stop_on_first_error=False)
@@ -304,6 +318,8 @@ def subsumption_section(failures):
             "subsumption: ablation counted pruning (cores {}, deduped "
             "{})".format(off["flips_subsumed_core"],
                          off["worklist_deduped"]))
+    cache_failure_gate("subsumption", (("subsuming", on), ("ablated", off),
+                                       ("jobs=2", pool)), failures)
     for field in ("status", "errors", "iterations", "worklist_deduped"):
         if on[field] != pool[field]:
             failures.append(

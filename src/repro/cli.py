@@ -596,8 +596,8 @@ def main(argv=None):
     print(
         "solver avg constraints/call: {avg_constraints_per_call}, "
         "sliced away: {sliced_conjuncts_dropped}, cache: {cache_hits} hit / "
-        "{cache_unsat_shortcuts} unsat-shortcut / {cache_model_reuses} "
-        "model-reuse / {cache_misses} miss (hit rate "
+        "{flips_subsumed_core} core / {cache_unsat_shortcuts} "
+        "unsat-shortcut / {cache_misses} miss (hit rate "
         "{cache_hit_rate})".format(**stats)
     )
     print(

@@ -123,8 +123,8 @@ class DartOptions:
         #: repro.dart.slicing for the soundness argument).  Off reproduces
         #: the paper's Fig. 5 queries literally.
         self.constraint_slicing = constraint_slicing
-        #: Cache solver verdicts keyed on canonical constraint sets, with
-        #: UNSAT-superset shortcuts and model reuse (repro.solver.cache).
+        #: Cache solver verdicts keyed on canonical constraint sets, and
+        #: refute supersets of proved-UNSAT sets (repro.solver.cache).
         self.solver_cache = solver_cache
         #: Subsumption layer (docs/ALGORITHM.md, "Subsumption and
         #: pruning"): record minimal UNSAT cores for cross-subtree flip

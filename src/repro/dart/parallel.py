@@ -28,10 +28,10 @@ What the executor adds to the in-process one (the full argument lives in
 * **Shared solver cache.** Workers share decided solver results
   through a parent-side cache server (:mod:`repro.solver.shared`):
   identical queries are solved once pool-wide, concurrent duplicates
-  wait on the first solver instead of re-solving, and a per-item local
-  cache keeps the serial cache's UNSAT-superset/model-reuse tiers —
-  partitioned exactly so that every worker result stays a pure
-  function of its payload.
+  wait on the first solver instead of re-solving, and each worker's
+  client is the serial cache emptied per item (exact results plus
+  UNSAT-core and UNSAT-query refutations) — partitioned exactly so that
+  every worker result stays a pure function of its payload.
 * **Worker death.** The kernel's fault boundary returns a lost run as
   data; a worker process dying outright (the in-process boundary cannot
   catch a segfault of the interpreter itself) is detected by the

@@ -236,6 +236,8 @@ class RunStats:
         # ``sliced_conjuncts_dropped`` counts prefix conjuncts slicing
         # kept away from the solver; the ``cache_*`` counters record how
         # each query was answered (hit tiers) or not (miss → real call).
+        # ``cache_model_reuses`` names a retired tier and always reads 0;
+        # it stays because benchmark consumers still read it.
         "solver_constraints", "sliced_conjuncts_dropped",
         "cache_hits", "cache_unsat_shortcuts", "cache_model_reuses",
         "cache_misses",
@@ -343,9 +345,9 @@ class RunStats:
 
     @property
     def cache_answered(self):
-        """Queries answered by the cache (all four tiers)."""
+        """Queries answered by the cache (exact hits and refutations)."""
         return (self.cache_hits + self.flips_subsumed_core
-                + self.cache_unsat_shortcuts + self.cache_model_reuses)
+                + self.cache_unsat_shortcuts)
 
     @property
     def cache_hit_rate(self):

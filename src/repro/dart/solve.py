@@ -21,8 +21,8 @@ Two throughput layers plug in here (see DESIGN.md, "Performance"):
   already satisfy them.
 * **Result caching** (:mod:`repro.solver.cache`): canonically equal
   queries — frequent once slicing shrinks them — are answered without a
-  solver call, as are supersets of known-UNSAT sets and queries satisfied
-  by a previously found model.
+  solver call, as are supersets of recorded UNSAT cores and of whole
+  proved-UNSAT queries.
 
 The caller runs a planning call inside the session's ``plan`` layer
 (:mod:`repro.obs.clock`); :func:`solve_with_retry` enters the ``cache``
@@ -93,7 +93,7 @@ def solve_with_retry(solver, constraints, domains, stats=None,
     """One *logical* solver call with caching and budget resilience.
 
     When ``cache`` is set, the query is first answered from it (exact hit,
-    UNSAT-core subsumption, UNSAT-superset shortcut, or model reuse); a
+    or a refutation by a recorded UNSAT core or whole UNSAT query); a
     cache answer costs no solver call and leaves ``solver_calls``
     untouched — the cache counters record it instead.  On a miss, when
     the first attempt returns ``unknown`` (node budget exhausted, not a
@@ -106,10 +106,12 @@ def solve_with_retry(solver, constraints, domains, stats=None,
 
     With ``subsume`` set (the subsumption layer, ``--no-subsumption``
     ablates it), a real UNSAT answer is additionally minimized by greedy
-    deletion (:func:`_extract_core`) and the core recorded in the cache's
-    cross-subtree tier, so future flips *containing* it are refuted
-    without a solver call; such refutations count as
-    ``flips_subsumed_core`` and emit a ``flip_subsumed`` trace event.
+    deletion (:func:`_extract_core`) and the core replaces the query as
+    its refutation entry, so future flips *containing* the core are
+    refuted without a solver call across subtrees; such refutations
+    count as ``flips_subsumed_core`` and emit a ``flip_subsumed`` trace
+    event (refutations by a whole query count as
+    ``cache_unsat_shortcuts``).
 
     Observability: actual solver calls are timed into the
     ``solver_latency_s`` histogram and — when ``trace`` is an enabled
@@ -147,10 +149,8 @@ def solve_with_retry(solver, constraints, domains, stats=None,
                     stats.cache_hits += 1
                 elif tier == "unsat-core":
                     stats.flips_subsumed_core += 1
-                elif tier == "unsat-superset":
-                    stats.cache_unsat_shortcuts += 1
                 else:
-                    stats.cache_model_reuses += 1
+                    stats.cache_unsat_shortcuts += 1
             return result
         if cache_usable and stats is not None:
             stats.cache_misses += 1
@@ -205,7 +205,7 @@ def solve_with_retry(solver, constraints, domains, stats=None,
             clock.leave(inner)
         if core is not None:
             try:
-                cache.store_core(core, domains)
+                cache.store_core(core, domains, constraints)
             except Exception as exc:
                 _contain_cache_failure(cache, exc, stats, trace)
     if timed:
@@ -230,7 +230,7 @@ def _extract_core(solver, constraints, domains, stats, trace):
     crashing probe still counts ``solver_failures``).  An ``unknown``
     probe conservatively keeps its conjunct.  Returns the minimized
     list, or None when nothing could be removed — the set is already
-    minimal and the plain UNSAT tier holds it verbatim.
+    minimal and stays its own refutation entry.
     """
     core = list(constraints)
     removed = False

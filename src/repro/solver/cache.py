@@ -4,47 +4,40 @@ DART's directed search re-issues many near-identical queries: consecutive
 candidate flips share almost all conjuncts, sliced queries for different
 branch indices often normalize to the *same* constraint set, and restarts
 revisit prefixes already decided.  This cache answers a query without a
-solver call through four tiers, cheapest first:
+solver call from two stores:
 
-1. **Exact hit** — the canonical key (the encoding generation, the set
-   of conjunct keys with strict inequalities normalized to non-strict
-   form, and the domains of their variables) was decided before; the
-   stored result is returned verbatim.
-2. **UNSAT-core subsumption** — a recorded *minimal* conflicting
-   conjunct set (extracted by greedy deletion after a sliced query came
-   back UNSAT, see :func:`repro.dart.solve._extract_core`) that is
-   contained in the query refutes it cross-subtree: the core alone is
-   already unsatisfiable, and adding conjuncts or tightening domains
-   never repairs that.
-3. **UNSAT-superset shortcut** — a previously proved-UNSAT constraint set
-   that is a subset of the query (under domains at least as wide) refutes
-   the query too, by the same monotonicity.  The core tier is the same
-   argument applied to a deliberately minimized set, so it fires on far
-   more supersets.
-4. **Model reuse** — a model cached from an earlier SAT answer that
-   assigns every variable of the query, within its domains, and satisfies
-   every conjunct answers SAT without a search (the counterexample-cache
-   idea of KLEE and Green).
+1. **Exact results** — the canonical key (the encoding generation, the
+   set of conjunct keys with strict inequalities normalized to
+   non-strict form, and the domains of their variables) was decided
+   before; the stored result is returned verbatim.
+2. **Refutations** — one entry per proved-UNSAT query: the *minimal*
+   conflicting conjunct set extracted from it by greedy deletion (see
+   :func:`repro.dart.solve._extract_core`) when extraction shrank it,
+   otherwise the query itself.  An entry contained in a later query
+   refutes it, under domains no wider than the entry's: the set alone
+   is already unsatisfiable, and adding conjuncts or tightening domains
+   never repairs that.  The entry's tag names the hit's tier —
+   :data:`UNSAT_CORE` for an extracted core (cross-subtree subsumption),
+   :data:`UNSAT_SUPERSET` for a whole query — so the caller counts each
+   in its own counter.
 
-The two UNSAT tiers share a **smallest-conjunct-key index**: every
-stored set is bucketed under its lexicographically smallest conjunct
-key, and a lookup only scans buckets whose key appears in the query —
-a subset's smallest element is necessarily one of the query's elements,
-so the pruning can never miss a hit the full linear scan would find
-(pinned by a property test), while misses stop costing O(cache size).
+The refutation store has a **smallest-conjunct-key index**: every entry
+is bucketed under its lexicographically smallest conjunct key, and a
+lookup only scans buckets whose key appears in the query — a subset's
+smallest element is necessarily one of the query's elements, so the
+pruning can never miss a hit the full linear scan would find (pinned by
+a property test), while misses stop costing O(cache size).
 
 Only decided results (sat/unsat) are stored; ``unknown`` is a node-budget
 artifact that an escalated retry may overturn, so caching it would make
-incompleteness sticky.  All stores are bounded LRU so a long session's
+incompleteness sticky.  Both stores are bounded LRU so a long session's
 memory stays flat.
 
-Soundness: every tier returns a verdict that the solver itself would
-have produced — exact hits replay a prior verdict for a canonically
-equal query, the UNSAT-superset tier relies on monotonicity (a superset
-of an unsatisfiable set under no-wider domains is unsatisfiable), and
-reused models are re-checked against every conjunct of the *current*
-query before being answered SAT.  The cache can therefore never steer
-the search somewhere the solver would not have.
+Soundness: every answer is one the solver itself would have produced —
+exact hits replay a prior verdict for a canonically equal query, and
+refutations rely on monotonicity (a superset of an unsatisfiable set
+under no-wider domains is unsatisfiable).  The cache can therefore never
+steer the search somewhere the solver would not have.
 
 With a :class:`repro.obs.trace.TraceBus` attached (the ``trace``
 attribute, set by the runner), each lookup/store emits an event carrying
@@ -52,12 +45,12 @@ the tier (or miss) and the verdict.  The cache reads no clock: the
 caller (:func:`repro.dart.solve.solve_with_retry`) charges every access
 to the session's ``cache`` layer.
 
-Under ``jobs>1`` this cache becomes the *local* layer of a two-layer
-scheme: each pool worker consults a per-item instance (all four tiers),
-backed by a parent-side server that shares exact-tier results across
-workers (`repro.solver.shared` — the layering keeps every worker result
-a pure function of its payload, which the pool's determinism argument
-in docs/PARALLELISM.md rests on).
+Under ``jobs>1`` each pool worker's cache is a
+:class:`repro.solver.shared.SharedCacheClient` — this cache, emptied
+before every work item, whose local misses ask a parent-side server that
+shares exact results across workers (the layering keeps every worker
+result a pure function of its payload, which the pool's determinism
+argument in docs/PARALLELISM.md rests on).
 """
 
 from collections import OrderedDict
@@ -90,19 +83,20 @@ ENCODING_VERSION = 3
 EXACT = "exact"
 UNSAT_CORE = "unsat-core"
 UNSAT_SUPERSET = "unsat-superset"
-MODEL_REUSE = "model-reuse"
 
 
-def trace_lookup(trace, hit, constraints):
-    """Emit one ``cache_lookup`` event (the tier, or None on a miss)."""
-    if trace is not None and trace.enabled:
-        trace.emit(tr.CACHE_LOOKUP,
-                   tier=hit[1] if hit is not None else None,
-                   verdict=hit[0].status if hit is not None else None,
-                   constraints=len(constraints))
+def _fault_seam():
+    """Probe the ``cache.corrupt`` fault (simulated internal corruption).
+
+    The engine (``solve_with_retry``) self-heals by clearing the cache
+    and treating the access as a miss.
+    """
+    injector = fault_points.ACTIVE
+    if injector is not None:
+        injector.cache_access()
 
 
-def trace_store(trace, verdict, constraints):
+def _trace_store(trace, verdict, constraints):
     """Emit one ``cache_store`` event."""
     if trace is not None and trace.enabled:
         trace.emit(tr.CACHE_STORE, verdict=verdict,
@@ -110,7 +104,7 @@ def trace_store(trace, verdict, constraints):
 
 
 def _smallest_key(cons_keys):
-    """The bucket key of a stored UNSAT set: its smallest conjunct key.
+    """The bucket key of a refutation entry: its smallest conjunct key.
 
     Conjunct keys are heterogeneous tuples (plain vs. widened/tagged),
     so ``repr`` provides the total order — any deterministic one works,
@@ -122,29 +116,21 @@ def _smallest_key(cons_keys):
 class SolverResultCache:
     """Bounded cache of solver verdicts for normalized constraint sets."""
 
-    def __init__(self, max_results=4096, max_models=64, max_unsat_sets=256,
-                 max_cores=256):
+    def __init__(self, max_results=4096, max_refutations=512):
         #: Optional TraceBus; when attached and enabled, lookups and
         #: stores emit cache_lookup / cache_store events.
         self.trace = None
-        #: query key -> SolverResult (exact tier).
+        #: query key -> SolverResult (exact results).
         self._results = OrderedDict()
-        #: frozenset(model.items()) -> model dict (model-reuse tier).
-        self._models = OrderedDict()
-        #: unsat key -> (constraint key set, {var: (lo, hi)}).
-        self._unsat = OrderedDict()
-        #: core key -> (constraint key set, {var: (lo, hi)}) — minimal
-        #: conflicting sets recorded by the subsumption layer.
-        self._cores = OrderedDict()
-        #: Smallest-conjunct-key indexes over the two UNSAT stores:
-        #: bucket key -> list of store keys, maintained through LRU
-        #: eviction and clear().
-        self._unsat_index = {}
-        self._core_index = {}
+        #: proved-UNSAT query key -> (refuting conjunct key set,
+        #: {var: (lo, hi)}, tier tag).
+        self._refutations = OrderedDict()
+        #: Smallest-conjunct-key index over the refutations: bucket key
+        #: -> list of store keys, maintained through LRU eviction and
+        #: clear().
+        self._index = {}
         self._max_results = max_results
-        self._max_models = max_models
-        self._max_unsat_sets = max_unsat_sets
-        self._max_cores = max_cores
+        self._max_refutations = max_refutations
 
     # -- keys ---------------------------------------------------------------
 
@@ -197,51 +183,42 @@ class SolverResultCache:
         """Answer a query from the cache, or None.
 
         Returns ``(SolverResult, tier)`` with ``tier`` one of
-        :data:`EXACT`, :data:`UNSAT_CORE`, :data:`UNSAT_SUPERSET`,
-        :data:`MODEL_REUSE`.
+        :data:`EXACT`, :data:`UNSAT_CORE`, :data:`UNSAT_SUPERSET`.
         """
         hit = self._lookup(constraints, domains)
-        trace_lookup(self.trace, hit, constraints)
+        trace = self.trace
+        if trace is not None and trace.enabled:
+            trace.emit(tr.CACHE_LOOKUP,
+                       tier=hit[1] if hit is not None else None,
+                       verdict=hit[0].status if hit is not None else None,
+                       constraints=len(constraints))
         return hit
 
     def _lookup(self, constraints, domains):
-        injector = fault_points.ACTIVE
-        if injector is not None:
-            # Fault seam: simulated internal corruption.  The engine
-            # (solve_with_retry) self-heals by clearing the cache and
-            # treating the lookup as a miss.
-            injector.cache_access()
+        _fault_seam()
         key = self.query_key(constraints, domains)
         result = self._results.get(key)
         if result is not None:
             self._results.move_to_end(key)
             return result, EXACT
-        core = self._refute(self._cores, self._core_index, key[1], domains)
-        if core is not None:
-            return core, UNSAT_CORE
-        shortcut = self._refute(self._unsat, self._unsat_index, key[1],
-                                domains)
-        if shortcut is not None:
-            return shortcut, UNSAT_SUPERSET
-        reused = self._reuse_model(constraints, domains)
-        if reused is not None:
-            return reused, MODEL_REUSE
-        return None
+        return self._refute(key[1], domains)
 
-    def _refute(self, store, index, cons_keys, domains):
-        """Shared subset test of the two UNSAT tiers, index-pruned.
+    def _refute(self, cons_keys, domains):
+        """The refutation store's subset test, index-pruned.
 
-        A stored set contained in the query refutes it.  Candidates come
-        from the buckets of the query's own conjunct keys: any subset's
-        smallest key is one of the query's keys, so no hit the full scan
-        would find is skipped.  Bucket keys are visited in sorted order —
-        conjunct keys contain strings, so raw frozenset order would vary
-        with hash randomization and make LRU touch order (hence eviction,
-        hence counters) irreproducible across interpreter runs.
+        An entry contained in the query refutes it; the hit's tier is
+        the entry's tag.  Candidates come from the buckets of the
+        query's own conjunct keys: any subset's smallest key is one of
+        the query's keys, so no hit the full scan would find is skipped.
+        Bucket keys are visited in sorted order — conjunct keys contain
+        strings, so raw frozenset order would vary with hash
+        randomization and make LRU touch order (hence eviction, hence
+        counters) irreproducible across interpreter runs.
         """
+        refutations = self._refutations
         for bucket_key in sorted(cons_keys, key=repr):
-            for store_key in index.get(bucket_key, ()):
-                cached_cons, cached_domains = store[store_key]
+            for store_key in self._index.get(bucket_key, ()):
+                cached_cons, cached_domains, tier = refutations[store_key]
                 if not cached_cons <= cons_keys:
                     continue
                 # The cached refutation holds under domains at least as
@@ -251,114 +228,82 @@ class SolverResultCache:
                     if qlo < lo or qhi > hi:
                         break
                 else:
-                    store.move_to_end(store_key)
-                    return SolverResult(UNSAT)
-        return None
-
-    def _reuse_model(self, constraints, domains):
-        variables = set()
-        for c in constraints:
-            variables |= c.variables()
-        for model_key, model in reversed(self._models.items()):
-            if any(var not in model for var in variables):
-                continue
-            in_domain = True
-            for var in variables:
-                lo, hi = domains.get(var, _DEFAULT_DOMAIN)
-                if not lo <= model[var] <= hi:
-                    in_domain = False
-                    break
-            if not in_domain:
-                continue
-            if all(c.evaluate(model) for c in constraints):
-                self._models.move_to_end(model_key)
-                # Restrict to the query's variables: a fuller model would
-                # leak assignments into IM slots this query says nothing
-                # about when the caller merges it (the IM + IM' update).
-                return SolverResult(
-                    SAT, {var: model[var] for var in variables}
-                )
+                    refutations.move_to_end(store_key)
+                    return SolverResult(UNSAT), tier
         return None
 
     # -- store --------------------------------------------------------------
 
     def store(self, constraints, domains, result):
         """Record a decided result; ``unknown`` is never cached."""
-        if result.status not in ("sat", "unsat"):
+        if result.status not in (SAT, UNSAT):
             return
-        injector = fault_points.ACTIVE
-        if injector is not None:
-            injector.cache_access()
+        _fault_seam()
+        self._remember(constraints, domains, result)
+        _trace_store(self.trace, result.status, constraints)
+
+    def _remember(self, constraints, domains, result):
+        """Store a decided result: the exact entry and, for UNSAT, the
+        query's refutation entry (unless it already has one)."""
         key = self.query_key(constraints, domains)
-        self._results[key] = result
-        self._results.move_to_end(key)
-        while len(self._results) > self._max_results:
-            self._results.popitem(last=False)
-        if result.status == "sat" and result.model:
-            model_key = frozenset(result.model.items())
-            self._models[model_key] = result.model
-            self._models.move_to_end(model_key)
-            while len(self._models) > self._max_models:
-                self._models.popitem(last=False)
-        elif result.status == "unsat":
-            self._store_unsat_set(self._unsat, self._unsat_index,
-                                  self._max_unsat_sets, key, constraints,
-                                  domains)
-        trace_store(self.trace, result.status, constraints)
+        results = self._results
+        results[key] = result
+        results.move_to_end(key)
+        while len(results) > self._max_results:
+            results.popitem(last=False)
+        if result.status == UNSAT and key not in self._refutations:
+            self._refute_with(key, key[1], constraints, domains,
+                              UNSAT_SUPERSET)
 
-    def store_core(self, constraints, domains):
-        """Record a minimal conflicting conjunct set (the subsumption
-        layer's cross-subtree tier).
+    def store_core(self, core, domains, query=None):
+        """Record the minimal conflicting set extracted from ``query``.
 
-        The caller has proved ``constraints`` UNSAT and minimized it by
-        greedy deletion; any future query containing it (under no-wider
-        domains) is refuted without a solver call.  Goes through the
-        same fault seam and trace events as a plain store.
+        The caller has proved ``query`` UNSAT and minimized it to
+        ``core`` by greedy deletion.  The core replaces the query's own
+        refutation entry — it refutes every query the whole one does,
+        and more — so each proved-UNSAT query keeps one entry.  Without
+        ``query`` the core is its own entry.  Goes through the same
+        fault seam and trace events as a plain store.
         """
-        injector = fault_points.ACTIVE
-        if injector is not None:
-            injector.cache_access()
-        key = self.query_key(constraints, domains)
-        self._store_unsat_set(self._cores, self._core_index,
-                              self._max_cores, key, constraints, domains)
-        trace_store(self.trace, "unsat-core", constraints)
+        _fault_seam()
+        cons = frozenset(self.canonical_cmp_key(c) for c in core)
+        key = self.query_key(core if query is None else query, domains)
+        self._refute_with(key, cons, core, domains, UNSAT_CORE)
+        _trace_store(self.trace, UNSAT_CORE, core)
 
-    @staticmethod
-    def _store_unsat_set(store, index, bound, key, constraints, domains):
-        cached_domains = {
+    def _refute_with(self, key, cons, constraints, domains, tier):
+        """Make ``cons`` (the keys of ``constraints``) the refutation
+        entry of query ``key``, tagged ``tier``."""
+        refutations = self._refutations
+        if key in refutations:
+            self._unindex(key, refutations[key][0])
+        refutations[key] = (cons, {
             var: tuple(domains.get(var, _DEFAULT_DOMAIN))
             for c in constraints for var in c.variables()
-        }
-        if key in store:
-            store.move_to_end(key)
-            return
-        store[key] = (key[1], cached_domains)
-        index.setdefault(_smallest_key(key[1]), []).append(key)
-        while len(store) > bound:
-            evicted_key, (evicted_cons, _domains) = store.popitem(last=False)
-            bucket_key = _smallest_key(evicted_cons)
-            bucket = index.get(bucket_key)
-            if bucket is not None:
-                try:
-                    bucket.remove(evicted_key)
-                except ValueError:  # pragma: no cover — index invariant
-                    pass
-                if not bucket:
-                    del index[bucket_key]
+        }, tier)
+        refutations.move_to_end(key)
+        self._index.setdefault(_smallest_key(cons), []).append(key)
+        while len(refutations) > self._max_refutations:
+            evicted_key, entry = refutations.popitem(last=False)
+            self._unindex(evicted_key, entry[0])
+
+    def _unindex(self, key, cons):
+        bucket_key = _smallest_key(cons)
+        bucket = self._index[bucket_key]
+        bucket.remove(key)
+        if not bucket:
+            del self._index[bucket_key]
 
     def clear(self):
         """Drop every entry (the self-heal after detected corruption).
 
         Losing the cache costs only re-derived solver calls, never
-        answers: every tier reproduces verdicts the solver would give,
+        answers: every entry reproduces verdicts the solver would give,
         so an empty cache is always a safe state to fall back to.
         """
         self._results.clear()
-        self._models.clear()
-        self._unsat.clear()
-        self._cores.clear()
-        self._unsat_index.clear()
-        self._core_index.clear()
+        self._refutations.clear()
+        self._index.clear()
 
     def __len__(self):
         return len(self._results)

@@ -10,21 +10,22 @@ which model every other worker plans its children from.
 The pool therefore splits caching into two layers with a sharp
 determinism contract (see ``docs/PARALLELISM.md``):
 
-* **Per-item local cache** — each work item gets a fresh
-  :class:`SolverResultCache` with all four tiers (exact, UNSAT-core,
-  UNSAT-superset, model reuse).  Canonically-equal and subsumed queries
-  *within one item's expansion* — the common case once slicing shrinks
-  queries — are answered locally, and because the cache starts empty
-  per item, every worker result is a pure function of its payload.
+* **Per-item local cache** — each worker's cache is a
+  :class:`SharedCacheClient`, a :class:`SolverResultCache` (exact
+  results plus refutations) emptied before every work item.
+  Canonically-equal and refuted queries *within one item's expansion* —
+  the common case once slicing shrinks queries — are answered locally,
+  and because the cache starts empty per item, every worker result is a
+  pure function of its payload.
 * **Shared exact store** (this module) — a parent-side
   :class:`CacheServer` thread memoizes *identical* queries across
-  workers.  The key is the ordered tuple of verbatim constraint keys
-  plus sorted domains (stricter than the local cache's canonical set
-  key), so two queries share an entry only when the solver would have
-  seen byte-identical input — which makes the stored value a pure
-  function of the key (``Solver.solve`` is deterministic in the query,
-  seed and node budget), no matter which worker solved it first or how
-  the race went.
+  workers; a local miss asks it.  The key is the ordered tuple of
+  verbatim constraint keys plus sorted domains (stricter than the local
+  cache's canonical set key), so two queries share an entry only when
+  the solver would have seen byte-identical input — which makes the
+  stored value a pure function of the key (``Solver.solve`` is
+  deterministic in the query, seed and node budget), no matter which
+  worker solved it first or how the race went.
 
 **Claim protocol.**  A worker's lookup either *hits* (the key was
 decided), *waits* (another worker is solving the same key right now —
@@ -45,12 +46,13 @@ worker pays each miss is not (nothing pins per-worker attribution).
 
 **Failure containment.**  A worker death releases its claims
 (:meth:`CacheServer.release_worker`, also triggered by pipe EOF), so
-waiters never hang on a dead claimant; a client-side ``clear()`` — the
-cache self-heal path — releases that worker's outstanding claims.
-Losing the whole store merely costs re-derived solver calls, exactly
-like clearing the serial cache.  The client reads no clock: its caller
-charges each access, waits on a claimant included, to the worker's
-``cache`` layer.
+waiters never hang on a dead claimant.  A client resolves its claim
+before its local store runs, so a local self-heal (``clear()``) never
+strands a waiter, and ``begin_item()`` releases any claim an aborted
+item left behind.  Losing the whole store merely costs re-derived
+solver calls, exactly like clearing the serial cache.  The client
+reads no clock: its caller charges each access, waits on a claimant
+included, to the worker's ``cache`` layer.
 """
 
 import threading
@@ -63,8 +65,6 @@ from repro.solver.cache import (
     ENCODING_VERSION,
     EXACT,
     SolverResultCache,
-    trace_lookup,
-    trace_store,
 )
 from repro.solver.core import SolverResult
 
@@ -276,41 +276,35 @@ class CacheServer:
                     self._reply(waiter, ("claimed",))
 
 
-class SharedCacheClient:
-    """Worker-side cache facade: per-item local tiers + the shared store.
+class SharedCacheClient(SolverResultCache):
+    """A pool worker's cache: the local stores, backed by the shared one.
 
-    Implements the :class:`SolverResultCache` interface that
-    :func:`repro.dart.solve.solve_with_retry` consumes (``lookup`` /
-    ``store`` / ``clear`` / ``trace``), so the worker's solving loop is
-    byte-identical to the serial engine's.  ``begin_item()`` must be
-    called before each work item: it resets the local cache (keeping
+    A :class:`SolverResultCache` whose local misses ask the
+    :class:`CacheServer` before reporting a miss, and whose stores also
+    resolve the worker's claim, so
+    :func:`repro.dart.solve.solve_with_retry` drives it exactly like the
+    serial cache.  ``begin_item()`` must be
+    called before each work item: it empties the local stores (keeping
     worker results payload-pure) and releases any leftover claim.
     """
 
     def __init__(self, conn):
+        super().__init__()
         self._conn = conn
-        #: Optional TraceBus (the worker's private per-item bus); one
-        #: cache_lookup / cache_store event per call, like the serial
-        #: cache.
-        self.trace = None
-        self.local = SolverResultCache()
         self._claims = set()
 
     def begin_item(self):
-        """Reset per-item state (fresh local cache, no stale claims)."""
-        self.local = SolverResultCache()
-        self._release_claims()
-        self.trace = None
-
-    # -- the SolverResultCache interface ------------------------------------
-
-    def lookup(self, constraints, domains):
-        hit = self._lookup(constraints, domains)
-        trace_lookup(self.trace, hit, constraints)
-        return hit
+        """Reset per-item state (empty local stores, no stale claims)."""
+        self.clear()
+        for key in self._claims:
+            try:
+                self._conn.send(("resolve", key, "unknown", None))
+            except (OSError, ValueError):
+                break
+        self._claims.clear()
 
     def _lookup(self, constraints, domains):
-        hit = self.local.lookup(constraints, domains)
+        hit = super()._lookup(constraints, domains)
         if hit is not None:
             return hit
         key = shared_query_key(constraints, domains)
@@ -318,43 +312,20 @@ class SharedCacheClient:
         reply = self._conn.recv()  # may block on an in-flight claimant
         if reply[0] == "hit":
             status, model = reply[1], reply[2]
-            result = SolverResult(status,
-                                  dict(model) if model else None)
-            # Feed the local tiers too: later queries of this same item
-            # can then reuse the model or the UNSAT set without another
-            # round-trip (still payload-pure — the shared value is a
-            # function of the key).
-            self.local.store(constraints, domains, result)
+            result = SolverResult(status, dict(model) if model else None)
+            # Fill the local stores too (no cache_store event: nothing
+            # was solved here): later queries of this same item then hit
+            # without another round-trip — still payload-pure, since the
+            # shared value is a function of the key.
+            self._remember(constraints, domains, result)
             return result, EXACT
         self._claims.add(key)
         return None
 
     def store(self, constraints, domains, result):
+        # Resolve the claim first — ``unknown`` included, so waiters stop
+        # waiting (it is never cached, same rule as the local stores).
         key = shared_query_key(constraints, domains)
         self._claims.discard(key)
-        if result.status not in ("sat", "unsat"):
-            # Resolve the claim so waiters stop waiting; unknown itself
-            # is never cached (same rule as the serial cache).
-            self._conn.send(("resolve", key, result.status, None))
-            return
-        self.local.store(constraints, domains, result)
         self._conn.send(("resolve", key, result.status, result.model))
-        trace_store(self.trace, result.status, constraints)
-
-    def clear(self):
-        """Self-heal: drop local state and release outstanding claims."""
-        self.local.clear()
-        self._release_claims()
-
-    def __len__(self):
-        return len(self.local)
-
-    # -- internals ----------------------------------------------------------
-
-    def _release_claims(self):
-        for key in list(self._claims):
-            try:
-                self._conn.send(("resolve", key, "unknown", None))
-            except (OSError, ValueError):
-                break
-        self._claims.clear()
+        super().store(constraints, domains, result)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.programs.ac_controller import (
     AC_CONTROLLER_SOURCE,
     AC_CONTROLLER_TOPLEVEL,
 )
+from tests.perf_sources import SUBSUME_SOURCE
 
 
 @pytest.fixture
@@ -194,6 +196,21 @@ class TestCli:
                      "--max-iterations", "100"]) == 0
         assert main([str(path), "ctl", "--depth", "2",
                      "--max-iterations", "500"]) == 1
+
+    def test_cache_line_parts_add_up_to_the_hit_rate(self, tmp_path, capsys):
+        path = tmp_path / "subsume.c"
+        path.write_text(SUBSUME_SOURCE)
+        assert main([str(path), "subsume_bench", "--depth", "2",
+                     "--strategy", "bfs", "--max-iterations", "400",
+                     "--all-errors"]) == 1
+        match = re.search(
+            r"cache: (\d+) hit / (\d+) core / (\d+) unsat-shortcut / "
+            r"(\d+) miss \(hit rate ([0-9.]+)\)", capsys.readouterr().out)
+        hit, core, shortcut, miss = map(int, match.groups()[:4])
+        assert core == 9  # flips refuted by a recorded UNSAT core
+        answered = hit + core + shortcut
+        assert float(match.group(5)) == \
+            round(answered / (answered + miss), 4)
 
     def test_profile_phases_prints_the_layer_table(self, tmp_path, capsys):
         path = tmp_path / "ac.c"

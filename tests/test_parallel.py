@@ -12,6 +12,7 @@ from repro.programs.ac_controller import (
     AC_CONTROLLER_TOPLEVEL,
 )
 from repro.programs.needham_schroeder import ns_source
+from tests.perf_sources import SUBSUME_SOURCE
 
 
 def run(source, toplevel, jobs, **overrides):
@@ -132,6 +133,23 @@ class TestBenchmarksParallelMatchesSerial:
                        max_iterations=50_000, seed=0)
         assert error_set(serial) == error_set(parallel)
         assert serial.status == parallel.status == "bug_found"
+
+
+class TestPoolCache:
+    """A worker's cache is the serial cache: every access of it works."""
+
+    def test_ac_controller_pool_has_no_cache_failures(self):
+        result = run(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL, 2,
+                     strategy="bfs", depth=2, seed=7)
+        assert result.status == "bug_found"
+        assert result.stats.cache_failures == 0
+
+    def test_pool_records_and_uses_cores(self):
+        result = run(SUBSUME_SOURCE, "subsume_bench", 2, strategy="bfs",
+                     depth=2, max_iterations=400, seed=0,
+                     stop_on_first_error=False)
+        assert result.stats.cache_failures == 0
+        assert result.stats.flips_subsumed_core > 0
 
 
 class TestCheckpointInterop:

@@ -6,7 +6,7 @@ from repro.programs.ac_controller import (
     AC_CONTROLLER_TOPLEVEL,
 )
 from repro.solver import SAT, SolverResultCache, UNSAT
-from repro.solver.cache import EXACT, MODEL_REUSE, UNSAT_SUPERSET
+from repro.solver.cache import EXACT, UNSAT_CORE, UNSAT_SUPERSET
 from repro.solver.core import SolverResult
 from repro.symbolic.expr import CmpExpr, EQ, GE, GT, LE, LinExpr
 
@@ -143,42 +143,17 @@ class TestUnsatSupersetTier:
         assert cache.lookup(cons + [cmp(GE, {1: 1})], {}) is None
 
 
-class TestModelReuseTier:
-    def test_cached_model_answers_a_new_satisfied_query(self):
+class TestRefutationStore:
+    def test_core_replaces_its_query_entry(self):
+        # One entry per proved-UNSAT query: the extracted core takes the
+        # whole query's place, and its hits count as core refutations.
         cache = SolverResultCache()
-        cache.store([cmp(EQ, {0: 1}, -5)], {}, SolverResult(SAT, {0: 5}))
-        result, tier = cache.lookup([cmp(GT, {0: 1})], {})  # x0 > 0
-        assert tier == MODEL_REUSE
-        assert result.is_sat and result.model == {0: 5}
-
-    def test_model_not_reused_when_it_violates_the_query(self):
-        cache = SolverResultCache()
-        cache.store([cmp(EQ, {0: 1}, -5)], {}, SolverResult(SAT, {0: 5}))
-        assert cache.lookup([cmp(EQ, {0: 1}, -7)], {}) is None
-
-    def test_model_must_assign_every_query_variable(self):
-        cache = SolverResultCache()
-        cache.store([cmp(EQ, {0: 1}, -5)], {}, SolverResult(SAT, {0: 5}))
-        # Query also involves x1, which the cached model never assigned.
-        assert cache.lookup([cmp(GT, {0: 1}), cmp(GT, {1: 1})], {}) is None
-
-    def test_model_must_respect_query_domains(self):
-        cache = SolverResultCache()
-        cache.store([cmp(EQ, {0: 1}, -5)], {}, SolverResult(SAT, {0: 5}))
-        assert cache.lookup([cmp(GT, {0: 1})], {0: (1, 3)}) is None
-
-    def test_reused_model_is_restricted_to_query_variables(self):
-        # A fuller model must not leak assignments for variables the
-        # query never mentions (they would clobber unrelated IM slots on
-        # the IM + IM' merge).
-        cache = SolverResultCache()
-        cache.store(
-            [cmp(EQ, {0: 1}, -5), cmp(EQ, {1: 1}, -9)], {},
-            SolverResult(SAT, {0: 5, 1: 9}),
-        )
-        result, tier = cache.lookup([cmp(GT, {0: 1})], {})
-        assert tier == MODEL_REUSE
-        assert result.model == {0: 5}
+        query = [cmp(EQ, {0: 1}), cmp(EQ, {0: 1}, -1), cmp(GT, {1: 1})]
+        cache.store(query, {}, SolverResult(UNSAT))
+        cache.store_core(query[:2], {}, query)
+        assert len(cache._refutations) == 1
+        result, tier = cache.lookup(query[:2] + [cmp(LE, {2: 1})], {})
+        assert tier == UNSAT_CORE and result.status == "unsat"
 
 
 class TestBounds:
@@ -189,11 +164,15 @@ class TestBounds:
                         if i % 2 else SolverResult(SAT, {0: i}))
         assert len(cache) == 4
 
-    def test_model_store_bounded(self):
-        cache = SolverResultCache(max_models=2)
+    def test_refutation_store_bounded(self):
+        # Whole UNSAT queries and cores share one bound.
+        cache = SolverResultCache(max_refutations=3)
         for i in range(5):
-            cache.store([cmp(EQ, {0: 1}, -i)], {}, SolverResult(SAT, {0: i}))
-        assert len(cache._models) == 2
+            cache.store([cmp(EQ, {0: 1}, -i), cmp(EQ, {0: 1}, -i - 1)], {},
+                        SolverResult(UNSAT))
+            cache.store_core([cmp(GE, {i: 1}, -5), cmp(LE, {i: 1})], {})
+        assert len(cache._refutations) == 3
+        assert sum(map(len, cache._index.values())) == 3
 
 
 class TestEndToEndCounters:

@@ -32,13 +32,14 @@ from repro.dart.runner import _Session
 from repro.dart.solve import _extract_core, candidate_indices, \
     solve_with_retry
 from repro.obs.trace import TraceBus
-from repro.solver import Solver
+from repro.solver import Solver, UNSAT
 from repro.solver.cache import (
     SolverResultCache,
     UNSAT_CORE,
     UNSAT_SUPERSET,
     _DEFAULT_DOMAIN,
 )
+from repro.solver.core import SolverResult
 from repro.symbolic.expr import CmpExpr, GE, LE, LinExpr
 from repro.symbolic.flags import CompletenessFlags
 from repro.testgen import OracleBattery, OracleOptions, generate_program
@@ -93,7 +94,7 @@ class TestCoreTier:
         assert cache.lookup(CORE + [ge(1, 0)], {}) is None
 
     def test_core_eviction_keeps_index_consistent(self):
-        cache = SolverResultCache(max_cores=4)
+        cache = SolverResultCache(max_refutations=4)
         for bound in range(10, 30):
             cache.store_core([ge(0, bound), le(0, bound - 6)], {})
         # Evicted cores must not answer; the survivors must.
@@ -143,12 +144,13 @@ class TestCoreExtraction:
         result = solve_with_retry(solver, CORE + [ge(1, 3)], self.DOMAINS,
                                   cache=cache, subsume=False)
         assert result.status == "unsat"
-        assert len(cache._cores) == 0
+        assert [tier for _cons, _doms, tier in cache._refutations.values()] \
+            == [UNSAT_SUPERSET]
 
 
 def _linear_refute(store, cons_keys, domains):
-    """Reference oracle: the pre-index full scan of an UNSAT store."""
-    for _key, (cached_cons, cached_domains) in store.items():
+    """Reference oracle: the pre-index full scan of the refutations."""
+    for _key, (cached_cons, cached_domains, _tier) in store.items():
         if not cached_cons <= cons_keys:
             continue
         for var, (lo, hi) in cached_domains.items():
@@ -173,9 +175,10 @@ _conjunct_sets = st.lists(
 class TestIndexedRefuteMatchesLinearScan:
     """Satellite: the smallest-conjunct-key index is a pure pruning.
 
-    For both UNSAT tiers, every query must get the same hit/miss
-    verdict from the indexed ``_refute`` as from a full linear scan of
-    the store — the index can skip buckets, never hits.
+    For a store mixing cores and whole UNSAT queries, every query must
+    get the same hit/miss verdict from the indexed ``_refute`` as from a
+    full linear scan of the store — the index can skip buckets, never
+    hits.
     """
 
     @given(stored=st.lists(_conjunct_sets, max_size=6),
@@ -183,12 +186,14 @@ class TestIndexedRefuteMatchesLinearScan:
     @settings(max_examples=200, deadline=None)
     def test_identical_verdicts(self, stored, query):
         cache = SolverResultCache()
-        for constraints in stored:
-            cache.store_core(constraints, {})
+        for index, constraints in enumerate(stored):
+            if index % 2:
+                cache.store(constraints, {}, SolverResult(UNSAT))
+            else:
+                cache.store_core(constraints, {})
         key = cache.query_key(query, {})
-        indexed = cache._refute(cache._cores, cache._core_index,
-                                key[1], {})
-        reference = _linear_refute(cache._cores, key[1], {})
+        indexed = cache._refute(key[1], {})
+        reference = _linear_refute(cache._refutations, key[1], {})
         assert (indexed is not None) == reference
 
 

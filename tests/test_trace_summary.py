@@ -62,11 +62,10 @@ class TestFunnelEqualsStats:
         assert summary["iterations"] == stats.iterations
         assert summary["runs"]["total"] == stats.iterations
         assert summary["status"] == result.status
-        # Every negated conjunct was answered by the solver or a cache
-        # tier (exact hit, unsat shortcut, or model reuse).
+        # Every negated conjunct was answered by the solver or the cache
+        # (exact hit or refutation).
         assert summary["funnel"]["attempted"] == (
-            stats.solver_calls + stats.cache_hits
-            + stats.cache_unsat_shortcuts + stats.cache_model_reuses)
+            stats.solver_calls + stats.cache_answered)
 
     def test_serial_dfs(self, tmp_path):
         self.check(tmp_path, strategy="dfs")
@@ -141,7 +140,7 @@ class TestGoldenSummary:
     RUNS_LINE = ("runs: 25 total, 24 ok, 1 fault, 0 mismatch, "
                  "0 quarantined")
     VERDICTS_LINE = "verdicts: sat 24 / unsat 36 / unknown 0"
-    CACHE_LINE = "cache tiers: exact 34, miss 21, model-reuse 5"
+    CACHE_LINE = "cache tiers: exact 38, miss 22"
 
     def test_deterministic_sections(self, tmp_path):
         result, events = traced_session(tmp_path, strategy="dfs")
