@@ -8,8 +8,8 @@ The package mirrors the paper's structure:
   external functions (§3.2, Figs. 7–8);
 * :mod:`repro.dart.instrument` — the instrumented program of Fig. 3 plus
   ``compare_and_update_stack`` of Fig. 4;
-* :mod:`repro.dart.solve` — ``solve_path_constraint`` of Fig. 5, with the
-  DFS strategy of the paper and the BFS/random alternatives of footnote 4;
+* :mod:`repro.dart.solve` — ``solve_path_constraint`` of Fig. 5, and the
+  generational expansion behind the BFS/random orders of footnote 4;
 * :mod:`repro.dart.runner` — the ``run_DART`` driver of Fig. 2 (directed
   search inside random restarts, completeness flags, Theorem 1 statuses);
 * :mod:`repro.dart.random_testing` — the pure random-testing baseline the

@@ -3,10 +3,11 @@
 import hashlib
 
 from repro.interp.memory import MemoryOptions
+from repro.solver.core import NODE_BUDGET
 
-#: Branch-selection strategies for solve_path_constraint (footnote 4 of the
-#: paper: "the next branch to be forced could be selected using a different
-#: strategy, e.g., randomly or in a breadth-first manner").
+#: Search strategies: the paper's depth-first Fig. 5, and the orders of its
+#: footnote 4 ("the next branch to be forced could be selected using a
+#: different strategy, e.g., randomly or in a breadth-first manner").
 STRATEGIES = ("dfs", "bfs", "random")
 
 
@@ -29,7 +30,6 @@ class DartOptions:
         strategy="dfs",
         stop_on_first_error=True,
         max_steps=1_000_000,
-        solver_node_budget=50_000,
         directed_pointer_choices=True,
         max_init_depth=None,
         transparent_memory=False,
@@ -40,7 +40,6 @@ class DartOptions:
         time_limit=None,
         state_file=None,
         run_time_limit=None,
-        watchdog_interval=1024,
         checkpoint_every=25,
         solver_escalation=4,
         handle_signals=False,
@@ -49,7 +48,6 @@ class DartOptions:
         subsumption=True,
         jobs=1,
         trace_file=None,
-        trace_ring=32,
         profile_phases=False,
         fault_plan=None,
         compiled_execution=True,
@@ -77,8 +75,6 @@ class DartOptions:
         self.stop_on_first_error = stop_on_first_error
         #: RAM-machine step budget per run (non-termination detector).
         self.max_steps = max_steps
-        #: Node budget for each constraint-solver call.
-        self.solver_node_budget = solver_node_budget
         self.directed_pointer_choices = directed_pointer_choices
         #: Bound on random_init's pointer recursion (None = unbounded, the
         #: paper's Fig. 8 behaviour; a small bound keeps directed searches
@@ -104,8 +100,6 @@ class DartOptions:
         #: search continues.  (The session ``time_limit`` is additionally
         #: enforced mid-run through the same watchdog.)
         self.run_time_limit = run_time_limit
-        #: RAM-machine steps between wall-clock watchdog checks.
-        self.watchdog_interval = watchdog_interval
         #: With ``state_file`` set, autosave a session checkpoint every
         #: this many runs (in addition to budget-exhaustion / signal
         #: checkpoints).  0 disables periodic autosave.
@@ -149,10 +143,6 @@ class DartOptions:
         #: (``--trace``); None disables the file sink.  See
         #: docs/OBSERVABILITY.md for the event schema.
         self.trace_file = trace_file
-        #: Capacity of the in-memory flight recorder whose tail is
-        #: attached to quarantine records.  0 disables it.  Only active
-        #: when tracing is on (a sink is attached).
-        self.trace_ring = trace_ring
         #: Run the layer clock (repro.obs.clock): exclusive session wall
         #: time per engine layer, reported as ``stats.phases``.  Traced
         #: sessions run it regardless; it reads the time at every layer
@@ -200,9 +190,9 @@ class DartOptions:
         instrumentation semantics must be rejected.  Slicing and caching
         are *included*: both can change which model the solver returns
         (never a verdict), so they shape the concrete search trajectory.
-        Observability knobs (``trace_file``, ``trace_ring``,
-        ``profile_phases``) are excluded: watching a search must never
-        change it, and a traced resume of an untraced session is valid.
+        Observability knobs (``trace_file``, ``profile_phases``) are
+        excluded: watching a search must never change it, and a traced
+        resume of an untraced session is valid.
         ``fault_plan`` is likewise excluded: the chaos harness resumes
         interrupted sessions across injector installs, and the
         crash-resume equivalence invariant needs a faulted session's
@@ -224,7 +214,9 @@ class DartOptions:
         relevant = (
             self.depth, self.strategy, self.seed,
             self.stop_on_first_error, self.max_steps,
-            self.solver_node_budget, self.directed_pointer_choices,
+            # The solver's node budget (a constant), hashed in this place
+            # so digests in saved checkpoints and suites stay valid.
+            NODE_BUDGET, self.directed_pointer_choices,
             self.max_init_depth, self.transparent_memory,
             self.stack_limit, self.heap_limit, self.max_call_depth,
             self.track_uninitialized, self.solver_escalation,

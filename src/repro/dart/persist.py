@@ -1,32 +1,37 @@
-"""Inter-run state persistence and v3 session checkpoints.
+"""Inter-run state persistence and v4 session checkpoints.
 
 The paper's architecture re-executes the instrumented *process* for every
 run, so the branch stack and the input vector are "kept in a file between
 executions" (Section 2.3) and a crash loses at most one execution.  Our
 runs share a Python process, so the same durability is provided by
 *session checkpoints*: pass ``DartOptions(state_file=...)`` and the runner
-periodically serializes everything needed to resume — engine kind, the
-pending worklist, the RNG state, statistics, discovered errors, covered
+periodically serializes everything needed to resume — the pending
+worklist, the RNG state, statistics, discovered errors, covered
 branches — plus a **program fingerprint** (source hash + toplevel +
 options digest) so a stale checkpoint from a different program or
 configuration is rejected instead of silently replayed, and a checksum so
 a torn or corrupted file is detected.
 
-The format (``save_checkpoint``/``load_checkpoint``) is **v3**::
+The format (``save_checkpoint``/``load_checkpoint``) is **v4**::
 
-    {"version": 3, "checksum": "<sha256 of the canonical body text>",
-     "body": {"fingerprint": {...}, "engine": ..., "rng": ...,
+    {"version": 4, "checksum": "<sha256 of the canonical body text>",
+     "body": {"fingerprint": {...}, "rng": ...,
               "counters": {...}, "distinct_paths": ["<16 hex>", ...],
+              "worklist": [{"stack": ..., "im": ..., "bound": ...}, ...],
               "errors": [...], ...}}
 
-Distinct paths are stored as fixed-width
-:func:`~repro.dart.pathcond.path_digest` strings, not branch-bit lists, so
-a checkpoint grows by about 20 bytes per distinct path whatever the path
-length.  A file of any other version — the bare (stack, IM) v1 state
-file, a v2 checkpoint that held the full lists — carries no usable
-fingerprint or encoding and restarts the session cleanly; a v3 file whose
-``distinct_paths`` holds anything but 16-hex-character strings is
-corrupt.
+Every strategy's session is one worklist drain, so every checkpoint has
+the same shape: under the paper's "dfs" the worklist holds the one run
+Fig. 5 planned next — the stack and input vector the paper keeps "in a
+file between executions".  The fingerprint's options digest covers the
+strategy, so a checkpoint never crosses strategies.  Distinct paths are
+stored as fixed-width :func:`~repro.dart.pathcond.path_digest` strings,
+not branch-bit lists, so a checkpoint grows by about 20 bytes per
+distinct path whatever the path length.  A file of any other version —
+the bare (stack, IM) v1 state file, a v2 checkpoint that held the full
+lists, a v3 checkpoint with its separate dfs plan — restarts the session
+cleanly; a v4 file whose ``distinct_paths`` holds anything but
+16-hex-character strings is corrupt.
 
 The body is encoded **once** per save: the canonical text
 (``json.dumps(body, sort_keys=True, separators=(",", ":"))``) is both
@@ -62,7 +67,7 @@ from repro.dart.inputs import InputVector
 from repro.dart.pathcond import PATH_DIGEST_CHARS, StackEntry
 from repro.faults import points as fault_points
 
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 _DIGEST = re.compile("[0-9a-f]{{{}}}".format(PATH_DIGEST_CHARS))
 
 
@@ -196,7 +201,7 @@ def _body_checksum(body):
     return _text_checksum(_canonical(body))
 
 
-# -- v3: full session checkpoints --------------------------------------------
+# -- v4: full session checkpoints --------------------------------------------
 
 def clear_state(path):
     """Remove the state file (called when a search finishes cleanly)."""
@@ -214,14 +219,12 @@ class SessionCheckpoint:
     its live objects (see ``_Session._make_checkpoint`` / ``_restore``).
     """
 
-    def __init__(self, fingerprint, engine, rng_state, flags, counters,
+    def __init__(self, fingerprint, rng_state, flags, counters,
                  distinct_paths, covered_branches, errors, quarantined,
-                 dfs_pending=None, worklist=None, clean_drain=True,
-                 witnesses=None, dedup_seen=None):
+                 worklist, clean_drain=True, witnesses=None,
+                 dedup_seen=None):
         #: {"source": sha256, "toplevel": name, "options": digest}.
         self.fingerprint = fingerprint
-        #: "dfs" or "generational" — a checkpoint never crosses engines.
-        self.engine = engine
         #: ``random.Random().getstate()`` (tuples converted on load).
         self.rng_state = rng_state
         #: (all_linear, all_locs_definite, forcing_ok, all_faithful).
@@ -236,20 +239,17 @@ class SessionCheckpoint:
         self.errors = errors
         #: QuarantineRecord.to_dict() payloads.
         self.quarantined = quarantined
-        #: dfs engine: the next (stack, im) plan, or None.
-        self.dfs_pending = dfs_pending
-        #: generational engine: list of (stack, im, bound) items, or None.
+        #: List of (stack, im, bound) items still to run.
         self.worklist = worklist
-        #: generational engine: False once a mismatch tainted this drain.
+        #: False once a mismatch or a quarantine tainted this drain.
         self.clean_drain = clean_drain
         #: PathWitness.to_dict() payloads (witness collection on), or [].
-        #: Optional: checkpoints written before the suite subsystem carry
-        #: no ``witnesses`` key and decode to an empty list.
+        #: The body omits an empty list, and an absent key decodes to [].
         self.witnesses = witnesses if witnesses is not None else []
-        #: generational engine: ``[fingerprint, error-salt-or-None]``
-        #: pairs of every child enqueued this drain (the worklist-dedup
-        #: seen set), so a resume keeps deduping against work already
-        #: spent.  Optional — absent decodes to an empty list.
+        #: ``[fingerprint, error-salt-or-None]`` pairs of every child
+        #: enqueued this drain (the worklist-dedup seen set), so a resume
+        #: keeps deduping against work already spent.  Optional — absent
+        #: decodes to an empty list.
         self.dedup_seen = dedup_seen if dedup_seen is not None else []
 
     # -- encoding ---------------------------------------------------------
@@ -257,7 +257,6 @@ class SessionCheckpoint:
     def to_body(self):
         body = {
             "fingerprint": self.fingerprint,
-            "engine": self.engine,
             "rng": [self.rng_state[0], list(self.rng_state[1]),
                     self.rng_state[2]],
             "flags": list(self.flags),
@@ -268,20 +267,15 @@ class SessionCheckpoint:
             "errors": list(self.errors),
             "quarantined": list(self.quarantined),
             "clean_drain": self.clean_drain,
-        }
-        if self.witnesses:
-            body["witnesses"] = list(self.witnesses)
-        if self.dfs_pending is not None:
-            stack, im = self.dfs_pending
-            body["dfs"] = {"stack": _encode_stack(stack),
-                           "im": encode_input_vector(im)}
-        if self.worklist is not None:
-            body["worklist"] = [
+            "worklist": [
                 {"stack": _encode_stack(stack),
                  "im": encode_input_vector(im),
                  "bound": bound}
                 for stack, im, bound in self.worklist
-            ]
+            ],
+        }
+        if self.witnesses:
+            body["witnesses"] = list(self.witnesses)
         if self.dedup_seen:
             body["dedup_seen"] = [
                 [fp, list(salt) if salt is not None else None]
@@ -292,21 +286,8 @@ class SessionCheckpoint:
     @classmethod
     def from_body(cls, body):
         rng = body["rng"]
-        dfs_pending = None
-        if "dfs" in body:
-            dfs_pending = (_decode_stack(body["dfs"]["stack"]),
-                           decode_input_vector(body["dfs"]["im"]))
-        worklist = None
-        if "worklist" in body:
-            worklist = [
-                (_decode_stack(item["stack"]),
-                 decode_input_vector(item["im"]),
-                 int(item["bound"]))
-                for item in body["worklist"]
-            ]
         return cls(
             fingerprint=dict(body["fingerprint"]),
-            engine=body["engine"],
             rng_state=(rng[0], tuple(rng[1]), rng[2]),
             flags=tuple(bool(flag) for flag in body["flags"]),
             counters={key: int(value)
@@ -318,9 +299,13 @@ class SessionCheckpoint:
             ],
             errors=list(body["errors"]),
             quarantined=list(body["quarantined"]),
-            dfs_pending=dfs_pending,
-            worklist=worklist,
-            clean_drain=bool(body.get("clean_drain", True)),
+            worklist=[
+                (_decode_stack(item["stack"]),
+                 decode_input_vector(item["im"]),
+                 int(item["bound"]))
+                for item in body["worklist"]
+            ],
+            clean_drain=bool(body["clean_drain"]),
             witnesses=list(body.get("witnesses", ())),
             dedup_seen=[
                 (entry[0], tuple(entry[1]) if entry[1] is not None else None)
@@ -342,7 +327,7 @@ def _decode_digests(payload):
 
 
 def save_checkpoint(path, checkpoint):
-    """Atomically write a v3 session checkpoint with a body checksum.
+    """Atomically write a v4 session checkpoint with a body checksum.
 
     The body is encoded exactly once; the same text is checksummed and
     written (see the module docstring for why it must stay that way).
@@ -358,7 +343,7 @@ def save_checkpoint(path, checkpoint):
 
 
 def load_checkpoint_ex(path, fingerprint):
-    """Read and validate a v3 checkpoint; ``(checkpoint, reason)``.
+    """Read and validate a v4 checkpoint; ``(checkpoint, reason)``.
 
     The checkpoint is None whenever it must not be used, and ``reason``
     tells the caller how much to trust the world:
@@ -366,8 +351,8 @@ def load_checkpoint_ex(path, fingerprint):
     * ``"ok"`` — a valid, matching checkpoint (first element non-None).
     * ``"missing"`` — no file at all: a clean first start.
     * ``"version"`` — a valid file in another format (a v1 state file,
-      a v2 checkpoint with full path tuples); legitimate, restart
-      cleanly.
+      a v2 checkpoint with full path tuples, a v3 checkpoint);
+      legitimate, restart cleanly.
     * ``"fingerprint"`` — a valid checkpoint for a *different* program,
       toplevel or configuration; legitimate, restart cleanly.
     * ``"corrupt"`` — the file exists but is unreadable, structurally
@@ -404,7 +389,7 @@ def load_checkpoint_ex(path, fingerprint):
 
 
 def load_checkpoint(path, fingerprint):
-    """Read and validate a v3 checkpoint; None when it must not be used.
+    """Read and validate a v4 checkpoint; None when it must not be used.
 
     Rejected (returning None, so the caller restarts cleanly): a missing
     or unreadable file, a version mismatch, a checksum mismatch (torn or

@@ -20,8 +20,9 @@ from repro.dart.report import (
     ErrorReport,
     RunStats,
 )
+from repro.dart.runner import quarantine_record
 from repro.interp.compile import CompiledProgram
-from repro.interp.faults import ExecutionFault, RunTimeout
+from repro.interp.faults import ExecutionFault
 from repro.interp.machine import Machine, MachineOptions
 from repro.symbolic.flags import CompletenessFlags
 
@@ -90,7 +91,6 @@ class RandomTester:
                         max_steps=options.max_steps,
                         memory=options.memory_options(),
                         deadline=run_deadline,
-                        watchdog_interval=options.watchdog_interval,
                     ),
                     hooks,
                     CompletenessFlags(),
@@ -98,10 +98,6 @@ class RandomTester:
                 )
                 try:
                     machine.run(DRIVER_ENTRY)
-                except RunTimeout:
-                    # The watchdog bounds one pathological random run; the
-                    # baseline keeps drawing fresh vectors regardless.
-                    pass
                 except ExecutionFault as fault:
                     status = BUG_FOUND
                     key = (fault.kind, str(fault.location))
@@ -113,6 +109,12 @@ class RandomTester:
                         )
                     if options.stop_on_first_error:
                         break
+                except Exception as caught:  # noqa: BLE001 — fault boundary
+                    # A watchdog timeout or a harness failure loses this
+                    # run, not the session: the baseline keeps drawing
+                    # fresh vectors, as the directed search does.
+                    stats.quarantined.append(
+                        quarantine_record(caught, im, stats.iterations))
                 finally:
                     stats.branches_executed += machine.branches_executed
                     stats.instructions_executed += machine.steps

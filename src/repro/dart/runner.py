@@ -12,17 +12,21 @@ prediction diverged at runtime) aborts the directed search and falls back
 to a random restart, as described at the end of Section 2.3.
 
 One run is one call of the kernel, :func:`run_item`: the instrumented
-execution inside the fault boundary (:func:`execute_run`) plus, for the
-worklist strategies, the expansion of the run's children.  Its
+execution inside the fault boundary plus the planning of the run's
+children — at most one from Fig. 5's ``solve_path_constraint`` under the
+paper's "dfs" strategy, one per newly discovered flippable branch from
+``expand_worklist_children`` under "bfs" and "random" (footnote 4).  Its
 :class:`ItemResult` is folded into the session by one function,
-``_Session._commit``.  The Fig. 5 dfs loop calls the kernel with no
-expansion and plans the next run itself; the "bfs" and "random"
-strategies drain a worklist in one loop, ``_Session.run_worklist``, that
-takes an executor: :class:`_InlineExecutor` runs each item in this
-process, and :mod:`repro.dart.parallel` runs them on a worker pool.  Both
-seed an item's random slot values from ``(session seed, iteration)`` and
-commit in dispatch order, so a serial and a pooled search of the same
-frontier are the same search.
+``_Session._commit``, and every strategy drains its worklist in one
+session loop, ``_Session.run_worklist``: under dfs the worklist holds at
+most one item, so a run that mismatches, is quarantined or has no flip
+left ends the directed search exactly as Fig. 5 does.  The loop takes an
+executor: :class:`_InlineExecutor` runs each item in this process, and
+:mod:`repro.dart.parallel` runs bfs and random items on a worker pool.
+Worklist items seed their random slot values from ``(session seed,
+iteration)`` and commit in dispatch order, so a serial and a pooled
+search of the same frontier are the same search; dfs runs draw from the
+session RNG, as the paper's single directed search does.
 
 The run, the planning call and the checkpoint are layers of the
 session's :class:`repro.obs.clock.LayerClock` (``compile``, ``cache``
@@ -107,8 +111,7 @@ class RunContext:
             unit, toplevel, depth=options.depth, filename=filename,
             max_init_depth=options.max_init_depth,
         )
-        self.solver = Solver(seed=options.seed,
-                             node_budget=options.solver_node_budget)
+        self.solver = Solver(seed=options.seed)
         #: Solver result cache (None when disabled); a pool worker passes
         #: its client of the shared cache server.
         if cache is None and options.solver_cache:
@@ -134,7 +137,6 @@ class RunContext:
             transparent_memory=options.transparent_memory,
             memory=options.memory_options(),
             deadline=deadline,
-            watchdog_interval=options.watchdog_interval,
             interrupt_check=interrupt_check,
             trace=trace,
         ), hooks, flags, compiled=self.compiled)
@@ -182,13 +184,15 @@ class Dart:
         """Execute the run_DART loop; returns a :class:`DartResult`.
 
         The default "dfs" strategy is the paper's Fig. 5 single-stack
-        depth-first search.  The "bfs" and "random" strategies (footnote 4)
-        use a *generational worklist* instead: after each run, every newly
-        discovered flippable branch spawns a pending input vector, and the
-        frontier is drained in FIFO or random order.  (A plain reordering
-        of Fig. 5's single stack would silently discard unexplored deep
-        branches whenever a shallow one is flipped; the worklist keeps the
-        alternative orders sound and complete.)
+        depth-first search: each run plans at most one successor, so its
+        worklist never holds more than one item.  The "bfs" and "random"
+        strategies (footnote 4) use a *generational worklist*: after each
+        run, every newly discovered flippable branch spawns a pending
+        input vector, and the frontier is drained in FIFO or random
+        order.  (A plain reordering of Fig. 5's single stack would
+        silently discard unexplored deep branches whenever a shallow one
+        is flipped; the worklist keeps the alternative orders sound and
+        complete.)  All three run through the same session loop.
         """
         jsonl = None
         if self.options.trace_file is not None:
@@ -202,12 +206,12 @@ class Dart:
             owned_injector = fault_points.install(
                 FaultInjector(self.options.fault_plan))
         session = _Session(self)
-        # Which engine runs the search: "dfs" (Fig. 5; inherently
-        # sequential — each plan depends on the previous run's path — so
-        # jobs is ignored), "pool" (the worklist drain on the persistent
-        # worker pool) or "serial" (the same drain in this process).
-        # jobs stays out of the checkpoint digest, so the trace is the
-        # only place a run's parallelism is attributable after the fact.
+        # Which executor drains the worklist, as the trace names it:
+        # "dfs" (Fig. 5; inherently sequential — each plan depends on the
+        # previous run's path — so jobs is ignored), "pool" (the
+        # persistent worker pool) or "serial" (this process).  jobs stays
+        # out of the checkpoint digest, so the trace is the only place a
+        # run's parallelism is attributable after the fact.
         if self.options.strategy == "dfs":
             engine = "dfs"
         elif self.options.jobs > 1:
@@ -223,9 +227,7 @@ class Dart:
         result = None
         try:
             with session.signal_guard():
-                if engine == "dfs":
-                    result = session.run_figure5()
-                elif engine == "pool":
+                if engine == "pool":
                     # Imported lazily: multiprocessing machinery is only
                     # paid for by sessions that ask for it.
                     from repro.dart.parallel import (
@@ -325,18 +327,15 @@ QUARANTINED = "quarantined"
 class ItemResult:
     """What one run produced: the kernel's output, the commit's input."""
 
-    __slots__ = ("iteration", "planned", "im", "hooks", "status", "fault",
-                 "path", "digest", "covered", "children", "quarantine")
+    __slots__ = ("iteration", "planned", "im", "status", "fault", "path",
+                 "digest", "covered", "children", "quarantine")
 
-    def __init__(self, iteration, planned, im, hooks=None):
+    def __init__(self, iteration, planned, im):
         self.iteration = iteration
         #: True when the run followed a predicted (solved) branch prefix.
         self.planned = planned
         #: The input vector as the run left it (undefined slots filled).
         self.im = im
-        #: The run's DirectedHooks (in-process only: the dfs planner
-        #: reads the path record from them).
-        self.hooks = hooks
         self.status = OK
         #: The ExecutionFault of a FAULT run.
         self.fault = None
@@ -356,9 +355,18 @@ class ItemResult:
         return self.status == OK or self.status == FAULT
 
 
-def _quarantine(result, classification, exc, bus, tail):
-    """Turn an internal failure into data: the run is lost, not the
-    session (the commit degrades the completeness claim)."""
+def quarantine_record(exc, im, iteration, trace_tail=None):
+    """The :class:`QuarantineRecord` of a run lost to the internal
+    failure ``exc``: a watchdog timeout, resource exhaustion (recursion
+    or memory) or anything else, detailed by the exception and the
+    innermost frame it escaped from.  The random-testing baseline's runs
+    cross the same boundary and use it too."""
+    if isinstance(exc, RunTimeout):
+        classification = RUN_TIMEOUT
+    elif isinstance(exc, (RecursionError, MemoryError)):
+        classification = RESOURCE_EXHAUSTED
+    else:
+        classification = INTERNAL_ERROR
     detail = "{}: {}".format(type(exc).__name__, exc)
     tb = traceback.extract_tb(exc.__traceback__)
     if tb:
@@ -366,23 +374,34 @@ def _quarantine(result, classification, exc, bus, tail):
         detail += " [{}:{} in {}]".format(
             frame.filename.rsplit("/", 1)[-1], frame.lineno, frame.name
         )
-    im = result.im
+    return QuarantineRecord(
+        classification, im.values(), [slot.kind for slot in im], iteration,
+        detail, trace_tail=trace_tail,
+    )
+
+
+def _quarantine(result, exc, bus, tail):
+    """Turn an internal failure into data: the run is lost, not the
+    session (the commit degrades the completeness claim)."""
     result.status = QUARANTINED
     # The flight recorder: this run's own events up to the failure.
-    result.quarantine = QuarantineRecord(
-        classification, im.values(), [slot.kind for slot in im],
-        result.iteration, detail,
-        trace_tail=tail.tail() if tail is not None else None,
-    )
+    record = result.quarantine = quarantine_record(
+        exc, result.im, result.iteration,
+        tail.tail() if tail is not None else None)
     if bus is not None and bus.enabled:
-        bus.emit(tr.QUARANTINE, classification=classification,
-                 iteration=result.iteration, detail=detail)
+        bus.emit(tr.QUARANTINE, classification=record.classification,
+                 iteration=result.iteration, detail=record.detail)
 
 
-def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
-                session_deadline=None, interrupt_check=None,
-                known_paths=()):
-    """One instrumented run inside the fault boundary.
+#: Capacity of a traced run's flight recorder, the ring of its last
+#: events attached to its quarantine record.
+TRACE_RING = 32
+
+
+def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
+             session_deadline=None, interrupt_check=None, known_paths=()):
+    """The run kernel: one instrumented run inside the fault boundary,
+    then the planning of its children.
 
     Program faults (:class:`ExecutionFault`) are *results* — real bugs
     found by a real execution.  Everything else escaping the machine is
@@ -394,6 +413,14 @@ def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
     ``bus``: the session's own for an in-process run, per-item ones in a
     pool worker.  ``known_paths`` (the session's distinct paths, when at
     hand) only decides the ``new_path`` field of ``run_finished``.
+
+    A completed run is planned under the session's strategy: "dfs" asks
+    Fig. 5's ``solve_path_constraint`` for at most one child; "bfs" and
+    "random" expand every flippable branch from index ``bound`` on (the
+    parent already enumerated everything shallower).  A faulting run is
+    not planned when the session stops on its first error.  Both
+    executors call this, so a run's result depends on its arguments
+    alone, never on the process it ran in.
     """
     options = ctx.options
     planned = bool(stack)
@@ -417,10 +444,9 @@ def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
     traced = bus is not None and bus.enabled
     tail = None
     if traced:
-        if options.trace_ring:
-            tail = bus.attach(RingBufferSink(options.trace_ring))
+        tail = bus.attach(RingBufferSink(TRACE_RING))
         bus.emit(tr.RUN_STARTED, iteration=iteration, planned=planned)
-    result = ItemResult(iteration, planned, im, hooks)
+    result = ItemResult(iteration, planned, im)
     try:
         machine.run(DRIVER_ENTRY)
     except ForcingMismatch:
@@ -435,12 +461,8 @@ def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
         # A signal arrived mid-run: abandon the partial run quietly; the
         # budget check right after will checkpoint and return.
         result.status = QUARANTINED
-    except RunTimeout as caught:
-        _quarantine(result, RUN_TIMEOUT, caught, bus, tail)
-    except (RecursionError, MemoryError) as caught:
-        _quarantine(result, RESOURCE_EXHAUSTED, caught, bus, tail)
     except Exception as caught:  # noqa: BLE001 — the fault boundary
-        _quarantine(result, INTERNAL_ERROR, caught, bus, tail)
+        _quarantine(result, caught, bus, tail)
     if tail is not None:
         bus.detach(tail)
     stats.branches_executed += machine.branches_executed
@@ -468,37 +490,27 @@ def execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
         )
     if timed:
         clock.leave(prev)
-    return result
-
-
-def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
-             **run_options):
-    """The run kernel: execute one item and expand its children.
-
-    ``bound`` is the first branch index the item may expand (its parent
-    already enumerated everything shallower); None runs without
-    expansion (the dfs loop plans its next run itself).  A faulting run
-    is not expanded when the session stops on its first error.  Both
-    executors call this, so a run's result depends on its arguments
-    alone, never on the process it ran in.
-    """
-    result = execute_run(ctx, stack, im, rng, stats, flags, bus, iteration,
-                         **run_options)
-    options = ctx.options
-    if bound is not None and (result.status == OK or (
-            result.status == FAULT and not options.stop_on_first_error)):
-        hooks = result.hooks
-        clock = stats.phases
-        timed = clock.enabled
+    if result.status == OK or (
+            result.status == FAULT and not options.stop_on_first_error):
         if timed:
             prev = clock.enter(PLAN)
-        result.children = expand_worklist_children(
-            hooks.finished_stack(), hooks.record.constraints, im, bound,
-            ctx.solver, flags, stats, options.solver_escalation,
-            cache=ctx.cache, slicing=options.constraint_slicing,
-            trace=bus, subsume=options.subsumption,
-            independence=ctx.independence,
-        )
+        if options.strategy == "dfs":
+            child = solve_path_constraint(
+                hooks.record, hooks.finished_stack(), im, ctx.solver, flags,
+                stats, options.solver_escalation, cache=ctx.cache,
+                slicing=options.constraint_slicing, trace=bus,
+                subsume=options.subsumption,
+            )
+            if child is not None:
+                result.children = (child,)
+        else:
+            result.children = expand_worklist_children(
+                hooks.finished_stack(), hooks.record.constraints, im, bound,
+                ctx.solver, flags, stats, options.solver_escalation,
+                cache=ctx.cache, slicing=options.constraint_slicing,
+                trace=bus, subsume=options.subsumption,
+                independence=ctx.independence,
+            )
         if timed:
             clock.leave(prev)
     return result
@@ -527,9 +539,11 @@ class _InlineExecutor:
         # The drain loop has already counted this run: its iteration
         # number is the item's index.
         index = session.stats.iterations
-        self._result = session.run_here(
-            stack, im, bound,
-            random.Random(_item_seed(session.options.seed, index)))
+        # A dfs run draws its slot values from the session RNG (Fig. 5's
+        # one directed search); a worklist item from its own seed.
+        rng = session.rng if session.options.strategy == "dfs" \
+            else random.Random(_item_seed(session.options.seed, index))
+        self._result = session.run_here(stack, im, bound, rng)
 
     def take(self, index):
         result, self._result = self._result, None
@@ -537,7 +551,7 @@ class _InlineExecutor:
 
 
 class _Session:
-    """One run() invocation's mutable state, shared by both engines."""
+    """One run() invocation's mutable state, shared by both executors."""
 
     def __init__(self, dart):
         self.dart = dart
@@ -569,8 +583,8 @@ class _Session:
             self.options.collect_witnesses
             or self.options.export_suite is not None
         )
-        #: dfs: drives the whole search; generational: only the "random"
-        #: strategy's pops (items draw from their own seeds).
+        #: dfs: every run's slot values; "random": the worklist pops
+        #: (worklist items draw from their own seeds).
         self.rng = random.Random(self.options.seed)
         self.status = EXHAUSTED
         self.resumed = False
@@ -584,18 +598,14 @@ class _Session:
         #: (budget / deadline / signal): the search is unfinished and a
         #: checkpoint was saved.
         self._truncated = False
-        self._engine = "dfs" if self.options.strategy == "dfs" \
-            else "generational"
-        #: dfs: the (stack, im) plan the next run will execute.
-        self._dfs_plan = ([], InputVector())
-        #: generational: the frontier (mutated in place) and the items
-        #: dispatched but not committed — together, the worklist.
+        #: The frontier (mutated in place) and the items dispatched but
+        #: not committed — together, the worklist.
         self._worklist = []
         self._inflight = {}
         self._clean_drain = True
-        #: generational: (fingerprint, error salt) keys of every child
-        #: enqueued this drain — the worklist-dedup seen set (reset on
-        #: random restart, checkpointed so a resume keeps deduping).
+        #: (fingerprint, error salt) keys of every child enqueued this
+        #: drain — the worklist-dedup seen set (reset on random restart,
+        #: checkpointed so a resume keeps deduping).
         self._dedup_seen = set()
 
     # -- graceful interruption ----------------------------------------------
@@ -655,13 +665,13 @@ class _Session:
             interrupt_check=self._probe, known_paths=stats.distinct_paths,
         )
 
-    def _commit(self, result, pending=None):
+    def _commit(self, result, pending):
         """Fold one run's result into the session; True = stop now.
 
-        The one place a run becomes session state, for the dfs loop and
-        both worklist executors alike: path and witness bookkeeping,
-        quarantine, worklist admission of its children (into
-        ``pending``), and the error report.
+        The one place a run becomes session state, for both executors
+        alike: path and witness bookkeeping, quarantine, worklist
+        admission of its children (into ``pending``), and the error
+        report.
         """
         status = result.status
         if status == MISMATCH:
@@ -690,8 +700,7 @@ class _Session:
             if fault is not None else None
         if self._collect_witnesses:
             self._witness(result, salt)
-        if pending is not None:
-            pending.extend(self._admit_children(result.children, salt))
+        pending.extend(self._admit_children(result.children, salt))
         if fault is None:
             return False
         self.status = BUG_FOUND
@@ -760,9 +769,8 @@ class _Session:
     # -- checkpointing -------------------------------------------------------
 
     def _make_checkpoint(self):
-        checkpoint = persist.SessionCheckpoint(
+        return persist.SessionCheckpoint(
             fingerprint=self.dart.fingerprint,
-            engine=self._engine,
             rng_state=self.rng.getstate(),
             flags=self.flags.snapshot(),
             counters={name: getattr(self.stats, name)
@@ -774,16 +782,11 @@ class _Session:
                          for record in self.stats.quarantined],
             clean_drain=self._clean_drain,
             witnesses=[witness.to_dict() for witness in self.witnesses],
-        )
-        if self._engine == "dfs":
-            checkpoint.dfs_pending = self._dfs_plan
-        else:
             # Dispatched-but-uncommitted items first (dispatch order),
             # then the frontier: "N runs committed, these remain".
-            checkpoint.worklist = \
-                list(self._inflight.values()) + self._worklist
-            checkpoint.dedup_seen = sorted(self._dedup_seen, key=repr)
-        return checkpoint
+            worklist=list(self._inflight.values()) + self._worklist,
+            dedup_seen=sorted(self._dedup_seen, key=repr),
+        )
 
     def _save_checkpoint(self):
         if self.options.state_file is None:
@@ -817,7 +820,7 @@ class _Session:
     def _autosave(self):
         """Periodic checkpoint at the between-runs boundary.
 
-        Called at the top of each engine's run loop, where the session
+        Called at the top of the session loop, where the session
         state (worklist, RNG, counters) is consistent: the checkpoint
         describes exactly "N runs done, these remain".
         """
@@ -834,7 +837,7 @@ class _Session:
             self._save_checkpoint()
 
     def _restore(self, checkpoint):
-        """Adopt a validated checkpoint's state; returns the work to do."""
+        """Adopt a validated checkpoint's state."""
         self.rng.setstate(checkpoint.rng_state)
         (self.flags.all_linear, self.flags.all_locs_definite,
          self.flags.forcing_ok, self.flags.all_faithful) = checkpoint.flags
@@ -868,13 +871,14 @@ class _Session:
         self._dedup_seen = set(checkpoint.dedup_seen)
 
     def _resume(self):
-        """Load this session's checkpoint, if a valid one exists.
+        """Load this session's checkpoint, if a valid one exists, and
+        return the worklist it left (None: start from scratch).
 
         A missing, version-mismatched or — most importantly —
         *fingerprint*-mismatched checkpoint (different program, toplevel
-        or search configuration), or a valid one for the other engine,
-        yields None and the search starts cleanly from scratch, never
-        silently replaying stale state.
+        or search configuration, strategy included) yields None and the
+        search starts cleanly from scratch, never silently replaying
+        stale state.
 
         A **corrupt** checkpoint (the file exists but is torn, bit-rotted
         or structurally broken) also reseeds cleanly, but not silently:
@@ -889,9 +893,9 @@ class _Session:
             return None
         checkpoint, reason = persist.load_checkpoint_ex(
             path, self.dart.fingerprint)
-        if checkpoint is not None and checkpoint.engine == self._engine:
+        if checkpoint is not None:
             self._restore(checkpoint)
-            return checkpoint
+            return list(checkpoint.worklist)
         if reason == "corrupt":
             self._reject_checkpoint(path)
         return None
@@ -918,76 +922,15 @@ class _Session:
         if self.options.state_file is not None:
             persist.clear_state(self.options.state_file)
 
-    # -- engine 1: the paper's Figs. 2 + 5 ------------------------------------
-
-    def run_figure5(self):
-        checkpoint = self._resume()
-        resumed = checkpoint.dfs_pending if checkpoint is not None else None
-        try:
-            while True:  # the outer "repeat" — random restarts
-                if resumed is not None:
-                    predicted_stack, im = resumed
-                    resumed = None
-                else:
-                    im = InputVector()
-                    predicted_stack = []
-                search_finished = False
-                while True:  # the inner "while (directed)"
-                    self._dfs_plan = (predicted_stack, im)
-                    self._autosave()
-                    self._check_budget()
-                    self.stats.iterations += 1
-                    result = self.run_here(predicted_stack, im, None, self.rng)
-                    if self._commit(result):
-                        self._clear_checkpoint()
-                        return self._result()
-                    if not result.completed:
-                        # A mismatch (§2.3) or a run that died inside the
-                        # fault boundary: its path record cannot be
-                        # trusted, so fall back to a random restart — the
-                        # one-run cost of the fault.
-                        break
-                    hooks = result.hooks
-                    clock = self.stats.phases
-                    timed = clock.enabled
-                    if timed:
-                        prev = clock.enter(PLAN)
-                    plan = solve_path_constraint(
-                        hooks.record, hooks.finished_stack(),
-                        im, self.ctx.solver, "dfs", self.rng, self.flags,
-                        self.stats, escalation=self.options.solver_escalation,
-                        cache=self.ctx.cache,
-                        slicing=self.options.constraint_slicing,
-                        trace=self.trace,
-                        subsume=self.options.subsumption,
-                    )
-                    if timed:
-                        clock.leave(prev)
-                    if plan is None:
-                        search_finished = True
-                        break
-                    im = plan.im
-                    predicted_stack = plan.stack
-                # the "until all_linear and all_locs_definite" condition
-                if search_finished and self._finished_complete():
-                    self._clear_checkpoint()
-                    return self._result()
-                self.stats.random_restarts += 1
-        except _BudgetReached:
-            # §2.3: the stack is "kept in a file between executions" —
-            # checkpoint the pending plan so the search resumes later.
-            self._truncated = True
-            self._save_checkpoint()
-            return self._result()
-
-    # -- engine 2: generational worklist (footnote 4 done soundly) -----------
+    # -- the session loop: Fig. 2 around a worklist drain ---------------------
 
     def pop(self, pending):
-        """The next item to dispatch: FIFO ("bfs") or a session-RNG draw
-        ("random") — a function of the committed prefix alone."""
-        if self.options.strategy == "bfs":
-            return pending.pop(0)
-        return pending.pop(self.rng.randrange(len(pending)))
+        """The next item to dispatch: a session-RNG draw ("random") or
+        the oldest ("bfs"; the only one under "dfs") — a function of the
+        committed prefix alone."""
+        if self.options.strategy == "random":
+            return pending.pop(self.rng.randrange(len(pending)))
+        return pending.pop(0)
 
     def _admit_children(self, children, salt):
         """Insert-time worklist dedup (the subsumption layer's half two).
@@ -1019,8 +962,16 @@ class _Session:
             yield stack, im, bound
 
     def run_worklist(self, executor):
-        """The generational search: drain the worklist through
-        ``executor``, with random restarts as in Fig. 2.
+        """The search: drain the worklist through ``executor``, with
+        random restarts as in Fig. 2.
+
+        Each drain is one directed search from a fresh random input
+        vector.  It is finished when the worklist is empty; it proved
+        every feasible path explored only when no run mismatched or was
+        quarantined (``_clean_drain``) and the completeness flags held.
+        A checkpoint stores the worklist, so a budget-truncated search —
+        Fig. 5's stack "kept in a file between executions" (§2.3) under
+        dfs — resumes where it stopped.
 
         The executor dispatches items (in-process, or to a worker pool)
         and hands back their results in dispatch order; the autosave and
@@ -1029,10 +980,7 @@ class _Session:
         checkpoint cadence, the between-runs fault seam and budget
         truncation do not depend on the executor.
         """
-        checkpoint = self._resume()
-        pending = None
-        if checkpoint is not None and checkpoint.worklist is not None:
-            pending = list(checkpoint.worklist)
+        pending = self._resume()
         self._inflight = executor.inflight
         executor.start(self.stats.iterations + 1)
         stats = self.stats
@@ -1055,6 +1003,7 @@ class _Session:
                         self._clear_checkpoint()
                         return self._result()
                 stats.worklist_depth.set(0)
+                # Fig. 2's "until all_linear and all_locs_definite".
                 if self._clean_drain and self._finished_complete():
                     self._clear_checkpoint()
                     return self._result()

@@ -1,4 +1,4 @@
-"""``solve_path_constraint`` (Fig. 5) with pluggable branch selection.
+"""``solve_path_constraint`` (Fig. 5) and the generational expansion.
 
 After a run completes, the deepest conditional whose other branch has not
 been explored (``done == 0``) is selected; its conjunct is negated and the
@@ -10,8 +10,13 @@ tried — the paper's recursive descent; on UNKNOWN additionally
 termination guarantee exactly like a non-linear expression does.
 
 Footnote 4 of the paper notes the flipped branch "could be selected using a
-different strategy, e.g., randomly or in a breadth-first manner"; the
-``strategy`` parameter implements all three.
+different strategy, e.g., randomly or in a breadth-first manner".  Those
+orders are not a different choice of branch here but a different order of
+runs: :func:`expand_worklist_children` plans a child for *every* newly
+discovered flippable branch, and the session drains the resulting worklist
+in FIFO or random order.  Both planners return children in one shape,
+``(stack, im, bound, fingerprint)``, so the session loop treats a Fig. 5
+plan as a one-item worklist.
 
 Two throughput layers plug in here (see DESIGN.md, "Performance"):
 
@@ -246,33 +251,10 @@ def _extract_core(solver, constraints, domains, stats, trace):
     return core if removed else None
 
 
-class NextRunPlan:
-    """What the next execution should try: a predicted stack plus inputs."""
-
-    __slots__ = ("stack", "im")
-
-    def __init__(self, stack, im):
-        self.stack = stack
-        self.im = im
-
-
-def candidate_indices(stack, strategy, rng):
-    """Indices of not-yet-``done`` conditionals, in flip-attempt order.
-
-    The strategy is validated *first*: a typo'd ``--strategy`` must fail
-    on the very first call, before the candidate scan — not after a full
-    pass over the stack on every solve of the session.
-    """
-    if strategy not in ("dfs", "bfs", "random"):
-        raise ValueError("unknown strategy {!r}".format(strategy))
-    pending = [
-        index for index, entry in enumerate(stack) if not entry.done
-    ]
-    if strategy == "dfs":
-        pending.reverse()
-    elif strategy == "random":
-        rng.shuffle(pending)
-    return pending
+def candidate_indices(stack):
+    """Indices of not-yet-``done`` conditionals, deepest first (Fig. 5)."""
+    return [index for index in range(len(stack) - 1, -1, -1)
+            if not stack[index].done]
 
 
 def _prefix_index(constraints):
@@ -360,22 +342,25 @@ def _child_fingerprint(query, query_vars, assignment, domains):
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
-def solve_path_constraint(record, stack, im, solver, strategy, rng, flags,
-                          stats=None, escalation=1, cache=None,
-                          slicing=True, trace=None, subsume=False):
-    """Pick a branch to flip and solve for inputs reaching it.
+def solve_path_constraint(record, stack, im, solver, flags, stats=None,
+                          escalation=1, cache=None, slicing=True, trace=None,
+                          subsume=False):
+    """Pick the deepest branch to flip and solve for inputs reaching it.
 
     ``record`` is the completed run's :class:`PathRecord` (constraints),
     ``stack`` the finished (branch, done) list, ``im`` the run's input
-    vector.  Returns a :class:`NextRunPlan`, or None when every branch
-    along the path is exhausted (this directed search is over).
+    vector.  Returns the next run as a child tuple ``(stack, im, bound,
+    None)`` — the truncated stack with its last bit flipped, ``IM +
+    IM'``, the index past the flip, and no dedup fingerprint — or None
+    when every branch along the path is exhausted (this directed search
+    is over).
     """
     constraints = record.constraints
     domains = im.domains()
     non_none, count_before = _prefix_index(constraints)
     slicer = ConstraintSlicer(constraints, _assignment_of(im)) \
         if slicing else None
-    for j in candidate_indices(stack, strategy, rng):
+    for j in candidate_indices(stack):
         conjunct = constraints[j]
         if conjunct is None:
             # Concrete-fallback predicate: not flippable by solving.  Its
@@ -388,7 +373,6 @@ def solve_path_constraint(record, stack, im, solver, strategy, rng, flags,
         if stats is not None:
             stats.flips_attempted += 1
         all_unsat = True
-        plan = None
         for windex, negated in enumerate(negations):
             query = _query_for(j, negated, slicer, non_none,
                                count_before, stats)
@@ -401,17 +385,14 @@ def solve_path_constraint(record, stack, im, solver, strategy, rng, flags,
             if result.is_sat:
                 if stats is not None:
                     stats.flips_sat += 1
-                next_stack = [entry.copy() for entry in stack[: j + 1]]
-                next_stack[j] = next_stack[j].flipped()
-                plan = NextRunPlan(next_stack, im.updated(result.model))
-                break
+                child = [entry.copy() for entry in stack[: j + 1]]
+                child[j] = child[j].flipped()
+                return child, im.updated(result.model), j + 1, None
             if result.status == "unknown":
                 # Prover incompleteness: same effect as a non-linear
                 # predicate.
                 all_unsat = False
                 flags.clear_linear()
-        if plan is not None:
-            return plan
         if all_unsat:
             if exhaustive:
                 # Proved UNSAT (across every wrap window, for widened
@@ -436,9 +417,9 @@ def expand_worklist_children(stack, constraints, im, bound, solver, flags,
                              independence=None):
     """Generational expansion: children for indices ``bound..len(stack)``.
 
-    The worklist engines (serial and parallel) spawn one pending input
-    vector per newly discovered flippable branch; this helper owns that
-    loop so both engines share the slicing/caching fast path.  Returns a
+    The "bfs" and "random" strategies spawn one pending input vector per
+    newly discovered flippable branch; this helper owns that loop, with
+    the same slicing/caching fast path as Fig. 5's planner.  Returns a
     list of ``(child_stack, child_im, child_bound, fingerprint)``
     4-tuples in branch order; ``fingerprint`` is the dedup key of
     :func:`_child_fingerprint` when ``subsume``, slicing and the

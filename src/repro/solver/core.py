@@ -59,10 +59,14 @@ class _Budget:
         return self.remaining >= 0
 
 
+#: Default search-node budget of one solver call.
+NODE_BUDGET = 50_000
+
+
 class Solver:
     """Decides conjunctions of CmpExpr constraints over bounded integers."""
 
-    def __init__(self, seed=0, node_budget=50_000, probe_samples=4):
+    def __init__(self, seed=0, node_budget=NODE_BUDGET, probe_samples=4):
         self._seed = seed
         self._node_budget = node_budget
         self._probe_samples = probe_samples

@@ -634,26 +634,26 @@ class OracleBattery:
                 flags = CompletenessFlags()
                 im, stack = InputVector(), []
                 continue
-            plan = solve_path_constraint(
-                hooks.record, hooks.finished_stack(), im, solver, "dfs",
-                rng, flags, stats, escalation=2, cache=cache, slicing=True)
-            if plan is None:
+            child = solve_path_constraint(
+                hooks.record, hooks.finished_stack(), im, solver, flags,
+                stats, escalation=2, cache=cache, slicing=True)
+            if child is None:
                 break
-            problem = self._check_plan(hooks.record.constraints, plan)
+            stack, im, _bound, _fp = child
+            problem = self._check_plan(hooks.record.constraints, stack, im)
             if problem is not None:
                 return [Divergence(
                     "substitution", problem,
-                    plan.im.values(), [slot.kind for slot in plan.im])]
-            im, stack = plan.im, plan.stack
+                    im.values(), [slot.kind for slot in im])]
         return []
 
-    def _check_plan(self, constraints, plan):
+    def _check_plan(self, constraints, stack, im):
         """The slicing soundness invariant, checked by pure arithmetic:
         the next input vector must satisfy every non-concrete conjunct of
         the executed prefix *and* the negated target conjunct."""
         self.counters["plans_checked"] += 1
-        flip = len(plan.stack) - 1
-        assignment = dict(enumerate(plan.im.values()))
+        flip = len(stack) - 1
+        assignment = dict(enumerate(im.values()))
         for index in range(flip):
             conjunct = constraints[index]
             if conjunct is not None and not conjunct.evaluate(assignment):

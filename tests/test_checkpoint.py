@@ -146,8 +146,39 @@ class TestCheckpointRejection:
         resumed = self.run_once(AC_CONTROLLER_SOURCE, path, strategy="dfs",
                                 max_iterations=400)
         # dfs and bfs have different option digests, so the fingerprint
-        # already rejects it; the engine tag is belt and braces.
+        # rejects it: every strategy's checkpoint has the same shape.
         assert not resumed.resumed
+
+    def test_v3_dfs_checkpoint_restarts_cleanly(self, tmp_path):
+        """A v3 file — the dfs plan stored apart from the worklist, under
+        an ``engine`` tag — is a legitimate older format: the session
+        restarts from scratch and reports no corruption."""
+        path = str(tmp_path / "state.json")
+        options = dict(seed=1, max_iterations=400)
+        dart = Dart(AC_CONTROLLER_SOURCE, "ac_controller",
+                    DartOptions(state_file=path, **options))
+        rng = random.Random(5).getstate()
+        body = {
+            "fingerprint": dart.fingerprint, "engine": "dfs",
+            "rng": [rng[0], list(rng[1]), rng[2]],
+            "flags": [True] * 4, "counters": {"iterations": 3},
+            "distinct_paths": [], "covered_branches": [], "errors": [],
+            "quarantined": [], "clean_drain": True,
+            "dfs": {"stack": [[1, 0]], "im": [["int", 5], ["int", 0]]},
+        }
+        with open(path, "w") as handle:
+            json.dump({"version": 3, "checksum": persist._body_checksum(body),
+                       "body": body}, handle)
+        assert persist.load_checkpoint_ex(path, dart.fingerprint) == \
+            (None, "version")
+        result = dart.run()
+        assert not result.resumed
+        assert result.stats.checkpoints_rejected == 0
+        assert not [record for record in result.quarantined
+                    if record.classification == CHECKPOINT_CORRUPT]
+        fresh = Dart(AC_CONTROLLER_SOURCE, "ac_controller",
+                     DartOptions(**options)).run()
+        assert stats_key(result) == stats_key(fresh)
 
     def test_checkpoint_from_old_constraint_encoding_is_rejected(
         self, tmp_path
@@ -235,7 +266,6 @@ class TestCheckpointRejection:
         ).fingerprint
         checkpoint = persist.load_checkpoint(path, fingerprint)
         assert checkpoint is not None
-        assert checkpoint.engine == "generational"
         assert checkpoint.counters["iterations"] == 4
         assert checkpoint.worklist  # mid-drain frontier preserved
         mismatched = dict(fingerprint, toplevel="someone_else")
@@ -243,7 +273,8 @@ class TestCheckpointRejection:
 
 
 class TestCheckpointFormat:
-    """The v3 body: digest-keyed paths, one canonical encoding."""
+    """The checkpoint body: digest-keyed paths (since v3), one canonical
+    encoding."""
 
     def saved_body(self, tmp_path):
         path = str(tmp_path / "state.json")
@@ -276,7 +307,7 @@ class TestCheckpointFormat:
         assert resumed.status == "complete"
 
     @pytest.mark.parametrize("entry", [
-        [1, 0, 1],            # a v2 branch-bit list under a v3 header
+        [1, 0, 1],            # a v2 branch-bit list, current header
         "3AE820785F7A2994",   # upper case: never produced by path_digest
         "3ae820785f7a299",    # 15 characters
         "3ae820785f7a2994\n",
@@ -286,8 +317,10 @@ class TestCheckpointFormat:
     def test_v3_checkpoint_with_malformed_paths_is_corrupt(self, tmp_path,
                                                            entry):
         path, body, fingerprint = self.saved_body(tmp_path)
+        # Under the current version header: digest-keyed paths came in
+        # with v3 and v4 keeps them.
         body["distinct_paths"] = body["distinct_paths"] + [entry]
-        self.write(path, 3, body)
+        self.write(path, persist._CHECKPOINT_VERSION, body)
         assert persist.load_checkpoint_ex(path, fingerprint) == \
             (None, "corrupt")
 
@@ -390,12 +423,14 @@ def _checkpoints():
         witnesses=st.lists(witnesses, max_size=3),
         clean_drain=st.booleans(),
     )
-    dfs = st.builds(persist.SessionCheckpoint, engine=st.just("dfs"),
-                    dfs_pending=st.one_of(st.none(),
-                                          st.tuples(stacks, ims)),
-                    **common)
+    # A dfs session's worklist holds the one run Fig. 5 planned next.
+    dfs = st.builds(
+        persist.SessionCheckpoint,
+        worklist=st.tuples(stacks, ims, st.integers(0, 1000)).map(
+            lambda item: [item]),
+        **common)
     generational = st.builds(
-        persist.SessionCheckpoint, engine=st.just("generational"),
+        persist.SessionCheckpoint,
         worklist=st.lists(st.tuples(stacks, ims, st.integers(0, 1000)),
                           max_size=4),
         dedup_seen=st.lists(st.tuples(text, salts), max_size=4),

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro import DartOptions, dart_check
+from repro import DartOptions, dart_check, random_check
 from repro.dart.instrument import DirectedHooks
 from repro.dart.report import (
     INTERNAL_ERROR,
@@ -21,6 +21,8 @@ from repro.dart.report import (
 )
 from repro.dart.runner import Dart
 from repro.dart.solve import solve_with_retry
+from repro.interp.faults import InterpreterError
+from repro.interp.machine import Machine
 from repro.programs import samples
 from repro.solver import Solver
 from repro.solver.core import SolverResult
@@ -104,6 +106,38 @@ class TestFaultBoundary:
         inject_once(monkeypatch, KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             dart_check(samples.H_SOURCE, "h", max_iterations=50, seed=0)
+
+
+class TestRandomBaselineBoundary:
+    """The random-testing baseline's runs cross the same boundary: a
+    harness failure costs one run, and the baseline keeps drawing."""
+
+    @pytest.mark.parametrize("exc, classification", [
+        (RecursionError("injected stack blowout"), RESOURCE_EXHAUSTED),
+        (InterpreterError("injected harness bug"), INTERNAL_ERROR),
+    ])
+    def test_failure_is_quarantined_and_budget_finishes(
+        self, monkeypatch, exc, classification
+    ):
+        calls = []
+        original = Machine.run
+
+        def flaky(self, function_name, args=()):
+            calls.append(function_name)
+            if len(calls) == 3:
+                raise exc
+            return original(self, function_name, args)
+
+        monkeypatch.setattr(Machine, "run", flaky)
+        result = random_check(samples.H_SOURCE, "h", max_iterations=40,
+                              seed=0)
+        assert result.iterations == 40
+        assert result.status == "exhausted"
+        assert len(result.quarantined) == 1
+        record = result.quarantined[0]
+        assert record.classification == classification
+        assert record.iteration == 3
+        assert type(exc).__name__ in record.detail
 
 
 SLOW_BRANCH_SOURCE = """

@@ -25,17 +25,18 @@ FINGERPRINT = {"source": "roundtrip", "toplevel": "f", "options": "-",
 
 
 def checkpoint_roundtrip(path, stack, im):
-    """Write (stack, im) as both a dfs plan and a worklist item of a v3
-    checkpoint, read it back, and return the two decoded copies."""
+    """Write (stack, im) as the one worklist item of a v4 checkpoint (the
+    shape of a dfs session's), read it back, and return the decoded
+    (stack, im)."""
     save_checkpoint(path, SessionCheckpoint(
-        fingerprint=FINGERPRINT, engine="generational",
+        fingerprint=FINGERPRINT,
         rng_state=random.Random(0).getstate(), flags=(True,) * 4,
         counters={}, distinct_paths=[], covered_branches=[], errors=[],
-        quarantined=[], dfs_pending=(stack, im), worklist=[(stack, im, 0)],
+        quarantined=[], worklist=[(stack, im, 0)],
     ))
-    loaded = load_checkpoint(path, FINGERPRINT)
-    (item_stack, item_im, _bound), = loaded.worklist
-    return loaded.dfs_pending, (item_stack, item_im)
+    (item_stack, item_im, _bound), = load_checkpoint(
+        path, FINGERPRINT).worklist
+    return item_stack, item_im
 
 
 def boundary_values(kind):
@@ -84,11 +85,11 @@ class TestStateFileRoundTrip:
         for ordinal, kind in enumerate(kinds):
             im.record(ordinal, kind, random_value(kind, rng))
         stack = [StackEntry(1, False), StackEntry(0, True)]
-        for loaded_stack, loaded_im in checkpoint_roundtrip(path, stack, im):
-            assert [slot.kind for slot in loaded_im] == kinds
-            assert loaded_im.values() == im.values()
-            assert [(e.branch, e.done) for e in loaded_stack] == \
-                [(1, False), (0, True)]
+        loaded_stack, loaded_im = checkpoint_roundtrip(path, stack, im)
+        assert [slot.kind for slot in loaded_im] == kinds
+        assert loaded_im.values() == im.values()
+        assert [(e.branch, e.done) for e in loaded_stack] == \
+            [(1, False), (0, True)]
 
     def test_double_round_trip_is_stable(self, tmp_path):
         path = str(tmp_path / "state.json")
@@ -96,8 +97,8 @@ class TestStateFileRoundTrip:
         for ordinal, kind in enumerate(sorted(_DOMAINS)):
             lo, hi = _DOMAINS[kind]
             im.record(ordinal, kind, hi)
-        (_, once), _ = checkpoint_roundtrip(path, [StackEntry(0, False)], im)
-        (_, twice), _ = checkpoint_roundtrip(
+        _, once = checkpoint_roundtrip(path, [StackEntry(0, False)], im)
+        _, twice = checkpoint_roundtrip(
             path, [StackEntry(0, False)], once)
         assert encode_input_vector(once) == encode_input_vector(twice) \
             == encode_input_vector(im)
@@ -136,7 +137,7 @@ class TestReplayReproduction:
                 zip(report.kinds, report.inputs)):
             im.record(ordinal, kind, value)
         path = str(tmp_path / "state.json")
-        (_, loaded), _ = checkpoint_roundtrip(
+        _, loaded = checkpoint_roundtrip(
             path, [StackEntry(0, False)], im)
         assert loaded.values() == report.inputs
         dart = Dart(POINTER_PROGRAM, "f")

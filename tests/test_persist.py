@@ -18,16 +18,18 @@ class TestFileFormat:
 
     def save(self, path, stack, im):
         persist.save_checkpoint(path, persist.SessionCheckpoint(
-            fingerprint=self.FINGERPRINT, engine="dfs",
+            fingerprint=self.FINGERPRINT,
             rng_state=random.Random(0).getstate(), flags=(True,) * 4,
             counters={}, distinct_paths=[], covered_branches=[], errors=[],
-            quarantined=[], dfs_pending=(stack, im),
+            quarantined=[], worklist=[(stack, im, 0)],
         ))
 
     def roundtrip(self, tmp_path, stack, im):
         path = str(tmp_path / "state.json")
         self.save(path, stack, im)
-        return persist.load_checkpoint(path, self.FINGERPRINT).dfs_pending
+        (stack, im, _bound), = persist.load_checkpoint(
+            path, self.FINGERPRINT).worklist
+        return stack, im
 
     def reason(self, path):
         return persist.load_checkpoint_ex(str(path), self.FINGERPRINT)

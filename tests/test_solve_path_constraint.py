@@ -1,12 +1,19 @@
-"""Unit tests for solve_path_constraint (Fig. 5) and its strategies."""
+"""Unit tests for solve_path_constraint (Fig. 5) and the orders of
+footnote 4, which live in the worklist: children in branch order, drained
+FIFO ("bfs") or in a session-RNG order ("random")."""
 
-import random
+import collections
 
-import pytest
-
+from repro import DartOptions
 from repro.dart.inputs import InputVector
 from repro.dart.pathcond import PathRecord, StackEntry
-from repro.dart.solve import candidate_indices, solve_path_constraint
+from repro.dart.runner import Dart, _Session
+from repro.dart.solve import (
+    candidate_indices,
+    expand_worklist_children,
+    solve_path_constraint,
+)
+from repro.programs import samples
 from repro.solver import Solver
 from repro.symbolic.expr import CmpExpr, EQ, GT, LinExpr, NE
 from repro.symbolic.flags import CompletenessFlags
@@ -28,13 +35,22 @@ def build_run(entries):
     return record, stack, im
 
 
-def solve(record, stack, im, strategy="dfs", seed=0):
+#: The child tuple solve_path_constraint returns, with named fields.
+Plan = collections.namedtuple("Plan", "stack im bound fingerprint")
+
+
+def solve(record, stack, im, seed=0):
     flags = CompletenessFlags()
-    plan = solve_path_constraint(
-        record, stack, im, Solver(seed=seed), strategy,
-        random.Random(seed), flags,
-    )
-    return plan, flags
+    child = solve_path_constraint(record, stack, im, Solver(seed=seed), flags)
+    return (Plan(*child) if child is not None else None), flags
+
+
+def expand(record, stack, im, bound=0):
+    """The generational children of a run, as Plans, in enqueue order."""
+    children = expand_worklist_children(
+        stack, record.constraints, im, bound, Solver(seed=0),
+        CompletenessFlags())
+    return [Plan(*child) for child in children]
 
 
 def eq(var, const=0):
@@ -48,20 +64,26 @@ class TestCandidateOrdering:
 
     def test_dfs_deepest_first(self):
         stack = self.make_stack([False, True, False])
-        assert candidate_indices(stack, "dfs", random.Random(0)) == [2, 0]
+        assert candidate_indices(stack) == [2, 0]
 
     def test_bfs_shallowest_first(self):
-        stack = self.make_stack([False, True, False])
-        assert candidate_indices(stack, "bfs", random.Random(0)) == [0, 2]
+        # Children are enqueued in branch order, so a FIFO drain flips
+        # the shallowest branch first.
+        record, stack, im = build_run(
+            [(1, eq(0)), (1, eq(1)), (1, eq(2))])
+        plans = expand(record, stack, im)
+        assert [len(plan.stack) for plan in plans] == [1, 2, 3]
 
     def test_random_is_permutation(self):
-        stack = self.make_stack([False] * 6)
-        result = candidate_indices(stack, "random", random.Random(3))
-        assert sorted(result) == list(range(6))
+        session = _Session(Dart(samples.H_SOURCE, "h",
+                                DartOptions(strategy="random", seed=3)))
+        pending = list(range(6))
+        drained = [session.pop(pending) for _ in range(6)]
+        assert sorted(drained) == list(range(6))
+        assert not pending
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            candidate_indices([StackEntry(1)], "zigzag", random.Random(0))
+    def test_all_done_leaves_nothing(self):
+        assert candidate_indices(self.make_stack([True, True])) == []
 
 
 class TestSolvePathConstraint:
@@ -74,6 +96,10 @@ class TestSolvePathConstraint:
         # New inputs satisfy x0 == 0 and NOT (x1 == 0).
         assert plan.im[0].value == 0
         assert plan.im[1].value != 0
+        # The child tuple a worklist item is made of: the next bound is
+        # the index past the flip, and a Fig. 5 plan is never deduped.
+        assert plan.bound == 2
+        assert plan.fingerprint is None
 
     def test_stack_truncated_at_flip(self):
         record, stack, im = build_run(
@@ -139,7 +165,7 @@ class TestSolvePathConstraint:
 
     def test_bfs_flips_shallowest(self):
         record, stack, im = build_run([(1, eq(0)), (1, eq(1))])
-        plan, _ = solve(record, stack, im, strategy="bfs")
+        plan = expand(record, stack, im)[0]
         assert len(plan.stack) == 1
         assert plan.stack[0].branch == 0
         assert plan.im[0].value != 0

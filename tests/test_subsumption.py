@@ -29,8 +29,7 @@ from repro.dart.independence import coupling_classes, dedup_eligible
 from repro.dart.persist import SessionCheckpoint
 from repro.dart.report import RunStats
 from repro.dart.runner import _Session
-from repro.dart.solve import _extract_core, candidate_indices, \
-    solve_with_retry
+from repro.dart.solve import _extract_core, solve_with_retry
 from repro.obs.trace import TraceBus
 from repro.solver import Solver, UNSAT
 from repro.solver.cache import (
@@ -290,7 +289,6 @@ class TestCheckpointRoundTrip:
         seen = [("a" * 64, ("abort", "p.c:3:5")), ("b" * 64, None)]
         checkpoint = SessionCheckpoint(
             fingerprint={"source": "x", "toplevel": "f", "options": "d"},
-            engine="generational",
             rng_state=random.Random(0).getstate(),
             flags=(True, True, True, True),
             counters={}, distinct_paths=[], covered_branches=[],
@@ -302,11 +300,11 @@ class TestCheckpointRoundTrip:
 
     def test_absent_field_decodes_empty(self):
         checkpoint = SessionCheckpoint(
-            fingerprint={}, engine="generational",
+            fingerprint={},
             rng_state=random.Random(0).getstate(),
             flags=(True, True, True, True),
             counters={}, distinct_paths=[], covered_branches=[],
-            errors=[], quarantined=[],
+            errors=[], quarantined=[], worklist=[],
         )
         body = checkpoint.to_body()
         assert "dedup_seen" not in body
@@ -314,18 +312,7 @@ class TestCheckpointRoundTrip:
 
 
 class TestStrategyValidation:
-    """Satellite: a typo'd strategy fails before any candidate scan."""
-
-    def test_unknown_strategy_raises_value_error(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            candidate_indices([], "bffs", random.Random(0))
-
-    def test_validation_happens_before_the_stack_is_touched(self):
-        # A non-iterable stack: reaching the candidate scan would raise
-        # TypeError, so a ValueError proves the hoisted check fired
-        # first.
-        with pytest.raises(ValueError):
-            candidate_indices(None, "breadth", random.Random(0))
+    """A typo'd strategy fails before any search work."""
 
     def test_cli_strategy_typo_fails_fast(self):
         # DartOptions screens the strategy at construction — before any
