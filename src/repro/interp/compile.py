@@ -7,6 +7,9 @@ This module lowers each :class:`repro.minic.ir.IRFunction` once into a
 flat list of specialized step closures: operand shapes, C types, frame
 offsets, wrap masks, signedness and operator functions are all resolved
 at lowering time, so executing an instruction is a single closure call.
+Every closure is called as ``closure(m, frame_region)``: the executing
+machine and the current frame's live region, whose bytes scalar locals
+are read and written in place (see :class:`_Compiler`).
 
 **Taint gating.** The machine's ``(concrete value, symbolic expression or
 None)`` value pairs already carry a per-value taint bit: ``sym is None``
@@ -98,6 +101,84 @@ def _unsigned_ctype(ctype):
     if ctype.is_pointer():
         return True
     return ctype.is_integer() and not ctype.signed
+
+
+def _load_sym(m, addr, size):
+    """S's half of Machine._load for a scalar at ``addr``: the stored
+    expression, or None — and a partial overlap clears ``all_linear``.
+    Callers test S's bounds inline first; outside them this is None."""
+    symbolic = m.symbolic
+    sym = symbolic.read(addr, size)
+    if sym is None and symbolic.has_overlap(addr, size):
+        m.flags.clear_linear()
+    return sym
+
+
+def _local_access(off, size, signed):
+    """Direct-slot ``(load, store)`` for a scalar local at frame offset
+    ``off``; a frame with a written-bitmap takes the checked path."""
+    end = off + size
+    mask = (1 << (8 * size)) - 1
+    from_bytes = int.from_bytes
+
+    def load_local(m, r):
+        if r.written is None:
+            value = from_bytes(r.data[off:end], "little", signed=signed)
+        else:
+            value = m.memory.read_int(r.start + off, size, signed)
+        symbolic = m.symbolic
+        if symbolic._entries:
+            addr = r.start + off
+            if addr < symbolic._hi and addr + size > symbolic._lo:
+                return value, _load_sym(m, addr, size)
+        return value, None
+
+    def store_local(m, r, value, sym):
+        if r.written is None:
+            r.data[off:end] = (value & mask).to_bytes(size, "little")
+        else:
+            m.memory.write_int(r.start + off, value, size, signed)
+        symbolic = m.symbolic
+        if sym is not None:
+            symbolic.write(r.start + off, size, sym)
+        elif symbolic._entries:
+            # A concrete store matters to S only by invalidating an
+            # overlapping entry; outside S's bounds it is a no-op.
+            addr = r.start + off
+            if addr < symbolic._hi and addr + size > symbolic._lo:
+                symbolic.invalidate(addr, size)
+
+    return load_local, store_local
+
+
+def _global_access(index, size, signed):
+    """Direct-slot ``(load, store)`` for the scalar global
+    ``m._globals[index]``, at offset 0 of its region."""
+    mask = (1 << (8 * size)) - 1
+    from_bytes = int.from_bytes
+
+    def load_global(m, r):
+        region = m._globals[index]
+        value = from_bytes(region.data[:size], "little", signed=signed)
+        symbolic = m.symbolic
+        if symbolic._entries:
+            addr = region.start
+            if addr < symbolic._hi and addr + size > symbolic._lo:
+                return value, _load_sym(m, addr, size)
+        return value, None
+
+    def store_global(m, r, value, sym):
+        region = m._globals[index]
+        region.data[:size] = (value & mask).to_bytes(size, "little")
+        symbolic = m.symbolic
+        if sym is not None:
+            symbolic.write(region.start, size, sym)
+        elif symbolic._entries:
+            addr = region.start
+            if addr < symbolic._hi and addr + size > symbolic._lo:
+                symbolic.invalidate(addr, size)
+
+    return load_global, store_global
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +286,35 @@ def _fold_binary(e):
 class _Compiler:
     """Lowers one module's expressions/instructions to closures.
 
-    Every generated closure has the signature ``closure(m, f)`` where
-    ``m`` is the executing :class:`~repro.interp.machine.Machine` and
-    ``f`` is the current frame's base address; expression closures return
-    the machine's ``(value, sym)`` pairs, lvalue closures return
-    addresses, step closures return the next pc (negative = return).
+    Every generated closure has the signature ``closure(m, frame_region)``
+    (spelled ``(m, r)``) where ``m`` is the executing
+    :class:`~repro.interp.machine.Machine` and ``frame_region`` is the
+    current frame's live :class:`~repro.interp.memory.Region`; expression
+    closures return the machine's ``(value, sym)`` pairs, lvalue closures
+    return addresses, step closures return the next pc (negative =
+    return).
+
+    **Direct slots.** A scalar local is read and written at its
+    lowering-time offset in ``frame_region.data``, and a scalar global at
+    offset 0 of its own region (``m._globals``), with no region search.
+    The checks that search would make hold by construction: the frame is
+    live while its closures run, a slot lies inside the frame by the
+    layout (asserted here; a slot that does not fit keeps the checked
+    path), and a global's region is always live, never a string, and
+    sized to its type.  A frame that tracks written bytes
+    (``track_uninitialized``) keeps the checked path so uninitialised
+    reads still fault.  Pointer dereferences always take the checked
+    path.
     """
 
     def __init__(self, module):
         self.module = module
+        #: Global name -> index into ``module.globals`` (= ``m._globals``).
+        self._global_index = {
+            gvar.name: index for index, gvar in enumerate(module.globals)
+        }
+        #: Frame size of the function being lowered (set per function).
+        self.frame_size = 0
 
     # -- generic expression dispatch ------------------------------------
 
@@ -221,12 +322,12 @@ class _Compiler:
         value = _fold(e)
         if value is not _NOT_CONST:
             pair = (value, None)
-            return lambda m, f: pair
+            return lambda m, r: pair
         method = self._DISPATCH.get(type(e))
         if method is None:
             # Sound fallback: the interpreter evaluates the node against
             # the same shared machine state.
-            return lambda m, f: m._eval(e)
+            return lambda m, r: m._eval(e)
         return method(self, e)
 
     # -- loads / stores (specialized by C type) -------------------------
@@ -265,13 +366,10 @@ class _Compiler:
                 value = mem.read_int(addr, size, signed)
             symbolic = m.symbolic
             # Inlined bounds guard: S is consulted only when [addr, addr+size)
-            # intersects the range symbolic data was ever stored in.
+            # intersects the range symbolic data is stored in.
             if symbolic._entries and addr < symbolic._hi \
                     and addr + size > symbolic._lo:
-                sym = symbolic.read(addr, size)
-                if sym is None and symbolic.has_overlap(addr, size):
-                    m.flags.clear_linear()
-                return value, sym
+                return value, _load_sym(m, addr, size)
             return value, None
 
         return load
@@ -306,7 +404,7 @@ class _Compiler:
                     and addr + size > symbolic._lo:
                 # A concrete store can only matter to S by invalidating an
                 # overlapping entry; outside the bounds it is a no-op.
-                symbolic.write(addr, size, None)
+                symbolic.invalidate(addr, size)
 
         return store
 
@@ -339,24 +437,51 @@ class _Compiler:
             return conc_ptr, full_ptr
         return (lambda v: v), (lambda m, v, s: (v, s))
 
+    def _slot_access(self, e):
+        """``(load, store)`` for the scalar the identifier ``e`` names,
+        read and written in place (a direct slot, see the class
+        docstring), or None when ``e`` has no direct slot.
+
+        ``load(m, r) -> (value, sym)`` mirrors Machine._load and
+        ``store(m, r, value, sym)`` Machine._store_scalar.
+        """
+        if not isinstance(e, ast.Ident) or e.ctype is None:
+            return None
+        ctype = e.ctype
+        if not ctype.is_scalar():
+            return None
+        size = ctype.size
+        signed = ctype.is_integer() and ctype.signed
+        symbol = e.symbol
+        if symbol.kind == GLOBAL:
+            index = self._global_index.get(symbol.name)
+            if index is None or \
+                    size > self.module.globals[index].ctype.size:
+                return None
+            return _global_access(index, size, signed)
+        off = symbol.frame_offset
+        if off is None or off + size > self.frame_size:
+            return None
+        return _local_access(off, size, signed)
+
     # -- lvalues ---------------------------------------------------------
 
     def lvalue(self, e):
-        """``lv(m, f) -> address``, mirroring Machine._eval_lvalue."""
+        """``lv(m, r) -> address``, mirroring Machine._eval_lvalue."""
         if isinstance(e, ast.Ident):
             symbol = e.symbol
             if symbol.kind == GLOBAL:
                 name = symbol.name
-                return lambda m, f: m._global_addrs[name]
+                return lambda m, r: m._global_addrs[name]
             off = symbol.frame_offset
             if off is None:
-                return lambda m, f: m._eval_lvalue(e)
-            return lambda m, f: f + off
+                return lambda m, r: m._eval_lvalue(e)
+            return lambda m, r: r.start + off
         if isinstance(e, ast.Unary) and e.op == "*":
             operand = self.expr(e.operand)
 
-            def lv_deref(m, f):
-                value, sym = operand(m, f)
+            def lv_deref(m, r):
+                value, sym = operand(m, r)
                 if sym is not None:
                     m.flags.clear_locs()
                 return value
@@ -366,7 +491,7 @@ class _Compiler:
             return self._index_lvalue(e)
         if isinstance(e, ast.Member):
             return self._member_lvalue(e)
-        return lambda m, f: m._eval_lvalue(e)
+        return lambda m, r: m._eval_lvalue(e)
 
     def _index_lvalue(self, e):
         base = self.expr(e.base)
@@ -375,9 +500,9 @@ class _Compiler:
         if base_type.is_pointer():
             esize = base_type.pointee.size
 
-            def lv_index(m, f):
-                base_value, base_sym = base(m, f)
-                index_value, index_sym = index(m, f)
+            def lv_index(m, r):
+                base_value, base_sym = base(m, r)
+                index_value, index_sym = index(m, r)
                 if base_sym is not None or index_sym is not None:
                     m.flags.clear_locs()
                 return base_value + index_value * esize
@@ -386,9 +511,9 @@ class _Compiler:
         # ``i[p]``: semantic analysis allows it; the pointer is the index.
         esize = e.index.ctype.decay().pointee.size
 
-        def lv_index_swapped(m, f):
-            index_value, index_sym = base(m, f)
-            base_value, base_sym = index(m, f)
+        def lv_index_swapped(m, r):
+            index_value, index_sym = base(m, r)
+            base_value, base_sym = index(m, r)
             if base_sym is not None or index_sym is not None:
                 m.flags.clear_locs()
             return base_value + index_value * esize
@@ -400,105 +525,72 @@ class _Compiler:
         if e.arrow:
             base = self.expr(e.base)
 
-            def lv_arrow(m, f):
-                base_value, base_sym = base(m, f)
+            def lv_arrow(m, r):
+                base_value, base_sym = base(m, r)
                 if base_sym is not None:
                     m.flags.clear_locs()
                 return base_value + offset
 
             return lv_arrow
         inner = self.lvalue(e.base)
-        return lambda m, f: inner(m, f) + offset
+        return lambda m, r: inner(m, r) + offset
 
     # -- node compilers --------------------------------------------------
 
     def intlit(self, e):
         pair = (e.value, None)
-        return lambda m, f: pair
+        return lambda m, r: pair
 
     def stringlit(self, e):
         index = e.intern_index
-        return lambda m, f: (m._string_addrs[index], None)
+        return lambda m, r: (m._string_addrs[index], None)
 
     def ident(self, e):
         symbol = e.symbol
         if symbol.kind == ENUM_CONST:
             pair = (symbol.value, None)
-            return lambda m, f: pair
-        ctype = e.ctype
-        load = self._load_fn(ctype)
+            return lambda m, r: pair
+        access = self._slot_access(e)
+        if access is not None:
+            # A scalar local or global: the hottest expression form.
+            return access[0]
+        load = self._load_fn(e.ctype)
         if symbol.kind == GLOBAL:
             name = symbol.name
-            return lambda m, f: load(m, m._global_addrs[name])
+            return lambda m, r: load(m, m._global_addrs[name])
         off = symbol.frame_offset
         if off is None:
-            return lambda m, f: m._eval(e)
-        if not (ctype.is_array() or ctype.is_struct()):
-            # Scalar frame local: the hottest expression form by far.
-            # Fuse the address computation into the load body so reading
-            # a local costs one closure call, not a lambda + load chain.
-            size = ctype.size
-            signed = ctype.is_integer() and ctype.signed
-            from_bytes = int.from_bytes
-
-            def load_local(m, f):
-                addr = f + off
-                mem = m.memory
-                region = mem._last_region
-                if (
-                    region is not None
-                    and region.start <= addr
-                    and addr + size <= region.start + region.size
-                    and region.live
-                    and region.written is None
-                ):
-                    roff = addr - region.start
-                    value = from_bytes(
-                        region.data[roff:roff + size], "little",
-                        signed=signed,
-                    )
-                else:
-                    value = mem.read_int(addr, size, signed)
-                symbolic = m.symbolic
-                if symbolic._entries and addr < symbolic._hi \
-                        and addr + size > symbolic._lo:
-                    sym = symbolic.read(addr, size)
-                    if sym is None and symbolic.has_overlap(addr, size):
-                        m.flags.clear_linear()
-                    return value, sym
-                return value, None
-
-            return load_local
-        return lambda m, f: load(m, f + off)
+            return lambda m, r: m._eval(e)
+        return lambda m, r: load(m, r.start + off)
 
     def unary(self, e):
         op = e.op
         if op == "&":
             lv = self.lvalue(e.operand)
-            return lambda m, f: (lv(m, f), None)
+            return lambda m, r: (lv(m, r), None)
         if op == "*":
             lv = self.lvalue(e)
             load = self._load_fn(e.ctype)
-            return lambda m, f: load(m, lv(m, f))
+            return lambda m, r: load(m, lv(m, r))
         if op in ("++", "--"):
             return self._incdec(e.operand, op, prefix=True)
         operand = self.expr(e.operand)
         if op in ("-", "~"):
             if e.ctype is None or not e.ctype.is_integer():
-                return lambda m, f: m._eval(e)
+                return lambda m, r: m._eval(e)
             wrapf = _wrap_fn(e.ctype)
             if op == "-":
 
-                def ev_neg(m, f):
-                    value, sym = operand(m, f)
+                def ev_neg(m, r):
+                    value, sym = operand(m, r)
                     if sym is None:
                         return wrapf(-value), None
                     return wrapf(-value), m.evaluator.neg(value, sym)
 
                 return ev_neg
 
-            def ev_inv(m, f):
-                value, sym = operand(m, f)
+            def ev_inv(m, r):
+                value, sym = operand(m, r)
                 if sym is None:
                     return wrapf(~value), None
                 return wrapf(~value), m.evaluator.nonlinear(sym)
@@ -507,8 +599,8 @@ class _Compiler:
         if op == "!":
             unsigned = _unsigned_ctype(e.operand.ctype)
 
-            def ev_not(m, f):
-                value, sym = operand(m, f)
+            def ev_not(m, r):
+                value, sym = operand(m, r)
                 result = 0 if value != 0 else 1
                 if sym is None:
                     return result, None
@@ -524,47 +616,59 @@ class _Compiler:
                 return result, notsym
 
             return ev_not
-        return lambda m, f: m._eval(e)
+        return lambda m, r: m._eval(e)
 
     def postfix(self, e):
         return self._incdec(e.operand, e.op, prefix=False)
 
     def _incdec(self, target, op, prefix):
-        lv = self.lvalue(target)
         ctype = target.ctype.decay()
-        load = self._load_fn(ctype)
-        store = self._store_fn(ctype)
         if ctype.is_pointer():
             step = ctype.pointee.size
             delta = step if op == "++" else -step
 
-            def ev_ptr(m, f):
-                addr = lv(m, f)
-                old_value, old_sym = load(m, addr)
-                new_value = old_value + delta
-                new_sym = None if old_sym is None \
-                    else m.evaluator.nonlinear(old_sym)
-                store(m, addr, new_value, new_sym)
-                if prefix:
-                    return new_value, new_sym
-                return old_value, old_sym
+            def bump_ptr(m, r, value, sym):
+                return value + delta, \
+                    None if sym is None else m.evaluator.nonlinear(sym)
 
-            return ev_ptr
+            return self._read_modify_write(target, ctype, bump_ptr, prefix)
         delta = 1 if op == "++" else -1
         wrapf = _wrap_fn(ctype)
 
-        def ev_int(m, f):
-            addr = lv(m, f)
-            old_value, old_sym = load(m, addr)
-            new_value = wrapf(old_value + delta)
-            new_sym = None if old_sym is None \
-                else m.evaluator.add(old_value, old_sym, delta, None)
-            store(m, addr, new_value, new_sym)
-            if prefix:
-                return new_value, new_sym
-            return old_value, old_sym
+        def bump_int(m, r, value, sym):
+            return wrapf(value + delta), \
+                None if sym is None \
+                else m.evaluator.add(value, sym, delta, None)
 
-        return ev_int
+        return self._read_modify_write(target, ctype, bump_int, prefix)
+
+    def _read_modify_write(self, target, ctype, modify, prefix=True):
+        """``ev(m, r)``: load ``target``, store back
+        ``modify(m, r, value, sym)`` and return the new pair (``prefix``)
+        or the old one.  The target's address is computed once."""
+        access = self._slot_access(target)
+        if access is not None:
+            load, store = access
+
+            def ev_slot(m, r):
+                old = load(m, r)
+                new = modify(m, r, old[0], old[1])
+                store(m, r, new[0], new[1])
+                return new if prefix else old
+
+            return ev_slot
+        lv = self.lvalue(target)
+        load = self._load_fn(ctype)
+        store = self._store_fn(ctype)
+
+        def ev_addr(m, r):
+            addr = lv(m, r)
+            old = load(m, addr)
+            new = modify(m, r, old[0], old[1])
+            store(m, addr, new[0], new[1])
+            return new if prefix else old
+
+        return ev_addr
 
     def binary(self, e):
         left = self.expr(e.left)
@@ -573,9 +677,9 @@ class _Compiler:
             e, e.op, e.left.ctype.decay(), e.right.ctype.decay()
         )
 
-        def ev(m, f):
-            lv, ls = left(m, f)
-            rv, rs = right(m, f)
+        def ev(m, r):
+            lv, ls = left(m, r)
+            rv, rs = right(m, r)
             return apply(m, lv, ls, rv, rs)
 
         return ev
@@ -598,7 +702,7 @@ class _Compiler:
                         lv &= _M32
                         rv &= _M32
                     return (1 if cmpf(lv, rv) else 0), None
-                return m._compare(op, lt, lv, ls, rt, rv, rs)
+                return m._compare_values(op, unsigned, lv, ls, rv, rs)
 
             return apply_cmp
         if lt.is_pointer() or rt.is_pointer():
@@ -711,14 +815,14 @@ class _Compiler:
 
     def assign(self, e):
         target_type = e.target.ctype.decay()
-        lv = self.lvalue(e.target)
         if e.op == "=":
             value = self.expr(e.value)
             if target_type.is_struct():
+                lv = self.lvalue(e.target)
 
-                def ev_struct(m, f):
-                    addr = lv(m, f)
-                    v, s = value(m, f)
+                def ev_struct(m, r):
+                    addr = lv(m, r)
+                    v, s = value(m, r)
                     m._store_scalar_or_struct(addr, target_type, v, s)
                     return v, s
 
@@ -726,32 +830,28 @@ class _Compiler:
             conc, full = self._convert_fn(
                 e.value.ctype.decay(), target_type
             )
-            store = self._store_fn(target_type)
-            target = e.target
-            if (
-                isinstance(target, ast.Ident)
-                and target.symbol.kind != GLOBAL
-                and target.symbol.frame_offset is not None
-            ):
-                # Scalar local on the left: fold the address computation
-                # into the assignment closure (the hot loop-body shape).
-                off = target.symbol.frame_offset
+            access = self._slot_access(e.target)
+            if access is not None:
+                # A direct slot on the left (the hot loop-body shape).
+                store_slot = access[1]
 
-                def ev_assign_local(m, f):
-                    v, s = value(m, f)
+                def ev_assign_slot(m, r):
+                    v, s = value(m, r)
                     if s is None:
                         v = conc(v)
-                        store(m, f + off, v, None)
+                        store_slot(m, r, v, None)
                         return v, None
                     v, s = full(m, v, s)
-                    store(m, f + off, v, s)
+                    store_slot(m, r, v, s)
                     return v, s
 
-                return ev_assign_local
+                return ev_assign_slot
+            lv = self.lvalue(e.target)
+            store = self._store_fn(target_type)
 
-            def ev_assign(m, f):
-                addr = lv(m, f)
-                v, s = value(m, f)
+            def ev_assign(m, r):
+                addr = lv(m, r)
+                v, s = value(m, r)
                 if s is None:
                     v = conc(v)
                     store(m, addr, v, None)
@@ -764,39 +864,34 @@ class _Compiler:
         # Compound assignment (+=, -=, ...): load-modify-store.
         binop = e.op[:-1]
         rhs_type = e.value.ctype.decay()
-        load = self._load_fn(target_type)
-        store = self._store_fn(target_type)
         rhs = self.expr(e.value)
         apply = self._make_apply(e, binop, target_type, rhs_type)
         target_int = target_type.is_integer()
         wrapt = _wrap_fn(target_type) if target_int else None
 
-        def ev_compound(m, f):
-            addr = lv(m, f)
-            old_value, old_sym = load(m, addr)
-            rv, rs = rhs(m, f)
+        def compound(m, r, old_value, old_sym):
+            rv, rs = rhs(m, r)
             v, s = apply(m, old_value, old_sym, rv, rs)
             if target_int:
                 v = wrapt(v)
-            store(m, addr, v, s)
             return v, s
 
-        return ev_compound
+        return self._read_modify_write(e.target, target_type, compound)
 
     def cast(self, e):
         operand = self.expr(e.operand)
         target = e.ctype
         if target.is_void():
 
-            def ev_void(m, f):
-                operand(m, f)
+            def ev_void(m, r):
+                operand(m, r)
                 return _ZERO_PAIR
 
             return ev_void
         conc, full = self._convert_fn(e.operand.ctype.decay(), target)
 
-        def ev_cast(m, f):
-            v, s = operand(m, f)
+        def ev_cast(m, r):
+            v, s = operand(m, r)
             if s is None:
                 return conc(v), None
             return full(m, v, s)
@@ -806,21 +901,21 @@ class _Compiler:
     def index(self, e):
         lv = self._index_lvalue(e)
         load = self._load_fn(e.ctype)
-        return lambda m, f: load(m, lv(m, f))
+        return lambda m, r: load(m, lv(m, r))
 
     def member(self, e):
         if e.arrow or e.base.is_lvalue:
             lv = self._member_lvalue(e)
             load = self._load_fn(e.ctype)
-            return lambda m, f: load(m, lv(m, f))
+            return lambda m, r: load(m, lv(m, r))
         # Field of a struct rvalue: rare; the interpreter path is shared.
-        return lambda m, f: m._eval_member(e)
+        return lambda m, r: m._eval_member(e)
 
     def call(self, e):
         name = e.name
         kind = INPUT_INTRINSICS.get(name)
         if kind is not None:
-            return lambda m, f: m._acquire_input(kind)
+            return lambda m, r: m._acquire_input(kind)
         arg_evs = [self.expr(arg) for arg in e.args]
         location = e.location
         function = self.module.functions.get(name)
@@ -830,23 +925,23 @@ class _Compiler:
                 for arg, ptype in zip(e.args, function.ftype.param_types)
             ]
 
-            def ev_call(m, f):
-                pairs = [ev(m, f) for ev in arg_evs]
-                converted = []
-                for (conc, full), (v, s) in zip(converters, pairs):
-                    if s is None:
-                        converted.append((conc(v), None))
-                    else:
-                        converted.append(full(m, v, s))
-                return m._call(function, converted, location)
+            def ev_call(m, r):
+                # Every argument is evaluated before any is converted, as
+                # in the interpreter: a tainted conversion can clear a
+                # flag, and the trace orders those events.
+                pairs = [ev(m, r) for ev in arg_evs]
+                return m._call(function, [
+                    (conc(v), None) if s is None else full(m, v, s)
+                    for (conc, full), (v, s) in zip(converters, pairs)
+                ], location)
 
             return ev_call
         handler = BUILTINS.get(name)
         if handler is not None:
             transparent_candidate = name in ("memcpy", "strcpy")
 
-            def ev_builtin(m, f):
-                pairs = [ev(m, f) for ev in arg_evs]
+            def ev_builtin(m, r):
+                pairs = [ev(m, r) for ev in arg_evs]
                 if not (m.options.transparent_memory
                         and transparent_candidate):
                     if any(s is not None for _, s in pairs):
@@ -857,7 +952,7 @@ class _Compiler:
 
             return ev_builtin
         # Unknown callee: the interpreter raises the right diagnostic.
-        return lambda m, f: m._eval_call(e)
+        return lambda m, r: m._eval_call(e)
 
     # -- instruction lowering --------------------------------------------
 
@@ -866,8 +961,8 @@ class _Compiler:
             ev = self.expr(instruction.expr)
             next_pc = pc + 1
 
-            def step_eval(m, f):
-                if ev(m, f)[1] is not None:
+            def step_eval(m, r):
+                if ev(m, r)[1] is not None:
                     m.symbolic_steps += 1
                 return next_pc
 
@@ -882,8 +977,8 @@ class _Compiler:
             key_taken = (fname, pc, True)
             key_not_taken = (fname, pc, False)
 
-            def step_branch(m, f):
-                value, sym = cond(m, f)
+            def step_branch(m, r):
+                value, sym = cond(m, r)
                 taken = value != 0
                 if sym is None:
                     constraint = None
@@ -907,19 +1002,19 @@ class _Compiler:
             return step_branch
         if isinstance(instruction, ir.Jump):
             target = instruction.target
-            return lambda m, f: target
+            return lambda m, r: target
         if isinstance(instruction, ir.Ret):
             if instruction.value is None:
 
-                def step_ret_void(m, f):
+                def step_ret_void(m, r):
                     m._return_value = _ZERO_PAIR
                     return -1
 
                 return step_ret_void
             ev = self.expr(instruction.value)
 
-            def step_ret(m, f):
-                pair = ev(m, f)
+            def step_ret(m, r):
+                pair = ev(m, r)
                 if pair[1] is not None:
                     m.symbolic_steps += 1
                 m._return_value = pair
@@ -930,12 +1025,12 @@ class _Compiler:
             location = instruction.location
             if instruction.reason == "assertion violation":
 
-                def step_assert(m, f):
+                def step_assert(m, r):
                     raise AssertionViolation("assertion violated", location)
 
                 return step_assert
 
-            def step_abort(m, f):
+            def step_abort(m, r):
                 raise ProgramAbort("abort() reached", location)
 
             return step_abort
@@ -1031,6 +1126,7 @@ class CompiledProgram:
 
     def _compile(self, function):
         compiler = self._compiler
+        compiler.frame_size = function.frame_size
         steps = []
         locations = []
         for pc, instruction in enumerate(function.instrs):

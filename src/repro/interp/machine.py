@@ -56,6 +56,9 @@ _COMPARISONS = {
     ">=": lambda a, b: a >= b,
 }
 
+#: Byte width -> value mask, for the in-place scalar parameter stores.
+_MASKS = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
+
 _INPUT_KIND_TYPES = {
     "int": ts.INT,
     "uint": ts.UINT,
@@ -130,6 +133,26 @@ class Frame:
         return self.region.start + symbol.frame_offset
 
 
+class LoadImage:
+    """The memory a module's executions start from, taken once.
+
+    Every string literal and statically initialised global, as immutable
+    bytes (:class:`~repro.interp.memory.MemoryImage`), plus the addresses
+    the loader gave them.  A DART session takes one from its first
+    machine and restores it into every later one
+    (``Machine(..., image=...)``), instead of rebuilding the same regions
+    on every run.
+    """
+
+    __slots__ = ("module", "memory", "string_addrs", "global_addrs")
+
+    def __init__(self, module, memory, string_addrs, global_addrs):
+        self.module = module
+        self.memory = memory
+        self.string_addrs = string_addrs
+        self.global_addrs = global_addrs
+
+
 class _StructValue:
     """A struct rvalue: raw bytes, plus the source address when the value
     was loaded from memory (so struct assignment can move symbolic state)."""
@@ -155,7 +178,7 @@ class Machine:
     """
 
     def __init__(self, module, options=None, hooks=None, flags=None,
-                 compiled=None):
+                 compiled=None, image=None):
         self.module = module
         self.options = options or MachineOptions()
         self.hooks = hooks or ExecutionHooks()
@@ -183,14 +206,21 @@ class Machine:
         #: (function name, pc, taken) triples — branch-direction coverage.
         self.covered_branches = set()
         self._frames = []
+        #: Global name -> address, and the global regions in
+        #: ``module.globals`` order (the compiled engine reads and writes
+        #: scalar globals in place, at offset 0 of their region).
         self._global_addrs = {}
+        self._globals = []
         self._string_addrs = []
         #: Set by _step_ret just before _execute unwinds (re-entrant calls
         #: are safe: the value is read immediately after the setting step).
         self._return_value = (0, None)
         #: Step count at which the wall-clock watchdog next fires.
         self._next_watchdog = self.options.watchdog_interval
-        self._load_module()
+        if image is None:
+            self._load_module()
+        else:
+            self._restore(image)
         if sys.getrecursionlimit() < 20000:
             sys.setrecursionlimit(20000)
 
@@ -205,7 +235,34 @@ class Machine:
                 max(gvar.ctype.size, 1), gvar.name
             )
             self._global_addrs[gvar.name] = region.start
+            self._globals.append(region)
             self._init_global(gvar, region.start)
+
+    def load_image(self):
+        """This machine's post-load memory as a :class:`LoadImage`.
+
+        Valid only before the machine has executed anything: the image
+        is the state every execution of the module starts from.
+        """
+        if self.steps or self._frames:
+            raise InterpreterError(
+                "a load image must be taken before the machine runs"
+            )
+        return LoadImage(self.module, self.memory.image(),
+                         tuple(self._string_addrs), dict(self._global_addrs))
+
+    def _restore(self, image):
+        """Start from ``image`` instead of loading the module afresh."""
+        if image.module is not self.module:
+            raise InterpreterError(
+                "load image was taken from a different module"
+            )
+        regions = self.memory.restore(image.memory)
+        self._string_addrs = image.string_addrs
+        self._global_addrs = image.global_addrs
+        # The loader bump-allocates globals in module order, so address
+        # order is module order.
+        self._globals = [r for r in regions if r.kind == "globals"]
 
     def _init_global(self, gvar, addr):
         init = gvar.init
@@ -269,9 +326,25 @@ class Machine:
             max(function.frame_size, 1), function.name, len(self._frames) + 1
         )
         frame = Frame(function, region)
-        for slot, (value, sym) in zip(function.param_slots, arg_pairs):
-            addr = region.start + slot.offset
-            self._store_scalar_or_struct(addr, slot.ctype, value, sym)
+        # Direct slots: a scalar parameter's bytes go straight into the
+        # fresh frame at its layout offset.  A frame that tracks written
+        # bytes (``track_uninitialized``) takes the checked store so its
+        # bitmap is kept.  A None symbolic half needs no invalidation:
+        # the bump allocator never hands out a stack address twice, so a
+        # fresh frame holds no entry of S.
+        direct = region.written is None
+        data = region.data
+        for (slot, width), (value, sym) in zip(function.param_stores,
+                                               arg_pairs):
+            offset = slot.offset
+            if direct and width:
+                data[offset:offset + width] = \
+                    (value & _MASKS[width]).to_bytes(width, "little")
+                if sym is not None:
+                    self.symbolic.write(region.start + offset, width, sym)
+            else:
+                self._store_scalar_or_struct(region.start + offset,
+                                             slot.ctype, value, sym)
         self._frames.append(frame)
         try:
             compiled = self.compiled
@@ -349,12 +422,12 @@ class Machine:
 
         Mirrors ``_execute`` exactly — same step accounting, watchdog
         cadence, fault-location attachment — but each pc indexes a
-        pre-lowered closure ``step(machine, frame_base) -> next pc``
+        pre-lowered closure ``step(machine, frame_region) -> next pc``
         instead of re-dispatching on the instruction type.
         """
         steps = cfunc.steps
         locations = cfunc.locations
-        fbase = frame.region.start
+        fregion = frame.region
         pc = 0
         limit = self.options.max_steps
         deadline = self.options.deadline
@@ -380,7 +453,7 @@ class Machine:
                     if now > deadline:
                         raise RunTimeout(now - deadline, locations[pc])
             try:
-                pc = steps[pc](self, fbase)
+                pc = steps[pc](self, fregion)
             except ExecutionFault as fault:
                 if fault.location is None:
                     fault.location = locations[pc]
@@ -676,6 +749,13 @@ class Machine:
             left_type.is_pointer() or right_type.is_pointer()
             or not left_type.signed or not right_type.signed
         )
+        return self._compare_values(op, unsigned, left_value, left_sym,
+                                    right_value, right_sym)
+
+    def _compare_values(self, op, unsigned, left_value, left_sym,
+                        right_value, right_sym):
+        """``_compare`` once the operand types have decided
+        ``unsigned`` (the compiled engine decides it when lowering)."""
         if unsigned:
             lv, rv = to_unsigned(left_value, 4), to_unsigned(right_value, 4)
         else:

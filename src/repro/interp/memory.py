@@ -52,10 +52,11 @@ class Region:
     __slots__ = ("start", "size", "data", "live", "kind", "label",
                  "written")
 
-    def __init__(self, start, size, kind, label, track_writes=False):
+    def __init__(self, start, size, kind, label, track_writes=False,
+                 data=None):
         self.start = start
         self.size = size
-        self.data = bytearray(size)
+        self.data = bytearray(size) if data is None else bytearray(data)
         self.live = True
         self.kind = kind  # "globals", "string", "stack", "heap", "alloca"
         self.label = label
@@ -74,6 +75,23 @@ class Region:
         )
 
 
+class MemoryImage:
+    """An immutable copy of a memory's regions and bump pointers.
+
+    Taken by :meth:`Memory.image` and replayed by :meth:`Memory.restore`:
+    the region contents are ``bytes``, so no run that writes to a
+    restored memory can reach back into the image.
+    """
+
+    __slots__ = ("regions", "bumps")
+
+    def __init__(self, regions, bumps):
+        #: (start, size, kind, label, contents) per region, in address
+        #: order.
+        self.regions = regions
+        self.bumps = bumps
+
+
 class Memory:
     """The RAM machine's memory ``M``."""
 
@@ -90,6 +108,44 @@ class Memory:
         }
         self._stack_used = 0
         self._heap_used = 0
+
+    # -- images -----------------------------------------------------------
+
+    def image(self):
+        """The current regions as a :class:`MemoryImage`.
+
+        Only regions without a written-bitmap can be imaged (strings and
+        globals, the loader's output); the frames and heap of a running
+        program are not part of any image.
+        """
+        regions = []
+        for start in self._starts:
+            region = self._regions[start]
+            if region.written is not None or not region.live:
+                raise ValueError(
+                    "cannot image {!r}".format(region)
+                )
+            regions.append((region.start, region.size, region.kind,
+                            region.label, bytes(region.data)))
+        return MemoryImage(tuple(regions), dict(self._bumps))
+
+    def restore(self, image):
+        """Replace this memory's contents with ``image``'s.
+
+        Returns the restored regions in address order.  The memory must
+        not have allocated a stack frame or heap block yet.
+        """
+        if self._stack_used or self._heap_used:
+            raise ValueError("restore into a memory already in use")
+        restored = [
+            Region(start, size, kind, label, data=contents)
+            for start, size, kind, label, contents in image.regions
+        ]
+        self._regions = {region.start: region for region in restored}
+        self._starts = [region.start for region in restored]
+        self._last_region = None
+        self._bumps = dict(image.bumps)
+        return restored
 
     # -- allocation -------------------------------------------------------
 

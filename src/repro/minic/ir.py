@@ -131,6 +131,15 @@ class IRFunction:
         self.ftype = ftype
         self.param_slots = param_slots  # list of FrameSlot, call order
         self.frame_size = frame_size
+        #: ``(slot, width)`` per parameter: ``width`` is the byte width of
+        #: a scalar the machine stores straight into the frame, 0 for a
+        #: struct (or a slot past ``frame_size``), which takes the checked
+        #: store.
+        self.param_stores = tuple(
+            (slot, slot.ctype.size if slot.ctype.is_scalar()
+             and slot.offset + slot.ctype.size <= frame_size else 0)
+            for slot in param_slots
+        )
         self.instrs = instrs
         self.location = location
 

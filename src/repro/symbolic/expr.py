@@ -20,6 +20,8 @@ generated driver code*, so the branch itself is directable
 evaluator-level alternative and is exercised by the test suite.
 """
 
+import operator
+
 # Relational operators, applied to a linear expression e: ``e OP 0``.
 EQ = "=="
 NE = "!="
@@ -29,6 +31,10 @@ GT = ">"
 GE = ">="
 
 _NEGATIONS = {EQ: NE, NE: EQ, LT: GE, GE: LT, LE: GT, GT: LE}
+
+#: The truth function of each relational operator.
+_RELATIONS = {EQ: operator.eq, NE: operator.ne, LT: operator.lt,
+              LE: operator.le, GT: operator.gt, GE: operator.ge}
 
 
 class InputVar:
@@ -184,15 +190,7 @@ class CmpExpr:
 
     def evaluate(self, assignment):
         """Truth value of the comparison under ``assignment``."""
-        value = self.lin.evaluate(assignment)
-        return {
-            EQ: value == 0,
-            NE: value != 0,
-            LT: value < 0,
-            LE: value <= 0,
-            GT: value > 0,
-            GE: value >= 0,
-        }[self.op]
+        return _RELATIONS[self.op](self.lin.evaluate(assignment), 0)
 
     def __eq__(self, other):
         return (

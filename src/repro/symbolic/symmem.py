@@ -8,6 +8,13 @@ input-dependent location with a computed value — including through aliases,
 as in the ``char*``/struct cast example of Section 2.5: the byte-range
 overlap check catches partial overwrites that a variable-keyed map would
 miss.
+
+Entries never overlap one another (every store invalidates what it
+overlaps first), so an entry that intersects ``[addr, addr + size)``
+starts in ``(addr - width, addr + size)`` where ``width`` bounds the
+widest live entry.  The store is keyed by start address and probes only
+that window; it falls back to scanning the entries when they are fewer
+than the window's addresses (a popped frame, a wide struct copy).
 """
 
 
@@ -17,15 +24,15 @@ class SymbolicMemory:
     def __init__(self):
         self._entries = {}
         # Conservative bounds over all entries ever written: lets the hot
-        # has_overlap path skip the scan for unrelated addresses.
+        # load and store paths skip S for unrelated addresses.
         self._lo = None
         self._hi = None
+        # The widest entry ever written, so at least the widest live
+        # one: how far below ``addr`` an overlapping entry can start.
+        self._width = 0
 
     def __len__(self):
         return len(self._entries)
-
-    def clear(self):
-        self._entries.clear()
 
     def read(self, addr, size):
         """The expression stored exactly at ``addr`` with width ``size``.
@@ -40,16 +47,9 @@ class SymbolicMemory:
 
     def write(self, addr, size, expr):
         """Store ``expr`` at ``addr``; ``expr`` may be None to invalidate."""
-        self._invalidate_overlaps(addr, size)
+        self.invalidate(addr, size)
         if expr is not None:
-            self._entries[addr] = (size, expr)
-            if self._lo is None or addr < self._lo:
-                self._lo = addr
-            if self._hi is None or addr + size > self._hi:
-                self._hi = addr + size
-
-    def invalidate(self, addr, size):
-        self._invalidate_overlaps(addr, size)
+            self._put(addr, size, expr)
 
     def has_overlap(self, addr, size):
         """True when any entry intersects [addr, addr + size).
@@ -59,40 +59,52 @@ class SymbolicMemory:
         on inputs yet carries no symbolic value), so the caller must clear
         ``all_linear``.
         """
-        if not self._entries:
-            return False
-        if self._lo is not None and (
-            addr + size <= self._lo or addr >= self._hi
-        ):
+        entries = self._entries
+        if not entries or addr + size <= self._lo or addr >= self._hi:
             return False  # outside the bounds of everything ever stored
-        if addr in self._entries:
-            return True
-        end = addr + size
-        return any(
-            a < end and addr < a + width
-            for a, (width, _) in self._entries.items()
-        )
+        return bool(self._overlapping(addr, size))
 
-    def _invalidate_overlaps(self, addr, size):
-        # Fast path: outside the bounds of everything ever stored, nothing
-        # can overlap (concrete stores vastly outnumber symbolic entries,
-        # so this guard carries the interpreter's store hot path).
-        if self._lo is None or addr + size <= self._lo or addr >= self._hi:
-            return
-        # Fast path: an exact-width entry at the same address.
-        existing = self._entries.pop(addr, None)
-        if existing is not None and existing[0] == size:
-            return
-        if existing is not None:
-            pass  # it overlapped by definition; fall through to full scan
+    def _overlapping(self, addr, size):
+        """The start addresses of the entries intersecting the range.
+
+        The entry starting at ``addr`` counts even for an empty range
+        (a zero-length ``memcpy`` onto it), as it always has.
+        """
+        entries = self._entries
         end = addr + size
-        stale = [
-            a
-            for a, (width, _) in self._entries.items()
-            if a < end and addr < a + width
-        ]
-        for a in stale:
-            del self._entries[a]
+        probe_end = max(end, addr + 1)
+        low = addr - self._width + 1
+        if probe_end - low < len(entries):
+            return [a for a in entries.keys() & range(low, probe_end)
+                    if a == addr or (a < end and a + entries[a][0] > addr)]
+        return [a for a, (width, _) in entries.items()
+                if a == addr or (a < end and addr < a + width)]
+
+    def invalidate(self, addr, size):
+        """Drop every entry intersecting [addr, addr + size)."""
+        # Fast path: outside the bounds of everything ever stored, nothing
+        # can overlap (concrete stores vastly outnumber symbolic entries, so
+        # this guard carries the interpreter's store hot path).
+        entries = self._entries
+        if not entries or addr + size <= self._lo or addr >= self._hi:
+            return
+        existing = entries.get(addr)
+        if existing is not None and existing[0] == size:
+            # An exact-width entry covers the whole range, and entries
+            # are disjoint: it is the only one to go.
+            del entries[addr]
+            return
+        for a in self._overlapping(addr, size):
+            del entries[a]
+
+    def _put(self, addr, size, expr):
+        self._entries[addr] = (size, expr)
+        if self._lo is None or addr < self._lo:
+            self._lo = addr
+        if self._hi is None or addr + size > self._hi:
+            self._hi = addr + size
+        if size > self._width:
+            self._width = size
 
     def copy_range(self, src, dst, size):
         """Copy symbolic entries wholly inside [src, src+size) to dst.
@@ -101,18 +113,15 @@ class SymbolicMemory:
         only partially covered are dropped (concrete fallback), entries in
         the destination range are invalidated first.
         """
-        self._invalidate_overlaps(dst, size)
+        self.invalidate(dst, size)
         src_end = src + size
-        moved = []
-        for addr, (width, expr) in self._entries.items():
-            if addr >= src and addr + width <= src_end:
-                moved.append((dst + (addr - src), width, expr))
+        moved = [
+            (dst + (addr - src), width, expr)
+            for addr, (width, expr) in self._entries.items()
+            if addr >= src and addr + width <= src_end
+        ]
         for addr, width, expr in moved:
-            self._entries[addr] = (width, expr)
-            if self._lo is None or addr < self._lo:
-                self._lo = addr
-            if self._hi is None or addr + width > self._hi:
-                self._hi = addr + width
+            self._put(addr, width, expr)
 
     def entries(self):
         """All live entries as (addr, size, expr) tuples (for inspection)."""

@@ -391,6 +391,31 @@ class Widener:
         the operand window pay for guards and flip-time window
         enumeration.
         """
+        if right_lin is None and type(left_lin) is LinExpr and (
+                right_ideal is None or right_ideal == right_anchor):
+            # The constant lane ``lin OP c`` with an unmoved constant: when
+            # ``lin`` is domain-precise and equals its machine operand on
+            # this run, both lanes come back from _widen_lane unrewritten
+            # and guard-free, and the conjunct is the plain difference.
+            lo, hi = UNSIGNED_WINDOW if unsigned else SIGNED_WINDOW
+            try:
+                value = left_lin.evaluate(self.assignment)
+            except KeyError:
+                value = None
+            if value == left_anchor:
+                low, high = _ideal_bounds(left_lin, self.domains)
+                if lo <= low and high <= hi:
+                    return self._admit(
+                        CmpExpr(op, left_lin.add_const(-right_anchor)),
+                        expected, False)
+        return self._compare_lanes(op, left_anchor, left_lin, right_anchor,
+                                   right_lin, unsigned, expected,
+                                   left_ideal, right_ideal)
+
+    def _compare_lanes(self, op, left_anchor, left_lin, right_anchor,
+                       right_lin, unsigned, expected,
+                       left_ideal=None, right_ideal=None):
+        """The general path of :meth:`widen_compare`: widen each lane."""
         if not self.lanes_linear(left_lin, right_lin):
             return self.drop_unfaithful()
         lo, hi = UNSIGNED_WINDOW if unsigned else SIGNED_WINDOW
@@ -429,7 +454,10 @@ class Widener:
     def lanes_linear(*lins):
         """Whether every operand is in the widenable fragment
         (LinExpr or concrete)."""
-        return all(lin is None or type(lin) is LinExpr for lin in lins)
+        for lin in lins:
+            if lin is not None and type(lin) is not LinExpr:
+                return False
+        return True
 
     def _admit(self, conjunct, expected, rewritten):
         if not self.faithful(conjunct, expected):

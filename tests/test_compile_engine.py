@@ -32,8 +32,14 @@ from repro.dart.inputs import InputVector
 from repro.dart.instrument import DirectedHooks
 from repro.dart.runner import Dart
 from repro.interp.compile import CompiledProgram
-from repro.interp.faults import ExecutionFault, InterpreterError
+from repro.interp.faults import (
+    ExecutionFault,
+    InterpreterError,
+    SegFault,
+    UninitializedRead,
+)
 from repro.interp.machine import Machine, MachineOptions
+from repro.interp.memory import MemoryOptions
 from repro.minic import compile_program
 from repro.obs.clock import COMPILE, LayerClock
 from repro.symbolic.flags import CompletenessFlags
@@ -43,6 +49,11 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 MACHINE_OPTIONS = MachineOptions(max_steps=300_000)
+
+#: The same budget with the written-byte bitmaps on: the compiled
+#: engine's direct frame slots branch on ``region.written``.
+TRACKING_OPTIONS = MachineOptions(
+    max_steps=300_000, memory=MemoryOptions(track_uninitialized=True))
 
 DART_OPTIONS = dict(max_iterations=120, stop_on_first_error=False,
                     handle_signals=False, seed=0)
@@ -80,7 +91,7 @@ class _LoggingDirectedHooks(DirectedHooks):
         super().on_branch(taken, constraint, location)
 
 
-def _run(module, hooks, compiled=None):
+def _run(module, hooks, compiled=None, options=MACHINE_OPTIONS):
     """Execute the driver; returns (outcome dict, branch log).
 
     The outcome captures everything the engines must agree on for one
@@ -89,7 +100,7 @@ def _run(module, hooks, compiled=None):
     and full byte contents — frames are popped by then, so this is the
     surviving globals/string/heap state).
     """
-    machine = Machine(module, MACHINE_OPTIONS, hooks, CompletenessFlags(),
+    machine = Machine(module, options, hooks, CompletenessFlags(),
                       compiled=compiled)
     fault = None
     value = None
@@ -114,13 +125,13 @@ def _run(module, hooks, compiled=None):
     return outcome, list(hooks.branch_log)
 
 
-def _random_vector(module, seed):
+def _random_vector(module, seed, options=MACHINE_OPTIONS):
     """Draw one input vector by running the program concretely once."""
     from repro.testgen.oracles import _RecordingHooks
 
     im = InputVector()
     hooks = _RecordingHooks(im, random.Random(seed))
-    machine = Machine(module, MACHINE_OPTIONS, hooks, CompletenessFlags())
+    machine = Machine(module, options, hooks, CompletenessFlags())
     try:
         machine.run(DRIVER_ENTRY)
     except ExecutionFault:
@@ -140,17 +151,27 @@ class TestEngineProperty:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=(1 << 32) - 1))
     def test_engines_agree_on_generated_programs(self, seed):
+        self._check(seed, MACHINE_OPTIONS)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_engines_agree_under_uninitialized_tracking(self, seed):
+        self._check(seed, TRACKING_OPTIONS)
+
+    @staticmethod
+    def _check(seed, options):
         program = generate_program(
             random.Random(seed), GeneratorOptions(max_statements=10),
             seed)
         module = build_test_program(program.render(), program.toplevel)
         compiled = CompiledProgram(module)
-        im = _random_vector(module, seed * 1_000_003 + 17)
+        im = _random_vector(module, seed * 1_000_003 + 17, options)
 
         # Taint off: concrete replay, symbolic stays dark on both sides.
-        interp, interp_log = _run(module, _LoggingFixedHooks(im.clone()))
+        interp, interp_log = _run(module, _LoggingFixedHooks(im.clone()),
+                                  options=options)
         fast, fast_log = _run(module, _LoggingFixedHooks(im.clone()),
-                              compiled=compiled)
+                              compiled=compiled, options=options)
         assert fast == interp
         assert fast_log == interp_log
         assert interp["symbolic_steps"] == 0
@@ -158,8 +179,9 @@ class TestEngineProperty:
         # Taint on: every input is a symbolic source; the compiled
         # engine must fall back to full tracking wherever taint flows
         # and still leave identical concrete state behind.
-        interp, interp_log = _run(module, _directed(im))
-        fast, fast_log = _run(module, _directed(im), compiled=compiled)
+        interp, interp_log = _run(module, _directed(im), options=options)
+        fast, fast_log = _run(module, _directed(im), compiled=compiled,
+                              options=options)
         assert fast == interp
         assert fast_log == interp_log
 
@@ -275,3 +297,87 @@ class TestLoweringMechanics:
         assert fast == interp
         assert fast["fault"] is not None
         assert fast["fault"][0] == "division by zero"
+
+
+class TestDirectSlotFaults:
+    """The compiled engine's direct frame and global slots skip the
+    region search; every fault that search stood for must still fire,
+    under both engines."""
+
+    @staticmethod
+    def _run_both(source, function="f", args=(), options=MACHINE_OPTIONS):
+        """``function``'s result (or the fault raised) per engine."""
+        module = compile_program(source)
+        outcomes = []
+        for compiled in (None, CompiledProgram(module)):
+            machine = Machine(module, options, compiled=compiled)
+            try:
+                outcomes.append(machine.run(function, args))
+            except ExecutionFault as fault:
+                outcomes.append((type(fault), str(fault)))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[1]
+
+    def test_pointer_to_popped_local_is_a_dead_frame(self):
+        # ``*q = v`` leaves the dying frame as the memory's last-used
+        # region, the load's fast path, when ``*p`` reads it.
+        kind, message = self._run_both("""
+            int *escape(int v) {
+              int local; int *q;
+              q = &local; *q = v;
+              return q;
+            }
+            int f(void) { int *p; p = escape(5); return *p; }
+        """)
+        assert kind is SegFault and "dead stack frame" in message
+
+    def test_never_written_local_is_an_uninitialized_read(self):
+        kind, _ = self._run_both(
+            "int f(int a) { int x; if (a) x = 1; return x; }",
+            args=(0,), options=TRACKING_OPTIONS)
+        assert kind is UninitializedRead
+        assert self._run_both(
+            "int f(int a) { int x; if (a) x = 1; return x; }",
+            args=(1,), options=TRACKING_OPTIONS) == 1
+
+    @pytest.mark.parametrize("options", [MACHINE_OPTIONS, TRACKING_OPTIONS],
+                             ids=["direct", "tracked"])
+    def test_narrow_parameters_truncate(self, options):
+        source = """
+            int c_of(char c) { return c; }
+            int s_of(short s) { return s; }
+            unsigned uc_of(unsigned char c) { return c; }
+            int f(int which) {
+              if (which == 0) return c_of(300);
+              if (which == 1) return s_of(70000);
+              return uc_of(-1);
+            }
+        """
+        assert self._run_both(source, args=(0,), options=options) == 44
+        assert self._run_both(source, args=(1,), options=options) == 4464
+        assert self._run_both(source, args=(2,), options=options) == 255
+
+    @pytest.mark.parametrize("source", [
+        "int f(void) { char *s; s = \"abc\"; *s = s[0] + 1; return 0; }",
+        "char *g = \"xyz\";\nint f(void) { g[1] = g[1]; return 0; }",
+    ], ids=["local", "global"])
+    def test_write_through_string_literal_faults(self, source):
+        # The literal is read first, so the write meets it as the
+        # memory's last-used region, the store's fast path.
+        kind, message = self._run_both(source)
+        assert kind is SegFault and "string literal" in message
+
+    def test_scalar_globals_read_and_write_in_place(self):
+        source = """
+            int counter = 40;
+            char tag = 'a';
+            int *alias;
+            int f(void) {
+              alias = &counter;
+              counter = counter + 1;
+              *alias = *alias + 1;
+              tag = tag + 1;
+              return counter * 1000 + tag;
+            }
+        """
+        assert self._run_both(source) == 42 * 1000 + ord("b")

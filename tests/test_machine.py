@@ -8,6 +8,7 @@ produce on a 32-bit target.
 import pytest
 
 from repro.interp import Machine
+from repro.interp.faults import InterpreterError
 from repro.minic import compile_program
 
 
@@ -442,3 +443,88 @@ class TestGlobalsAndStrings:
     def test_exit_builtin_halts(self):
         src = "int f(void) { exit(42); return 0; }"
         assert run(src) == 42
+
+
+class TestLoadImage:
+    """One post-load memory image per session, restored into every
+    machine instead of loading the module again."""
+
+    SOURCE = """
+        char *greeting = "hello";
+        int counter = 7;
+        char tag = 'q';
+        unsigned short wide = 65535;
+        int table[3];
+        char buf[5];
+        int f(void) {
+          counter = counter + 1;
+          tag = 'z';
+          wide = 1;
+          table[1] = 99;
+          buf[0] = 'x';
+          greeting = "bye";
+          return counter + strlen(greeting) + table[1];
+        }
+    """
+
+    @staticmethod
+    def _regions(machine):
+        return sorted(
+            (region.start, region.size, region.kind, region.label,
+             bytes(region.data))
+            for region in machine.memory._regions.values())
+
+    def test_restored_machine_matches_a_fresh_load(self):
+        module = compile_program(self.SOURCE)
+        image = Machine(module).load_image()
+        fresh = Machine(module)
+        restored = Machine(module, image=image)
+        assert self._regions(restored) == self._regions(fresh)
+        assert list(restored._string_addrs) == list(fresh._string_addrs)
+        for name in ("greeting", "counter", "tag", "wide", "table", "buf"):
+            assert restored.global_address(name) == \
+                fresh.global_address(name)
+        assert [region.start for region in restored._globals] == \
+            [region.start for region in fresh._globals]
+        assert restored.run("f", ()) == fresh.run("f", ()) == 8 + 3 + 99
+
+    def test_runs_do_not_leak_into_the_image(self):
+        from repro.interp.compile import CompiledProgram
+
+        module = compile_program(self.SOURCE)
+        compiled = CompiledProgram(module)
+        image = Machine(module).load_image()
+        initial = self._regions(Machine(module))
+        for engine in (None, compiled):
+            machine = Machine(module, image=image, compiled=engine)
+            assert machine.run("f", ()) == 8 + 3 + 99
+            assert self._regions(machine) != initial
+            # The next machine starts from the loader's state again.
+            assert self._regions(Machine(module, image=image)) == initial
+
+    def test_session_image_survives_its_runs(self):
+        from repro import DartOptions
+        from repro.dart.runner import RunContext
+        from repro.interp.machine import ExecutionHooks
+        from repro.symbolic.flags import CompletenessFlags
+
+        ctx = RunContext(self.SOURCE, "f", DartOptions(), "<test>")
+        assert ctx.image is None
+        initial = self._regions(Machine(ctx.module))
+        for _ in range(3):
+            machine = ctx.machine(ExecutionHooks(), CompletenessFlags())
+            assert self._regions(machine) == initial
+            assert machine.run("f", ()) == 8 + 3 + 99
+        assert ctx.image is not None
+
+    def test_image_is_taken_before_any_execution(self):
+        module = compile_program(self.SOURCE)
+        machine = Machine(module)
+        machine.run("f", ())
+        with pytest.raises(InterpreterError):
+            machine.load_image()
+
+    def test_image_of_another_module_is_rejected(self):
+        image = Machine(compile_program(self.SOURCE)).load_image()
+        with pytest.raises(InterpreterError):
+            Machine(compile_program(self.SOURCE), image=image)

@@ -1,7 +1,9 @@
 """Unit tests for symbolic expressions, symbolic memory and the Fig. 1
 evaluator (concrete fallback + completeness flags)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.symbolic.evaluate import SymbolicEvaluator, constraint_from_branch
 from repro.symbolic.expr import (
@@ -142,6 +144,97 @@ class TestSymbolicMemory:
         s.write(0, 4, lin({3: 1}))
         s.write(8, 4, CmpExpr(EQ, lin({4: 1})))
         assert s.variables() == {3, 4}
+
+
+class _ByteModel:
+    """A naive reference for ``SymbolicMemory``: every byte records the
+    entry covering it, and every operation walks bytes."""
+
+    def __init__(self):
+        self.owner = {}  # byte address -> (start, width, expr)
+
+    def _drop(self, addr, size):
+        hit = {self.owner[b] for b in range(addr, addr + size)
+               if b in self.owner}
+        for start, width, _ in hit:
+            for b in range(start, start + width):
+                del self.owner[b]
+
+    def write(self, addr, size, expr):
+        self._drop(addr, size)
+        if expr is not None:
+            for b in range(addr, addr + size):
+                self.owner[b] = (addr, size, expr)
+
+    def invalidate(self, addr, size):
+        self._drop(addr, size)
+
+    def read(self, addr, size):
+        entry = self.owner.get(addr)
+        if entry is not None and entry[0] == addr and entry[1] == size:
+            return entry[2]
+        return None
+
+    def has_overlap(self, addr, size):
+        return any(b in self.owner for b in range(addr, addr + size))
+
+    def copy_range(self, src, dst, size):
+        self._drop(dst, size)
+        inside = [entry for entry in set(self.owner.values())
+                  if entry[0] >= src and entry[0] + entry[1] <= src + size]
+        for start, width, expr in inside:
+            self.write(dst + (start - src), width, expr)
+
+    def entries(self):
+        return sorted(set(self.owner.values()), key=lambda e: e[0])
+
+
+_addresses = st.integers(min_value=0, max_value=64)
+_variables = st.integers(min_value=0, max_value=5).map(LinExpr.variable)
+
+
+def _operations(widths):
+    """Store operations over ``widths``.  Symbolic writes are weighted up
+    so the store often holds more entries than a probe window has
+    addresses (the keyed path), not only fewer (the scan)."""
+    width = st.sampled_from(widths)
+    symbolic_write = st.tuples(st.just("write"), _addresses, width,
+                               _variables)
+    return st.one_of(
+        symbolic_write, symbolic_write, symbolic_write,
+        st.tuples(st.just("write"), _addresses, width, st.none()),
+        st.tuples(st.just("invalidate"), _addresses,
+                  st.integers(min_value=1, max_value=40)),
+        st.tuples(st.just("copy_range"), _addresses, _addresses,
+                  st.integers(min_value=1, max_value=24)),
+        st.tuples(st.just("read"), _addresses, width),
+        st.tuples(st.just("has_overlap"), _addresses,
+                  st.integers(min_value=1, max_value=16)),
+    )
+
+
+#: Per example, the widths stores may use: the widest bounds the probe
+#: window, so narrow-only examples reach the keyed path sooner.
+_sequences = st.sampled_from(
+    ((1,), (1, 2), (1, 2, 4), (1, 2, 4, 8))
+).flatmap(
+    lambda widths: st.lists(_operations(widths), min_size=20, max_size=80))
+
+
+class TestSymbolicMemoryModel:
+    @settings(max_examples=300, deadline=None)
+    @given(_sequences)
+    def test_keyed_store_matches_byte_model(self, operations):
+        """The keyed store (probe window or scan, whichever is cheaper)
+        answers and evolves exactly like the per-byte model, over
+        unaligned addresses and mixed widths."""
+        store, model = SymbolicMemory(), _ByteModel()
+        for name, *args in operations:
+            got = getattr(store, name)(*args)
+            want = getattr(model, name)(*args)
+            assert got == want, (name, args)
+            assert store.entries() == model.entries()
+            assert len(store) == len(model.entries())
 
 
 class TestEvaluatorFig1:

@@ -289,6 +289,86 @@ def test_models_inside_the_window_match_wrapped_semantics(
         assert not conjunct.machine_verdict(model)
 
 
+# -- the constant-lane fast path ---------------------------------------------
+
+#: Input-kind domains the machine records (``None``: no domain noted, so
+#: the widener assumes int32).
+DOMAINS = (None, (-128, 127), (0, 255), (-(1 << 15), (1 << 15) - 1),
+           (0, (1 << 16) - 1), (0, 1), SIGNED_WINDOW)
+
+small_lins = st.builds(
+    lambda items, const: LinExpr(dict(items), const),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3),
+                  st.integers(min_value=-3, max_value=3)),
+        min_size=0, max_size=3, unique_by=lambda item: item[0],
+    ),
+    st.one_of(st.integers(min_value=-300, max_value=300),
+              st.integers(min_value=-3 * WRAP, max_value=3 * WRAP)),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(OPS), small_lins,
+       st.one_of(st.integers(min_value=-300, max_value=300),
+                 st.integers(min_value=-WRAP, max_value=WRAP)),
+       st.lists(st.tuples(st.sampled_from(DOMAINS), st.data()),
+                min_size=4, max_size=4),
+       st.booleans(), st.sampled_from(("run", "other", "missing")))
+def test_constant_lane_fast_path_equals_the_general_path(
+    op, lin, constant, inputs, unsigned, anchoring
+):
+    """``widen_compare`` on ``lin OP c`` returns what the general lane
+    path returns — the same conjunct, counters and flags — whether or
+    not its fast path applies: domain-precise or not, the constant moved
+    by the fold or not, the anchor this run's value or not, a variable
+    missing from the run."""
+    window = UNSIGNED_WINDOW if unsigned else SIGNED_WINDOW
+    fast, general = make_widener(), make_widener()
+    for ordinal, (domain, data) in enumerate(inputs):
+        if anchoring == "missing" and ordinal == 3:
+            continue
+        lo, hi = domain or SIGNED_WINDOW
+        value = data.draw(st.integers(min_value=lo, max_value=hi))
+        for widener in (fast, general):
+            if domain is None:
+                widener.note_input(ordinal, value)
+            else:
+                widener.note_input(ordinal, value, lo, hi)
+    try:
+        ideal = lin.evaluate(fast.assignment)
+    except KeyError:
+        ideal = 0
+    left_anchor = fold(ideal + (1 if anchoring == "other" else 0), window)
+    right_anchor = fold(constant, window)
+    expected = _COMPARISONS[op](left_anchor, right_anchor)
+    args = (op, left_anchor, lin, right_anchor, None, unsigned, expected,
+            ideal, constant)
+    got = fast.widen_compare(*args)
+    want = general._compare_lanes(*args)
+    assert type(got) is type(want)
+    assert got == want
+    assert (fast.widened, fast.dropped) == \
+        (general.widened, general.dropped)
+    assert fast.flags.snapshot() == general.flags.snapshot()
+
+
+def test_constant_lane_fast_path_skips_the_lanes(monkeypatch):
+    """A domain-precise ``x OP c`` never reaches the general lane path."""
+    widener = make_widener()
+    widener.note_input(0, 100, -128, 127)
+
+    def general(*args):
+        raise AssertionError("general lane path taken")
+
+    monkeypatch.setattr(Widener, "_compare_lanes", general)
+    conjunct = widener.widen_compare(LT, 100, LinExpr({0: 1}), 120, None,
+                                     False, True, 100, 120)
+    assert conjunct == CmpExpr(LT, LinExpr({0: 1}, -120))
+    assert type(conjunct) is CmpExpr
+    assert (widener.widened, widener.dropped) == (0, 0)
+
+
 # -- end to end: overflow-sensitive directed search --------------------------
 
 UNSIGNED_COMPARE_SOURCE = """
