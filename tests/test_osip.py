@@ -1,9 +1,11 @@
 """Tests for the generated oSIP-like library and the Section 4.3 findings."""
 
+import gc
+
 import pytest
 
 from repro import DartOptions, dart_check
-from repro.dart.runner import Dart
+from repro.dart.runner import Dart, RunContext, collector_paused
 from repro.interp import Machine, MachineOptions, SegFault
 from repro.interp.memory import MemoryOptions
 from repro.minic import compile_program
@@ -109,6 +111,55 @@ class TestPerFunctionSweep:
             crashed += bool(result.found_error)
             expected += fn.crashable
         assert crashed == expected
+
+
+class TestSessionBuildCollector:
+    """Building a session's front end runs no cyclic collection; the
+    collector's state is restored afterwards."""
+
+    def test_build_starts_at_most_one_collection(self, library):
+        name = library.functions[0].name
+        source = library.source_for_function(name)
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            RunContext(source, name, sweep_options(), "<osip>")
+        finally:
+            gc.callbacks.remove(record)
+        # The one allowed is the young collection the first allocation
+        # after the paused block starts; an unpaused build starts ~16.
+        assert len(generations) <= 1
+        assert 2 not in generations
+        assert gc.isenabled()
+
+    def test_pause_restores_an_enabled_collector_on_error(self):
+        assert gc.isenabled()
+        with pytest.raises(ValueError):
+            with collector_paused():
+                assert not gc.isenabled()
+                raise ValueError
+        assert gc.isenabled()
+
+    def test_nested_pause_leaves_the_collector_paused(self):
+        with collector_paused():
+            with collector_paused():
+                pass
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_build_under_a_disabled_collector_keeps_it_disabled(self):
+        gc.disable()
+        try:
+            Dart("int f(int x) { return x; }", "f", DartOptions())
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestAllocaSecurityBug:
