@@ -3,15 +3,19 @@
 :class:`DirectedHooks` plugs into the machine: it feeds the input vector
 ``IM`` to the ``__dart_*`` intrinsics (randomizing undefined slots) and, at
 every conditional, appends the symbolic conjunct to the path constraint and
-runs ``compare_and_update_stack`` against the branch outcomes predicted by
-the previous run.  A prediction mismatch clears ``forcing_ok`` and raises
-:class:`ForcingMismatch`, which the runner converts into a random restart —
-the paper's graceful degradation when a solved input does not have the
-expected effect.
+runs Fig. 4's ``compare_and_update_stack`` against the branch outcomes
+predicted by the previous run.  A prediction mismatch clears
+``forcing_ok`` and raises :class:`ForcingMismatch`, which the runner
+converts into a random restart — the paper's graceful degradation when a
+solved input does not have the expected effect.
+
+A run's bookkeeping is plain data: the branch stack (one ``bytearray``,
+see :mod:`repro.dart.pathcond`) and the index-aligned ``constraints``
+list.
 """
 
 from repro.dart.inputs import domain_for_kind, random_value
-from repro.dart.pathcond import PathRecord, StackEntry
+from repro.dart.pathcond import DONE, branch_bits
 from repro.symbolic.expr import InputVar
 
 
@@ -35,10 +39,11 @@ class DirectedHooks:
     def __init__(self, im, predicted_stack, flags, rng, options):
         #: IM — mutated in place as undefined slots get randomized.
         self.im = im
-        #: The (branch, done) records inherited from the previous run.
-        self.stack = [entry.copy() for entry in predicted_stack]
-        #: This run's aligned (stack, path constraint) record.
-        self.record = PathRecord()
+        #: The branch stack: the entries predicted by the previous run,
+        #: updated and extended by this one (Fig. 4).
+        self.stack = bytearray(predicted_stack)
+        #: This run's path constraint, index-aligned with the stack.
+        self.constraints = []
         self.flags = flags
         self._rng = rng
         self._options = options
@@ -70,29 +75,23 @@ class DirectedHooks:
     # -- conditionals ---------------------------------------------------------
 
     def on_branch(self, taken, constraint, location):
+        """Fig. 4's ``compare_and_update_stack``, after recording the
+        conjunct."""
         branch = 1 if taken else 0
-        k = len(self.record)
-        self.record.append(branch, constraint)
-        self._compare_and_update_stack(branch, k)
-
-    def _compare_and_update_stack(self, branch, k):
-        """Fig. 4, verbatim."""
+        constraints = self.constraints
+        k = len(constraints)
+        constraints.append(constraint)
         stack = self.stack
         if k < len(stack):
-            if stack[k].branch != branch:
+            expected = stack[k] & 1
+            if expected != branch:
                 self.flags.clear_forcing()
-                raise ForcingMismatch(k, stack[k].branch, branch)
+                raise ForcingMismatch(k, expected, branch)
             if k == len(stack) - 1:
-                stack[k].branch = branch
-                stack[k].done = True
+                stack[k] = branch | DONE
         else:
-            stack.append(StackEntry(branch, done=False))
+            stack.append(branch)
 
-    def finished_stack(self):
-        """The stack after a completed run.
-
-        The run's own record and the inherited stack agree on every index
-        by construction (mismatches raise); the inherited stack carries the
-        ``done`` bits, extended by the new conditionals appended above.
-        """
-        return self.stack
+    def path(self):
+        """The branch bits of the conditionals this run executed."""
+        return branch_bits(self.stack[: len(self.constraints)])

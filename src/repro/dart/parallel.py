@@ -45,10 +45,12 @@ What the executor adds to the in-process one (the full argument lives in
   (``jobs`` is excluded from the options digest exactly so a resumed
   search may change its parallelism).
 
-A worker returns each result as plain data: the run's metrics-registry
-and layer-clock snapshots, its flags, covered branches and trace events.
-The parent folds them into the session (deterministic merges — see
-`repro.obs.metrics`; the fold is the parent's ``commit`` layer) and
+A worker returns each result as plain data: the run's statistics
+snapshot (:meth:`repro.dart.report.RunStats.snapshot`: counters,
+histograms and layer-clock times), its flags, covered branches and trace
+events.  Branch stacks travel as the ``bytes`` they already are.  The
+parent folds the result into the session (commutative merges, so the
+fold is deterministic; it is the parent's ``commit`` layer) and
 re-emits the events in commit order before the commit itself.
 """
 
@@ -112,7 +114,7 @@ def _run_payload(ctx, index, payload):
     if ctx.compiled is not None:
         ctx.compiled.clock = stats.phases
     result = run_item(
-        ctx, persist._decode_stack(payload["stack"]),
+        ctx, payload["stack"],
         persist.decode_input_vector(payload["im"]), payload["bound"],
         random.Random(_item_seed(ctx.options.seed, index)),
         stats, flags, bus, index,
@@ -128,15 +130,13 @@ def _run_payload(ctx, index, payload):
         # The future fingerprint rides along so the *parent* can dedupe
         # at insert time against its drain-global seen set.
         "children": [
-            (persist._encode_stack(stack), persist.encode_input_vector(im),
-             bound, fp)
+            (bytes(stack), persist.encode_input_vector(im), bound, fp)
             for stack, im, bound, fp in result.children
         ],
         "quarantine": result.quarantine,
         "covered": stats.covered_branches,
         "flags": flags.snapshot(),
-        "metrics": stats.registry.to_dict(),
-        "phases": stats.phases.snapshot(),
+        "stats": stats.snapshot(),
         "events": sink.events if sink is not None else (),
     }
 
@@ -330,7 +330,7 @@ class _ProcessExecutor:
             self._next_dispatch += 1
             stack, im, bound = item
             payload = {
-                "stack": persist._encode_stack(stack),
+                "stack": bytes(stack),
                 "im": persist.encode_input_vector(im),
                 "bound": bound,
                 "trace": session.trace.enabled,
@@ -347,8 +347,6 @@ class _ProcessExecutor:
                 self._nominees[index] = \
                     self._slots[(index - 1) % len(self._slots)]
             self._work_q.put((index, payload))
-        session.stats.pool_inflight.set(
-            self._next_dispatch - self._next_commit)
 
     def take(self, index):
         """Block until the head-of-line result is in; fold it into the
@@ -385,12 +383,10 @@ class _ProcessExecutor:
             flags.clear_locs()
         if not all_faithful:
             flags.clear_faithful()
-        # Deterministic instrument merge: counters add, gauges max,
-        # histograms add elementwise; commit order makes it stable,
-        # commutativity makes it independent of worker scheduling.
-        stats.registry.merge(out["metrics"])
-        if stats.phases.enabled:
-            stats.phases.merge(out["phases"])
+        # Counters and histograms add, layer times add: commit order
+        # makes the merge stable, commutativity makes it independent of
+        # worker scheduling.
+        stats.merge(out["stats"])
         stats.covered_branches |= out["covered"]
         result = ItemResult(index, out["planned"],
                             persist.decode_input_vector(out["im"]))
@@ -402,8 +398,7 @@ class _ProcessExecutor:
             result.fault = RestoredFault(**out["error"])
         result.quarantine = out["quarantine"]
         result.children = [
-            (persist._decode_stack(stack), persist.decode_input_vector(im),
-             bound, fp)
+            (stack, persist.decode_input_vector(im), bound, fp)
             for stack, im, bound, fp in out["children"]
         ]
         trace = session.trace

@@ -64,7 +64,7 @@ import re
 import signal
 
 from repro.dart.inputs import InputVector
-from repro.dart.pathcond import PATH_DIGEST_CHARS, StackEntry
+from repro.dart.pathcond import DONE, PATH_DIGEST_CHARS
 from repro.faults import points as fault_points
 
 _CHECKPOINT_VERSION = 4
@@ -74,11 +74,21 @@ _DIGEST = re.compile("[0-9a-f]{{{}}}".format(PATH_DIGEST_CHARS))
 # -- shared encoding helpers -------------------------------------------------
 
 def _encode_stack(stack):
-    return [[entry.branch, 1 if entry.done else 0] for entry in stack]
+    """A branch stack as ``[[branch, done], ...]`` (bits 0/1)."""
+    return [[entry & 1, entry >> 1] for entry in stack]
 
 
 def _decode_stack(payload):
-    return [StackEntry(int(branch), bool(done)) for branch, done in payload]
+    """Inverse of :func:`_encode_stack`.  Both fields must be 0 or 1:
+    anything else is damage, so it raises (and the loader reports
+    ``"corrupt"``) instead of being packed into a flag nobody set."""
+    stack = bytearray()
+    for branch, done in payload:
+        if branch not in (0, 1) or done not in (0, 1):
+            raise ValueError("malformed stack entry {!r}".format(
+                [branch, done]))
+        stack.append(int(branch) | (DONE if done else 0))
+    return stack
 
 
 def encode_input_vector(im):

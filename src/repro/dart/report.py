@@ -1,12 +1,11 @@
 """Result and report types for DART and random-testing sessions.
 
-Session statistics are no longer an ad-hoc bag of ints: every counter of
-:class:`RunStats` is an instrument in a
-:class:`repro.obs.metrics.MetricsRegistry` (attribute access is a thin
-facade), which gives all of them deterministic cross-worker merging,
-JSON round-trips, and sits histograms (solver latency, path length) and
-the session's :class:`repro.obs.clock.LayerClock` next to them in one
-catalog — see ``docs/OBSERVABILITY.md``.
+Session statistics are plain data: :class:`RunStats` holds every name
+in ``RunStats.COUNTERS`` as an int attribute, two fixed-bucket
+histograms (solver latency, path length) and the session's
+:class:`repro.obs.clock.LayerClock`.  A pool worker ships
+:meth:`RunStats.snapshot` home and the parent folds it in with
+:meth:`RunStats.merge` — see ``docs/OBSERVABILITY.md``.
 """
 
 import time
@@ -15,7 +14,7 @@ from repro.obs.clock import LayerClock
 from repro.obs.metrics import (
     PATH_LENGTH_BUCKETS,
     SOLVER_LATENCY_BUCKETS_S,
-    MetricsRegistry,
+    Histogram,
 )
 
 #: Session outcome statuses (Theorem 1's three cases, plus budget cutoffs).
@@ -216,7 +215,7 @@ class PathWitness:
 
 
 class RunStats:
-    """Counters accumulated over a session, backed by a metrics registry."""
+    """Counters, histograms and layer times accumulated over a session."""
 
     #: Integer counters (checkpointed verbatim, in this order).
     COUNTERS = (
@@ -296,21 +295,13 @@ class RunStats:
     )
 
     def __init__(self, clocked=False):
-        registry = MetricsRegistry()
-        self.registry = registry
         for name in self.COUNTERS:
-            registry.counter(name)
-        #: Wall-clock latency of actual solver calls (histogram).
-        self.solver_latency = registry.histogram(
+            setattr(self, name, 0)
+        #: Wall-clock latency of actual solver calls.
+        self.solver_latency = Histogram(
             "solver_latency_s", SOLVER_LATENCY_BUCKETS_S)
-        #: Conditionals executed per completed run (histogram).
-        self.path_length = registry.histogram(
-            "path_length", PATH_LENGTH_BUCKETS)
-        #: Pending-item frontier size (generational engines; gauge).
-        self.worklist_depth = registry.gauge("worklist_depth")
-        #: Items dispatched to pool workers and not yet committed
-        #: (pipeline occupancy; the peak shows how full the window ran).
-        self.pool_inflight = registry.gauge("pool_inflight")
+        #: Conditionals executed per completed run.
+        self.path_length = Histogram("path_length", PATH_LENGTH_BUCKETS)
         #: :func:`~repro.dart.pathcond.path_digest` of every distinct
         #: completed path (fixed width, whatever the path length).
         self.distinct_paths = set()
@@ -331,6 +322,33 @@ class RunStats:
     def finish(self):
         self.phases.stop()
         self.elapsed = time.perf_counter() - self.started_at
+
+    def snapshot(self):
+        """What a pool worker ships home: the non-zero counters, both
+        histograms and the layer times, as JSON-ready data."""
+        return {
+            "counters": {name: getattr(self, name)
+                         for name in self.COUNTERS if getattr(self, name)},
+            "histograms": {histogram.name: histogram.to_dict()
+                           for histogram in self._histograms()},
+            "phases": self.phases.snapshot(),
+        }
+
+    def merge(self, snapshot):
+        """Fold a :meth:`snapshot` in: counters and histogram buckets
+        add, layer times add when this session's clock runs.  Every rule
+        is commutative, so merging snapshots in any order gives the
+        same statistics."""
+        for name, value in snapshot["counters"].items():
+            setattr(self, name, getattr(self, name) + value)
+        histograms = snapshot["histograms"]
+        for histogram in self._histograms():
+            histogram.merge(histograms[histogram.name])
+        if self.phases.enabled:
+            self.phases.merge(snapshot["phases"])
+
+    def _histograms(self):
+        return (self.solver_latency, self.path_length)
 
     def note_path(self, digest):
         """Record one completed path, given its
@@ -420,24 +438,6 @@ class RunStats:
         if self.coverage is not None:
             summary["coverage"] = self.coverage
         return summary
-
-
-def _counter_property(name):
-    """Attribute facade over the registry: ``stats.solver_calls += 1``
-    reads and writes the :class:`Counter` named ``solver_calls``."""
-
-    def _get(self):
-        return self.registry.counter(name).value
-
-    def _set(self, value):
-        self.registry.counter(name).value = value
-
-    return property(_get, _set)
-
-
-for _name in RunStats.COUNTERS:
-    setattr(RunStats, _name, _counter_property(_name))
-del _name
 
 
 class DartResult:

@@ -510,8 +510,9 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
     result.covered = machine.covered_branches
     new_path = False
     if result.completed:
-        result.path = hooks.record.path_key()
-        result.digest = path_digest(result.path)
+        bits = hooks.path()
+        result.path = tuple(bits)
+        result.digest = path_digest(bits)
         new_path = result.digest not in known_paths
         stats.path_length.observe(machine.branches_executed)
         if planned:
@@ -532,7 +533,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
             prev = clock.enter(PLAN)
         if options.strategy == "dfs":
             child = solve_path_constraint(
-                hooks.record, hooks.finished_stack(), im, ctx.solver, flags,
+                hooks.constraints, hooks.stack, im, ctx.solver, flags,
                 stats, options.solver_escalation, cache=ctx.cache,
                 slicing=options.constraint_slicing, trace=bus,
                 subsume=options.subsumption,
@@ -541,7 +542,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
                 result.children = (child,)
         else:
             result.children = expand_worklist_children(
-                hooks.finished_stack(), hooks.record.constraints, im, bound,
+                hooks.stack, hooks.constraints, im, bound,
                 ctx.solver, flags, stats, options.solver_escalation,
                 cache=ctx.cache, slicing=options.constraint_slicing,
                 trace=bus, subsume=options.subsumption,
@@ -555,7 +556,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
 class _InlineExecutor:
     """The ``jobs == 1`` executor: a window of one item, run in this
     process at dispatch, straight into the session's statistics, flags
-    and trace bus — no payload encoding, no registry merge."""
+    and trace bus — no payload encoding, no statistics merge."""
 
     def __init__(self, session):
         self.session = session
@@ -1023,13 +1024,11 @@ class _Session:
         try:
             while True:  # random restarts, as in Fig. 2
                 if pending is None:
-                    pending = [([], InputVector(), 0)]
+                    pending = [(b"", InputVector(), 0)]
                     self._clean_drain = True
                     self._dedup_seen = set()
                 self._worklist = pending
                 while pending or executor.inflight:
-                    stats.worklist_depth.set(
-                        len(pending) + len(executor.inflight))
                     self._autosave()
                     self._check_budget()
                     stats.iterations += 1
@@ -1038,7 +1037,6 @@ class _Session:
                                     pending):
                         self._clear_checkpoint()
                         return self._result()
-                stats.worklist_depth.set(0)
                 # Fig. 2's "until all_linear and all_locs_definite".
                 if self._clean_drain and self._finished_complete():
                     self._clear_checkpoint()

@@ -1,8 +1,9 @@
 """``solve_path_constraint`` (Fig. 5) and the generational expansion.
 
 After a run completes, the deepest conditional whose other branch has not
-been explored (``done == 0``) is selected; its conjunct is negated and the
-path-constraint prefix up to it is handed to the solver.  On success the
+been explored (no :data:`~repro.dart.pathcond.DONE` flag) is selected;
+its conjunct is negated and the path-constraint prefix up to it is handed
+to the solver.  On success the
 truncated stack (with the branch bit flipped) and the updated input vector
 ``IM + IM'`` drive the next run.  On UNSAT the next candidate branch is
 tried — the paper's recursive descent; on UNKNOWN additionally
@@ -40,6 +41,7 @@ import hashlib
 import time
 
 from repro.dart.independence import dedup_eligible
+from repro.dart.pathcond import DONE
 from repro.dart.slicing import ConstraintSlicer
 from repro.obs import trace as tr
 from repro.obs.clock import CACHE, SOLVER
@@ -254,7 +256,7 @@ def _extract_core(solver, constraints, domains, stats, trace):
 def candidate_indices(stack):
     """Indices of not-yet-``done`` conditionals, deepest first (Fig. 5)."""
     return [index for index in range(len(stack) - 1, -1, -1)
-            if not stack[index].done]
+            if not stack[index] & DONE]
 
 
 def _prefix_index(constraints):
@@ -342,20 +344,19 @@ def _child_fingerprint(query, query_vars, assignment, domains):
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
-def solve_path_constraint(record, stack, im, solver, flags, stats=None,
-                          escalation=1, cache=None, slicing=True, trace=None,
-                          subsume=False):
+def solve_path_constraint(constraints, stack, im, solver, flags,
+                          stats=None, escalation=1, cache=None, slicing=True,
+                          trace=None, subsume=False):
     """Pick the deepest branch to flip and solve for inputs reaching it.
 
-    ``record`` is the completed run's :class:`PathRecord` (constraints),
-    ``stack`` the finished (branch, done) list, ``im`` the run's input
-    vector.  Returns the next run as a child tuple ``(stack, im, bound,
-    None)`` — the truncated stack with its last bit flipped, ``IM +
-    IM'``, the index past the flip, and no dedup fingerprint — or None
-    when every branch along the path is exhausted (this directed search
-    is over).
+    ``constraints`` is the completed run's path constraint, ``stack`` its
+    finished branch stack (marked done in place as candidates are
+    exhausted), ``im`` the run's input vector.  Returns the next run as a
+    child tuple ``(stack, im, bound, None)`` — the truncated stack with
+    its last bit flipped, ``IM + IM'``, the index past the flip, and no
+    dedup fingerprint — or None when every branch along the path is
+    exhausted (this directed search is over).
     """
-    constraints = record.constraints
     domains = im.domains()
     non_none, count_before = _prefix_index(constraints)
     slicer = ConstraintSlicer(constraints, _assignment_of(im)) \
@@ -367,7 +368,7 @@ def solve_path_constraint(record, stack, im, solver, flags, stats=None,
             # other branch is only reachable through different earlier
             # choices (or not at all).  Mark it done so it is not
             # re-examined on every later solve with the same prefix.
-            stack[j].done = True
+            stack[j] |= DONE
             continue
         negations, exhaustive = _negations_of(conjunct, domains)
         if stats is not None:
@@ -385,8 +386,8 @@ def solve_path_constraint(record, stack, im, solver, flags, stats=None,
             if result.is_sat:
                 if stats is not None:
                     stats.flips_sat += 1
-                child = [entry.copy() for entry in stack[: j + 1]]
-                child[j] = child[j].flipped()
+                child = stack[: j + 1]
+                child[j] ^= 1
                 return child, im.updated(result.model), j + 1, None
             if result.status == "unknown":
                 # Prover incompleteness: same effect as a non-linear
@@ -401,12 +402,12 @@ def solve_path_constraint(record, stack, im, solver, flags, stats=None,
                 # mark it done so later solves with the same prefix skip
                 # it.  (Fig. 5 re-derives the UNSAT on every call; this
                 # is a pure memoization.)
-                stack[j].done = True
+                stack[j] |= DONE
             else:
                 # Window enumeration truncated: UNSAT here is not a
                 # proof.  Give up on this branch but record the lost
                 # guarantee like any other prover incompleteness.
-                stack[j].done = True
+                stack[j] |= DONE
                 flags.clear_linear()
     return None
 
@@ -454,8 +455,8 @@ def expand_worklist_children(stack, constraints, im, bound, solver, flags,
             if result.is_sat:
                 if stats is not None:
                     stats.flips_sat += 1
-                child = [entry.copy() for entry in stack[: j + 1]]
-                child[j] = child[j].flipped()
+                child = stack[: j + 1]
+                child[j] ^= 1
                 fp = None
                 if subsume and slicer is not None \
                         and independence is not None:

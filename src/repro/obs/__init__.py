@@ -6,9 +6,9 @@ Three orthogonal instruments, all zero-overhead when unused:
   ring-buffer and in-memory sinks; the window into *why* a directed
   search behaved the way it did (per-query verdicts and latencies, cache
   tiers, forcing outcomes, flag degradations).
-* :mod:`repro.obs.metrics` — the ``MetricsRegistry`` of counters, gauges
-  and fixed-bucket histograms backing ``RunStats``, with deterministic
-  cross-worker merging.
+* :mod:`repro.obs.metrics` — the fixed-bucket ``Histogram`` that
+  ``RunStats`` keeps next to its plain int counters, with a
+  deterministic cross-worker merge.
 * :mod:`repro.obs.clock` — the ``LayerClock`` splitting session wall
   time into exclusive per-layer times (execute, compile, plan, cache,
   solver, checkpoint, commit).
@@ -22,10 +22,7 @@ from repro.obs.clock import LAYERS, LayerClock
 from repro.obs.metrics import (
     PATH_LENGTH_BUCKETS,
     SOLVER_LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
 )
 from repro.obs.summary import render_summary, summarize_trace
 from repro.obs.trace import (
@@ -37,14 +34,11 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "JsonlTraceSink",
     "LAYERS",
     "LayerClock",
     "ListSink",
-    "MetricsRegistry",
     "PATH_LENGTH_BUCKETS",
     "RingBufferSink",
     "SOLVER_LATENCY_BUCKETS_S",

@@ -1,27 +1,17 @@
-"""Typed metrics: counters, gauges, and fixed-bucket histograms.
+"""Fixed-bucket histograms and their bucket bounds.
 
-The registry replaces the ad-hoc "bag of ints" statistics style: every
-session metric is a named instrument in a :class:`MetricsRegistry`
-(``RunStats`` is now a thin attribute facade over one — see
-`repro.dart.report`), so aggregation, serialization and cross-process
-merging are defined once, per instrument *type*, instead of once per
-call site.
+Session counters are plain int attributes of
+:class:`repro.dart.report.RunStats`; the two distributions a session
+tracks, solver latency and path length, are :class:`Histogram` objects
+next to them.  Design constraints:
 
-Design constraints:
-
-* **Deterministic merge.**  Parallel workers snapshot their registry and
-  the parent folds snapshots in dispatch order; counter and histogram
-  merges are commutative additions and gauge merges take the max, so the
-  merged registry is identical for any worker scheduling — the same
-  invariant the parallel engine already guarantees for search results.
-* **Fixed buckets.**  Histograms use pre-agreed upper bounds (solver
-  latency, path length), so merging never needs rebinning and two
-  sessions' histograms are always comparable.
-* **JSON-ready.**  ``to_dict``/``merge`` round-trip through plain dicts,
-  which is also exactly what crosses the process boundary.
+* **Fixed buckets.**  Histograms use pre-agreed upper bounds, so merging
+  never needs rebinning and two sessions' histograms are always
+  comparable.
+* **Deterministic merge.**  Pool workers ship ``to_dict`` snapshots and
+  the parent folds them in with :meth:`Histogram.merge`, an elementwise
+  addition: the merged histogram is the same for any worker scheduling.
 """
-
-from collections import OrderedDict
 
 #: Upper bucket bounds for solver wall-clock latency, in seconds.
 SOLVER_LATENCY_BUCKETS_S = (
@@ -31,51 +21,6 @@ SOLVER_LATENCY_BUCKETS_S = (
 
 #: Upper bucket bounds for executed path length (conditionals per run).
 PATH_LENGTH_BUCKETS = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256)
-
-
-class Counter:
-    """A monotonically *intended* integer counter (checkpoint restore may
-    set it directly)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
-
-    def to_dict(self):
-        return self.value
-
-    def merge(self, payload):
-        self.value += payload
-
-
-class Gauge:
-    """A last-value instrument that also tracks its high-water mark."""
-
-    __slots__ = ("name", "value", "peak")
-
-    def __init__(self, name):
-        self.name = name
-        self.value = 0
-        self.peak = 0
-
-    def set(self, value):
-        self.value = value
-        if value > self.peak:
-            self.peak = value
-
-    def to_dict(self):
-        return {"value": self.value, "peak": self.peak}
-
-    def merge(self, payload):
-        # Merged gauges have no meaningful "last" across processes; keep
-        # the max so the peak stays a true high-water mark.
-        self.value = max(self.value, payload["value"])
-        self.peak = max(self.peak, payload["peak"])
 
 
 class Histogram:
@@ -138,56 +83,3 @@ class Histogram:
             self.counts[i] += c
         self.count += payload["count"]
         self.total += payload["sum"]
-
-
-class MetricsRegistry:
-    """Named instruments with create-or-get access and dict round-trips."""
-
-    __slots__ = ("_counters", "_gauges", "_histograms")
-
-    def __init__(self):
-        self._counters = OrderedDict()
-        self._gauges = OrderedDict()
-        self._histograms = OrderedDict()
-
-    def counter(self, name):
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name):
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(self, name, buckets=None):
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            if buckets is None:
-                raise ValueError(
-                    "histogram {!r} does not exist; pass buckets".format(name)
-                )
-            instrument = self._histograms[name] = Histogram(name, buckets)
-        return instrument
-
-    def to_dict(self):
-        return {
-            "counters": {n: c.to_dict() for n, c in self._counters.items()},
-            "gauges": {n: g.to_dict() for n, g in self._gauges.items()},
-            "histograms": {
-                n: h.to_dict() for n, h in self._histograms.items()
-            },
-        }
-
-    def merge(self, payload):
-        """Fold a ``to_dict`` snapshot in (counters add, gauges max,
-        histograms add elementwise).  Deterministic: merging snapshots in
-        any order yields the same registry."""
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).merge(value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name).merge(value)
-        for name, value in payload.get("histograms", {}).items():
-            self.histogram(name, value["buckets"]).merge(value)

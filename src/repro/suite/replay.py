@@ -42,7 +42,7 @@ class _ReplayRecordingHooks(DirectedHooks):
 
     ``acquire_input`` returns the recorded slot value with no symbolic
     variable attached, so the run is purely concrete; the inherited
-    ``on_branch`` still appends every branch to the path record, and
+    ``on_branch`` still appends every branch to the branch stack, and
     with an empty predicted stack it can never raise a forcing
     mismatch.  A program that asks for more inputs than were recorded
     gets zeros.
@@ -109,7 +109,7 @@ def execute_vector(dart, inputs, kinds):
         kind = kinds[ordinal] if ordinal < len(kinds) else "int"
         im.record(ordinal, kind, value)
     hooks = _ReplayRecordingHooks(
-        im, [], CompletenessFlags(), random.Random(0), dart.options)
+        im, b"", CompletenessFlags(), random.Random(0), dart.options)
     machine = dart.ctx.machine(hooks, CompletenessFlags(), trace=dart.trace)
     fault = None
     try:
@@ -118,7 +118,7 @@ def execute_vector(dart, inputs, kinds):
         fault = caught
     covered = {entry for entry in machine.covered_branches
                if is_program_branch(entry)}
-    return ReplayOutcome(fault, hooks.record.path_key(), covered)
+    return ReplayOutcome(fault, hooks.path(), covered)
 
 
 def replay_artifact(directory):

@@ -369,7 +369,7 @@ class OracleBattery:
                 "two concrete runs of one input vector differ: " + delta,
                 values, kinds))
         instrumented = self._observe(module, DirectedHooks(
-            im.clone(), [], CompletenessFlags(), random.Random(0),
+            im.clone(), b"", CompletenessFlags(), random.Random(0),
             self._dart_options()))
         delta = baseline.diff(instrumented)
         if delta is not None:
@@ -402,7 +402,7 @@ class OracleBattery:
                 "compiled concrete execution diverges from the "
                 "interpreter: " + delta, values, kinds))
         replay = self._observe(module, DirectedHooks(
-            im.clone(), [], CompletenessFlags(), random.Random(0),
+            im.clone(), b"", CompletenessFlags(), random.Random(0),
             self._dart_options()), compiled=compiled)
         delta = baseline.diff(replay)
         if delta is None \
@@ -616,7 +616,7 @@ class OracleBattery:
         flags = CompletenessFlags()
         stats = RunStats()
         rng = random.Random(program.seed if program.seed is not None else 0)
-        im, stack = InputVector(), []
+        im, stack = InputVector(), b""
         for _ in range(self.opts.forcing_iterations):
             hooks = DirectedHooks(im, stack, flags, rng, options)
             machine = Machine(module, self._machine_options(), hooks, flags)
@@ -632,15 +632,15 @@ class OracleBattery:
                 # search from a fresh random input vector.
                 self.counters["forcing_mismatches"] += 1
                 flags = CompletenessFlags()
-                im, stack = InputVector(), []
+                im, stack = InputVector(), b""
                 continue
             child = solve_path_constraint(
-                hooks.record, hooks.finished_stack(), im, solver, flags,
+                hooks.constraints, hooks.stack, im, solver, flags,
                 stats, escalation=2, cache=cache, slicing=True)
             if child is None:
                 break
             stack, im, _bound, _fp = child
-            problem = self._check_plan(hooks.record.constraints, stack, im)
+            problem = self._check_plan(hooks.constraints, stack, im)
             if problem is not None:
                 return [Divergence(
                     "substitution", problem,

@@ -16,7 +16,7 @@ import repro
 from repro import DartOptions
 from repro.dart import persist
 from repro.dart.inputs import InputVector
-from repro.dart.pathcond import StackEntry, path_digest
+from repro.dart.pathcond import DONE, path_digest
 from repro.dart.report import CHECKPOINT_CORRUPT
 from repro.dart.runner import Dart
 from repro.programs.ac_controller import AC_CONTROLLER_SOURCE
@@ -371,8 +371,8 @@ def _checkpoints():
     ints = st.integers(-(1 << 40), 1 << 40)
     text = st.text(max_size=12)
     bits = st.lists(st.integers(0, 1), max_size=30)
-    stacks = st.lists(st.builds(StackEntry, st.integers(0, 1),
-                                st.booleans()), max_size=8)
+    stacks = st.lists(st.sampled_from([0, 1, DONE, 1 | DONE]),
+                      max_size=8).map(bytearray)
 
     def input_vector(slots):
         im = InputVector()

@@ -10,7 +10,7 @@ pointer-shape branches and so change the whole execution if perturbed).
 import random
 
 from repro.dart.inputs import _DOMAINS, InputVector, random_value
-from repro.dart.pathcond import StackEntry
+from repro.dart.pathcond import DONE
 from repro.dart.persist import (
     SessionCheckpoint,
     decode_input_vector,
@@ -84,11 +84,11 @@ class TestStateFileRoundTrip:
         kinds = sorted(_DOMAINS)
         for ordinal, kind in enumerate(kinds):
             im.record(ordinal, kind, random_value(kind, rng))
-        stack = [StackEntry(1, False), StackEntry(0, True)]
+        stack = bytearray([1, 0 | DONE])
         loaded_stack, loaded_im = checkpoint_roundtrip(path, stack, im)
         assert [slot.kind for slot in loaded_im] == kinds
         assert loaded_im.values() == im.values()
-        assert [(e.branch, e.done) for e in loaded_stack] == \
+        assert [(e & 1, bool(e & DONE)) for e in loaded_stack] == \
             [(1, False), (0, True)]
 
     def test_double_round_trip_is_stable(self, tmp_path):
@@ -97,9 +97,9 @@ class TestStateFileRoundTrip:
         for ordinal, kind in enumerate(sorted(_DOMAINS)):
             lo, hi = _DOMAINS[kind]
             im.record(ordinal, kind, hi)
-        _, once = checkpoint_roundtrip(path, [StackEntry(0, False)], im)
+        _, once = checkpoint_roundtrip(path, bytearray([0]), im)
         _, twice = checkpoint_roundtrip(
-            path, [StackEntry(0, False)], once)
+            path, bytearray([0]), once)
         assert encode_input_vector(once) == encode_input_vector(twice) \
             == encode_input_vector(im)
 
@@ -138,7 +138,7 @@ class TestReplayReproduction:
             im.record(ordinal, kind, value)
         path = str(tmp_path / "state.json")
         _, loaded = checkpoint_roundtrip(
-            path, [StackEntry(0, False)], im)
+            path, bytearray([0]), im)
         assert loaded.values() == report.inputs
         dart = Dart(POINTER_PROGRAM, "f")
         fault = dart.replay(loaded.values(),

@@ -7,7 +7,7 @@ import pytest
 from repro.dart.config import DartOptions
 from repro.dart.inputs import InputVector
 from repro.dart.instrument import DirectedHooks, ForcingMismatch
-from repro.dart.pathcond import PathRecord, StackEntry
+from repro.dart.pathcond import DONE, branch_bits
 from repro.symbolic.expr import CmpExpr, EQ, LinExpr
 from repro.symbolic.flags import CompletenessFlags
 
@@ -15,7 +15,7 @@ from repro.symbolic.flags import CompletenessFlags
 def make_hooks(predicted=None, im=None, options=None):
     return DirectedHooks(
         im or InputVector(),
-        predicted or [],
+        predicted or b"",
         CompletenessFlags(),
         random.Random(0),
         options or DartOptions(),
@@ -74,63 +74,82 @@ class TestCompareAndUpdateStack:
         hooks = make_hooks()
         hooks.on_branch(True, constraint(), None)
         hooks.on_branch(False, None, None)
-        stack = hooks.finished_stack()
-        assert [e.branch for e in stack] == [1, 0]
-        assert all(not e.done for e in stack)
+        stack = hooks.stack
+        assert [entry & 1 for entry in stack] == [1, 0]
+        assert all(not entry & DONE for entry in stack)
 
     def test_record_aligned_with_constraints(self):
         hooks = make_hooks()
         c = constraint()
         hooks.on_branch(True, c, None)
         hooks.on_branch(False, None, None)
-        assert hooks.record.constraints == [c, None]
-        assert hooks.record.path_key() == (1, 0)
+        assert hooks.constraints == [c, None]
+        assert tuple(hooks.path()) == (1, 0)
 
     def test_prediction_match_marks_last_done(self):
-        predicted = [StackEntry(1), StackEntry(0)]
+        predicted = bytes([1, 0])
         hooks = make_hooks(predicted=predicted)
         hooks.on_branch(True, constraint(), None)
         hooks.on_branch(False, constraint(1), None)
-        stack = hooks.finished_stack()
-        assert stack[1].done        # k == |stack|-1 confirmed
-        assert not stack[0].done    # interior entries untouched
+        stack = hooks.stack
+        assert stack[1] & DONE      # k == |stack|-1 confirmed
+        assert not stack[0] & DONE  # interior entries untouched
 
     def test_prediction_mismatch_raises_and_clears_forcing(self):
-        predicted = [StackEntry(1)]
+        predicted = bytes([1])
         hooks = make_hooks(predicted=predicted)
         with pytest.raises(ForcingMismatch) as exc:
             hooks.on_branch(False, constraint(), None)
         assert exc.value.index == 0
         assert not hooks.flags.forcing_ok
 
+    def test_done_flag_is_not_a_prediction(self):
+        # A done interior entry still predicts its branch bit only.
+        hooks = make_hooks(predicted=bytes([1 | DONE, 0]))
+        hooks.on_branch(True, constraint(), None)
+        with pytest.raises(ForcingMismatch) as exc:
+            hooks.on_branch(True, constraint(1), None)
+        assert (exc.value.index, exc.value.expected, exc.value.actual) \
+            == (1, 0, 1)
+
     def test_execution_beyond_prediction_appends(self):
-        predicted = [StackEntry(1)]
+        predicted = bytes([1])
         hooks = make_hooks(predicted=predicted)
         hooks.on_branch(True, constraint(), None)
         hooks.on_branch(True, constraint(1), None)
-        stack = hooks.finished_stack()
+        stack = hooks.stack
         assert len(stack) == 2
-        assert not stack[1].done
+        assert not stack[1] & DONE
 
     def test_predicted_stack_not_mutated(self):
-        predicted = [StackEntry(1)]
+        predicted = bytearray([1])
         hooks = make_hooks(predicted=predicted)
         hooks.on_branch(True, constraint(), None)
-        assert not predicted[0].done  # hooks work on a copy
+        assert not predicted[0] & DONE  # hooks work on a copy
 
 
 class TestStackEntry:
     def test_flipped(self):
-        assert StackEntry(1).flipped().branch == 0
-        assert StackEntry(0).flipped().branch == 1
+        # A child flips the branch bit of its last entry (``^= 1``) and
+        # keeps that entry's done flag.
+        for entry in (0, 1, DONE, 1 | DONE):
+            flipped = entry ^ 1
+            assert flipped & 1 == 1 - (entry & 1)
+            assert flipped & DONE == entry & DONE
+        assert branch_bits(bytes([1 | DONE, 0, DONE, 1])) == bytes(
+            [1, 0, 0, 1])
 
     def test_copy_independent(self):
-        entry = StackEntry(1)
-        copy = entry.copy()
-        copy.done = True
-        assert not entry.done
+        stack = bytearray([1, 0])
+        child = stack[:2]
+        child[1] ^= 1
+        child[0] |= DONE
+        assert stack == bytearray([1, 0])
 
     def test_path_record_len(self):
-        record = PathRecord()
-        record.append(1, None)
-        assert len(record) == 1
+        # The path has one bit per conditional executed, even when the
+        # run stopped short of its prediction (a fault before the end).
+        hooks = make_hooks(predicted=bytes([1, 0, 1]))
+        hooks.on_branch(True, None, None)
+        assert len(hooks.constraints) == 1
+        assert hooks.path() == b"\x01"

@@ -196,7 +196,7 @@ class TestConcolicConsistency:
         except Exception:
             return  # division faults etc. are fine here
         assignment = {0: x, 1: y}
-        for constraint in hooks.record.constraints:
+        for constraint in hooks.constraints:
             if constraint is None:
                 continue
             assert constraint.evaluate(assignment), (

@@ -42,7 +42,7 @@ class TestConstraintShapes:
           if (x == 5) { }
         }
         """, im_values=[5])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint.op == EQ
         assert constraint.lin.coeffs == {0: 1}
         assert constraint.lin.const == -5
@@ -56,7 +56,7 @@ class TestConstraintShapes:
           if (x == 5) { }
         }
         """, im_values=[6])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint.op == NE
 
     def test_interprocedural_symbolic_value(self):
@@ -70,7 +70,7 @@ class TestConstraintShapes:
           if (f(x) == x + 10) { }
         }
         """, im_values=[0])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         # 2x - (x + 10) = x - 10
         assert constraint.lin.coeffs == {0: 1}
         assert constraint.lin.const == -10
@@ -86,7 +86,7 @@ class TestConstraintShapes:
           if (z <= 0) { }
         }
         """, im_values=[1, 1])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint.lin.coeffs == {0: 3, 1: -1}
         assert constraint.op in (LE, GT)
 
@@ -99,7 +99,7 @@ class TestConstraintShapes:
           if (*p > 100) { }
         }
         """, im_values=[0])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint.lin.coeffs == {0: 1}
         assert flags.complete
 
@@ -113,7 +113,7 @@ class TestConstraintShapes:
           if (c->v == 9) { }
         }
         """, im_values=[9])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint.op == EQ
         assert flags.complete  # address was concrete
 
@@ -126,7 +126,7 @@ class TestConstraintShapes:
           if (x == 3) { }
         }
         """, im_values=[0])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint is None  # concrete predicate
         assert flags.complete  # nothing symbolic was lost
 
@@ -141,7 +141,7 @@ class TestConstraintShapes:
           if (x == 5) { }
         }
         """, im_values=[5])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint is None  # partially clobbered: no symbolic value
 
     def test_nonlinear_clears_flag_and_falls_back(self):
@@ -153,7 +153,7 @@ class TestConstraintShapes:
           if (x * y == 12) { }
         }
         """, im_values=[3, 4])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint is None
         assert not flags.all_linear
 
@@ -169,7 +169,7 @@ class TestConstraintShapes:
         }
         """, im_values=[2])
         assert not flags.all_locs_definite
-        assert hooks.record.constraints[2] is None
+        assert hooks.constraints[2] is None
 
     def test_chars_produce_bounded_domain_inputs(self):
         hooks, _ = trace("""
@@ -192,8 +192,8 @@ class TestConstraintShapes:
             if (a + b >= 10) { }
         }
         """, im_values=[1, 20])
-        assert len(hooks.record.constraints) == 2
-        first, second = hooks.record.constraints
+        assert len(hooks.constraints) == 2
+        first, second = hooks.constraints
         assert first.op == LT
         assert second.op == GE
         assert second.lin.coeffs == {0: 1, 1: 1}
@@ -206,7 +206,7 @@ class TestConstraintShapes:
           if (x / 2 == 4) { }
         }
         """, im_values=[8])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint is None
         assert not flags.all_linear
 
@@ -218,7 +218,7 @@ class TestConstraintShapes:
           if ((x << 3) == 64) { }
         }
         """, im_values=[8])
-        (constraint,) = hooks.record.constraints
+        (constraint,) = hooks.constraints
         assert constraint is not None
         assert constraint.lin.coeffs == {0: 8}
         assert flags.all_linear

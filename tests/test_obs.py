@@ -1,28 +1,28 @@
 """Unit tests for the observability layer (repro.obs).
 
 Covers the trace bus and its sinks (round-trip through the JSONL
-format), the metrics registry's deterministic merge semantics, the
-layer clock, and the zero-overhead-when-disabled contract: a session
-without sinks must never construct an event, and a session without a
-clock never reads one.
+format), the histograms and the deterministic merge of ``RunStats``
+snapshots, the layer clock, and the zero-overhead-when-disabled
+contract: a session without sinks must never construct an event, and a
+session without a clock never reads one.
 """
 
 import io
 import json
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro import dart_check
+from repro.dart.report import RunStats
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
     LAYERS,
     JsonlTraceSink,
     LayerClock,
     ListSink,
-    MetricsRegistry,
     RingBufferSink,
     TraceBus,
     read_trace,
@@ -169,24 +169,6 @@ class TestDisabledOverheadGuard:
                    for entry in result.stats.phases.snapshot().values())
 
 
-class TestCounterGauge:
-    def test_counter_inc_and_merge(self):
-        counter = Counter("runs")
-        counter.inc()
-        counter.inc(4)
-        assert counter.to_dict() == 5
-        counter.merge(3)
-        assert counter.value == 8
-
-    def test_gauge_tracks_peak_and_merges_by_max(self):
-        gauge = Gauge("depth")
-        gauge.set(5)
-        gauge.set(2)
-        assert gauge.to_dict() == {"value": 2, "peak": 5}
-        gauge.merge({"value": 4, "peak": 4})
-        assert gauge.value == 4 and gauge.peak == 5
-
-
 class TestHistogram:
     def test_buckets_must_strictly_increase(self):
         with pytest.raises(ValueError):
@@ -221,48 +203,96 @@ class TestHistogram:
         assert hist.quantile(1.0) == 100
 
 
-class TestMetricsRegistry:
-    def fill(self, registry, runs, depth, latencies):
-        registry.counter("runs").inc(runs)
-        registry.gauge("depth").set(depth)
-        hist = registry.histogram("latency", (0.001, 0.01, 0.1))
-        for value in latencies:
-            hist.observe(value)
+class TestRunStatsSnapshot:
+    """``RunStats.snapshot()``/``merge()``: what a pool worker ships home
+    and how the parent folds it in."""
 
-    def test_create_or_get_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.histogram("h", (1,)) is registry.histogram("h")
+    worker = st.fixed_dictionaries({
+        "counters": st.dictionaries(
+            st.sampled_from(RunStats.COUNTERS),
+            st.integers(min_value=0, max_value=10 ** 6), max_size=8),
+        "latencies": st.lists(
+            st.floats(min_value=0, max_value=10, allow_nan=False),
+            max_size=6),
+        "paths": st.lists(st.integers(min_value=0, max_value=400),
+                          max_size=6),
+        "plan_s": st.floats(min_value=0, max_value=5, allow_nan=False),
+    })
 
-    def test_histogram_requires_buckets_on_first_use(self):
+    @staticmethod
+    def stats_of(worker):
+        stats = RunStats(clocked=True)
+        for name, value in worker["counters"].items():
+            setattr(stats, name, value)
+        for value in worker["latencies"]:
+            stats.solver_latency.observe(value)
+        for value in worker["paths"]:
+            stats.path_length.observe(value)
+        stats.phases.merge({PLAN: {"seconds": worker["plan_s"],
+                                   "entries": 1}})
+        return stats
+
+    @staticmethod
+    def folded(snapshots):
+        parent = RunStats(clocked=True)
+        for snapshot in snapshots:
+            parent.merge(snapshot)
+        return parent
+
+    @staticmethod
+    def plain(stats):
+        """Everything a merge can change (no layer is ever entered here,
+        so the layer times are exactly what was merged)."""
+        snapshot = stats.snapshot()
+        snapshot["counters"] = {name: getattr(stats, name)
+                                for name in RunStats.COUNTERS}
+        return snapshot
+
+    @given(st.lists(worker, min_size=1, max_size=4), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_is_order_independent(self, workers, rnd):
+        snapshots = [self.stats_of(worker).snapshot() for worker in workers]
+        shuffled = list(snapshots)
+        rnd.shuffle(shuffled)
+        forward = self.folded(snapshots)
+        assert self.plain(forward) == self.plain(self.folded(shuffled))
+        assert self.plain(forward) == self.plain(
+            self.folded(reversed(snapshots)))
+        for name in RunStats.COUNTERS:
+            assert getattr(forward, name) == sum(
+                worker["counters"].get(name, 0) for worker in workers)
+        assert forward.solver_latency.count == sum(
+            len(worker["latencies"]) for worker in workers)
+        assert forward.path_length.count == sum(
+            len(worker["paths"]) for worker in workers)
+        assert forward.phases.snapshot()[PLAN]["entries"] == len(workers)
+
+    @given(worker)
+    @settings(max_examples=60, deadline=None)
+    def test_snapshot_round_trips_through_json(self, worker):
+        stats = self.stats_of(worker)
+        snapshot = stats.snapshot()
+        # Only non-zero counters travel.
+        assert snapshot["counters"] == {
+            name: value for name, value in worker["counters"].items()
+            if value}
+        other = self.folded([json.loads(json.dumps(snapshot))])
+        assert other.snapshot() == snapshot
+        assert self.plain(other) == self.plain(stats)
+
+    def test_merge_rejects_mismatched_histogram_buckets(self):
+        snapshot = RunStats().snapshot()
+        snapshot["histograms"]["path_length"]["buckets"] = [1, 2]
         with pytest.raises(ValueError):
-            MetricsRegistry().histogram("h")
+            RunStats().merge(snapshot)
 
-    def test_merge_is_order_independent(self):
-        snapshots = []
-        for runs, depth, latencies in (
-            (3, 2, [0.0005, 0.05]), (5, 7, [0.005]), (1, 1, [0.5, 0.005]),
-        ):
-            registry = MetricsRegistry()
-            self.fill(registry, runs, depth, latencies)
-            snapshots.append(registry.to_dict())
-
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for snap in snapshots:
-            forward.merge(snap)
-        for snap in reversed(snapshots):
-            backward.merge(snap)
-        assert forward.to_dict() == backward.to_dict()
-        assert forward.counter("runs").value == 9
-        assert forward.gauge("depth").peak == 7
-
-    def test_to_dict_round_trips_through_json(self):
-        registry = MetricsRegistry()
-        self.fill(registry, 2, 3, [0.002])
-        payload = json.loads(json.dumps(registry.to_dict()))
-        other = MetricsRegistry()
-        other.merge(payload)
-        assert other.to_dict() == registry.to_dict()
+    def test_unclocked_parent_ignores_layer_times(self):
+        worker = RunStats(clocked=True)
+        worker.phases.merge({PLAN: {"seconds": 0.5, "entries": 2}})
+        parent = RunStats()
+        parent.merge(worker.snapshot())
+        assert parent.phases.snapshot()[PLAN] == {"seconds": 0.0,
+                                                  "entries": 0}
 
 
 class TestLayerClock:

@@ -7,7 +7,7 @@ import random
 from repro import DartOptions
 from repro.dart import persist
 from repro.dart.inputs import InputVector
-from repro.dart.pathcond import StackEntry
+from repro.dart.pathcond import DONE
 from repro.dart.runner import Dart
 from repro.programs.ac_controller import AC_CONTROLLER_SOURCE
 
@@ -35,21 +35,34 @@ class TestFileFormat:
         return persist.load_checkpoint_ex(str(path), self.FINGERPRINT)
 
     def test_roundtrip(self, tmp_path):
-        stack = [StackEntry(1, True), StackEntry(0, False)]
+        stack = bytearray([1 | DONE, 0])
         im = InputVector()
         im.record(0, "int", -7)
         im.record(1, "ptr_choice", 1)
         loaded_stack, loaded_im = self.roundtrip(tmp_path, stack, im)
-        assert [(e.branch, e.done) for e in loaded_stack] == \
+        assert [(e & 1, bool(e & DONE)) for e in loaded_stack] == \
             [(1, True), (0, False)]
         assert loaded_im.values() == [-7, 1]
         assert loaded_im[1].kind == "ptr_choice"
 
     def test_empty_state(self, tmp_path):
         loaded_stack, loaded_im = self.roundtrip(
-            tmp_path, [], InputVector()
+            tmp_path, b"", InputVector()
         )
-        assert loaded_stack == [] and len(loaded_im) == 0
+        assert loaded_stack == b"" and len(loaded_im) == 0
+
+    def test_stack_entries_outside_0_1_are_corrupt(self, tmp_path):
+        # Entries pack into one byte (branch | DONE): a stray 2 must not
+        # quietly become a done flag, so the loader rejects the file.
+        path = tmp_path / "state.json"
+        for entry in ([2, 0], [0, 2], [1, -1], ["1", 0], [0.5, 0], [1],
+                      [1, 0, 0]):
+            self.save(str(path), bytearray([1, 0]), InputVector())
+            payload = json.loads(path.read_text())
+            payload["body"]["worklist"][0]["stack"] = [[1, 0], entry]
+            payload["checksum"] = persist._body_checksum(payload["body"])
+            path.write_text(json.dumps(payload))
+            assert self.reason(path) == (None, "corrupt"), entry
 
     def test_missing_file(self, tmp_path):
         assert self.reason(tmp_path / "nope.json") == (None, "missing")
@@ -66,7 +79,7 @@ class TestFileFormat:
 
     def test_clear_state(self, tmp_path):
         path = str(tmp_path / "state.json")
-        self.save(path, [], InputVector())
+        self.save(path, b"", InputVector())
         persist.clear_state(path)
         assert not os.path.exists(path)
         persist.clear_state(path)  # idempotent

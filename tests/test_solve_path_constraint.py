@@ -6,7 +6,7 @@ import collections
 
 from repro import DartOptions
 from repro.dart.inputs import InputVector
-from repro.dart.pathcond import PathRecord, StackEntry
+from repro.dart.pathcond import DONE
 from repro.dart.runner import Dart, _Session
 from repro.dart.solve import (
     candidate_indices,
@@ -20,35 +20,37 @@ from repro.symbolic.flags import CompletenessFlags
 
 
 def build_run(entries):
-    """entries: list of (branch, constraint-or-None) -> (record, stack, im)."""
-    record = PathRecord()
-    stack = []
+    """entries: list of (branch, constraint-or-None) ->
+    (constraints, stack, im)."""
+    constraints = []
+    stack = bytearray()
     im = InputVector()
     ordinals = set()
     for branch, constraint in entries:
-        record.append(branch, constraint)
-        stack.append(StackEntry(branch))
+        constraints.append(constraint)
+        stack.append(branch)
         if constraint is not None:
             ordinals |= constraint.variables()
     for ordinal in sorted(ordinals):
         im.record(ordinal, "int", 0)
-    return record, stack, im
+    return constraints, stack, im
 
 
 #: The child tuple solve_path_constraint returns, with named fields.
 Plan = collections.namedtuple("Plan", "stack im bound fingerprint")
 
 
-def solve(record, stack, im, seed=0):
+def solve(constraints, stack, im, seed=0):
     flags = CompletenessFlags()
-    child = solve_path_constraint(record, stack, im, Solver(seed=seed), flags)
+    child = solve_path_constraint(constraints, stack, im, Solver(seed=seed),
+                                  flags)
     return (Plan(*child) if child is not None else None), flags
 
 
-def expand(record, stack, im, bound=0):
+def expand(constraints, stack, im, bound=0):
     """The generational children of a run, as Plans, in enqueue order."""
     children = expand_worklist_children(
-        stack, record.constraints, im, bound, Solver(seed=0),
+        stack, constraints, im, bound, Solver(seed=0),
         CompletenessFlags())
     return [Plan(*child) for child in children]
 
@@ -60,7 +62,7 @@ def eq(var, const=0):
 
 class TestCandidateOrdering:
     def make_stack(self, done_flags):
-        return [StackEntry(1, done) for done in done_flags]
+        return bytearray(1 | (DONE if done else 0) for done in done_flags)
 
     def test_dfs_deepest_first(self):
         stack = self.make_stack([False, True, False])
@@ -69,9 +71,9 @@ class TestCandidateOrdering:
     def test_bfs_shallowest_first(self):
         # Children are enqueued in branch order, so a FIFO drain flips
         # the shallowest branch first.
-        record, stack, im = build_run(
+        constraints, stack, im = build_run(
             [(1, eq(0)), (1, eq(1)), (1, eq(2))])
-        plans = expand(record, stack, im)
+        plans = expand(constraints, stack, im)
         assert [len(plan.stack) for plan in plans] == [1, 2, 3]
 
     def test_random_is_permutation(self):
@@ -89,10 +91,10 @@ class TestCandidateOrdering:
 class TestSolvePathConstraint:
     def test_flips_deepest_pending_branch(self):
         # Run took (x0 == 0) then (x1 == 0); DFS should flip the second.
-        record, stack, im = build_run([(1, eq(0)), (1, eq(1))])
-        plan, _ = solve(record, stack, im)
+        constraints, stack, im = build_run([(1, eq(0)), (1, eq(1))])
+        plan, _ = solve(constraints, stack, im)
         assert plan is not None
-        assert [e.branch for e in plan.stack] == [1, 0]
+        assert [entry & 1 for entry in plan.stack] == [1, 0]
         # New inputs satisfy x0 == 0 and NOT (x1 == 0).
         assert plan.im[0].value == 0
         assert plan.im[1].value != 0
@@ -102,27 +104,27 @@ class TestSolvePathConstraint:
         assert plan.fingerprint is None
 
     def test_stack_truncated_at_flip(self):
-        record, stack, im = build_run(
+        constraints, stack, im = build_run(
             [(1, eq(0)), (1, eq(1)), (1, eq(2))]
         )
-        plan, _ = solve(record, stack, im)
+        plan, _ = solve(constraints, stack, im)
         assert len(plan.stack) == 3
-        record2, stack2, im2 = build_run([(1, eq(0)), (1, eq(1))])
-        stack2[1].done = True
-        plan2, _ = solve(record2, stack2, im2)
+        constraints2, stack2, im2 = build_run([(1, eq(0)), (1, eq(1))])
+        stack2[1] |= DONE
+        plan2, _ = solve(constraints2, stack2, im2)
         assert len(plan2.stack) == 1  # flipped the first instead
 
     def test_done_branches_skipped(self):
-        record, stack, im = build_run([(1, eq(0))])
-        stack[0].done = True
-        plan, _ = solve(record, stack, im)
+        constraints, stack, im = build_run([(1, eq(0))])
+        stack[0] |= DONE
+        plan, _ = solve(constraints, stack, im)
         assert plan is None  # search over
 
     def test_unsat_flip_falls_back_to_shallower(self):
         # Deepest: x0 == 5 following x0 == 5 earlier (negation unsat
         # against the prefix).
-        record, stack, im = build_run([(1, eq(0, 5)), (1, eq(0, 5))])
-        plan, _ = solve(record, stack, im)
+        constraints, stack, im = build_run([(1, eq(0, 5)), (1, eq(0, 5))])
+        plan, _ = solve(constraints, stack, im)
         # Flipping index 1 gives x0 == 5 and x0 != 5: UNSAT; falls back to
         # flipping index 0 (prefix empty): x0 != 5 is satisfiable.
         assert plan is not None
@@ -130,42 +132,42 @@ class TestSolvePathConstraint:
         assert plan.im[0].value != 5
 
     def test_unsat_marks_done(self):
-        record, stack, im = build_run([(1, eq(0, 5)), (1, eq(0, 5))])
-        solve(record, stack, im)
-        assert stack[1].done  # memoized as permanently infeasible
+        constraints, stack, im = build_run([(1, eq(0, 5)), (1, eq(0, 5))])
+        solve(constraints, stack, im)
+        assert stack[1] & DONE  # memoized as permanently infeasible
 
     def test_unflippable_concrete_branch_skipped_and_marked(self):
-        record, stack, im = build_run([(1, None)])
-        plan, _ = solve(record, stack, im)
+        constraints, stack, im = build_run([(1, None)])
+        plan, _ = solve(constraints, stack, im)
         assert plan is None
-        assert stack[0].done
+        assert stack[0] & DONE
 
     def test_all_constraints_in_prefix_respected(self):
         # (x0 > 0) then (x1 == 0): flipping the second must keep x0 > 0.
         gt = CmpExpr(GT, LinExpr({0: 1}))
-        record, stack, im = build_run([(1, gt), (1, eq(1))])
+        constraints, stack, im = build_run([(1, gt), (1, eq(1))])
         # A real run's IM satisfies the path it executed (the branch was
         # taken under it); constraint slicing relies on that invariant to
         # leave independent groups at their current values.
         im.record(0, "int", 5)
-        plan, _ = solve(record, stack, im)
+        plan, _ = solve(constraints, stack, im)
         assert plan.im[0].value > 0
         assert plan.im[1].value != 0
 
     def test_preserves_unconstrained_inputs(self):
-        record, stack, im = build_run([(1, eq(0))])
+        constraints, stack, im = build_run([(1, eq(0))])
         im.record(5, "int", 777)  # an input no constraint mentions
-        plan, _ = solve(record, stack, im)
+        plan, _ = solve(constraints, stack, im)
         assert plan.im[5].value == 777
 
     def test_empty_run_has_nothing_to_flip(self):
-        record, stack, im = build_run([])
-        plan, _ = solve(record, stack, im)
+        constraints, stack, im = build_run([])
+        plan, _ = solve(constraints, stack, im)
         assert plan is None
 
     def test_bfs_flips_shallowest(self):
-        record, stack, im = build_run([(1, eq(0)), (1, eq(1))])
-        plan = expand(record, stack, im)[0]
+        constraints, stack, im = build_run([(1, eq(0)), (1, eq(1))])
+        plan = expand(constraints, stack, im)[0]
         assert len(plan.stack) == 1
-        assert plan.stack[0].branch == 0
+        assert plan.stack[0] & 1 == 0
         assert plan.im[0].value != 0

@@ -9,7 +9,7 @@ exploration) with tracing on and pins the ISSUE's acceptance bars:
   90% of the session wall time, with disjoint layers, and equals the
   session's own ``stats.phases``;
 * the deterministic sections of ``trace-summary`` output are golden;
-* the metrics registry merges deterministically under ``--jobs``.
+* pool statistics snapshots merge deterministically under ``--jobs``.
 """
 
 import json
