@@ -129,7 +129,11 @@ def build_parser():
                         help="emit the full result (errors, quarantined "
                              "runs, stats, coverage) as JSON")
     parser.add_argument("--random", action="store_true",
-                        help="random-testing baseline (no directed search)")
+                        help="random-testing baseline: the same session "
+                             "with untracked inputs (no directed search); "
+                             "--strategy, --jobs, --no-slicing, "
+                             "--no-solver-cache and --no-subsumption have "
+                             "no effect without constraints")
     parser.add_argument("--disasm", action="store_true",
                         help="print the RAM-machine IR and exit")
     parser.add_argument("--quiet", action="store_true",

@@ -12,8 +12,9 @@ The package mirrors the paper's structure:
   generational expansion behind the BFS/random orders of footnote 4;
 * :mod:`repro.dart.runner` — the ``run_DART`` driver of Fig. 2 (directed
   search inside random restarts, completeness flags, Theorem 1 statuses);
-* :mod:`repro.dart.random_testing` — the pure random-testing baseline the
-  evaluation compares against.
+* :mod:`repro.dart.random_testing` — the random-testing baseline the
+  evaluation compares against: a ``run_DART`` session whose inputs are
+  untracked.
 
 The one-call entry points are :func:`repro.dart.runner.dart_check` and
 :func:`repro.dart.random_testing.random_check`.

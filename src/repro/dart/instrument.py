@@ -9,6 +9,11 @@ predicted by the previous run.  A prediction mismatch clears
 converts into a random restart — the paper's graceful degradation when a
 solved input does not have the expected effect.
 
+With ``track=False`` no input is tracked: every value is plain
+randomness, invisible to the symbolic execution, so every recorded
+conjunct is None and the run plans no child.  That is the random-testing
+baseline (:mod:`repro.dart.random_testing`).
+
 A run's bookkeeping is plain data: the branch stack (one ``bytearray``,
 see :mod:`repro.dart.pathcond`) and the index-aligned ``constraints``
 list.
@@ -36,7 +41,8 @@ class ForcingMismatch(Exception):
 class DirectedHooks:
     """Machine hooks implementing the instrumented program's bookkeeping."""
 
-    def __init__(self, im, predicted_stack, flags, rng, options):
+    def __init__(self, im, predicted_stack, flags, rng, options,
+                 track=True):
         #: IM — mutated in place as undefined slots get randomized.
         self.im = im
         #: The branch stack: the entries predicted by the previous run,
@@ -47,6 +53,7 @@ class DirectedHooks:
         self.flags = flags
         self._rng = rng
         self._options = options
+        self._track = track
         self._next_ordinal = 0
 
     # -- inputs ------------------------------------------------------------
@@ -58,11 +65,13 @@ class DirectedHooks:
         if value is None:
             value = random_value(kind, self._rng)
             self.im.record(ordinal, kind, value)
-        if kind == "ptr_choice" and not self._options.directed_pointer_choices:
-            # Paper mode: the coin toss is plain randomness, invisible to
-            # the symbolic execution (and hence never directable).  An
-            # untracked input costs the completeness guarantee, so the
-            # session can never falsely claim full path coverage.
+        if not self._track or (kind == "ptr_choice"
+                               and not self._options.directed_pointer_choices):
+            # Untracked: plain randomness, invisible to the symbolic
+            # execution (and hence never directable) — every input of the
+            # random-testing baseline, and the paper-mode pointer coin
+            # toss.  An untracked input costs the completeness guarantee,
+            # so the session can never falsely claim full path coverage.
             self.flags.clear_linear()
             return value, None
         lo, hi = domain_for_kind(kind)

@@ -28,6 +28,11 @@ iteration)`` and commit in dispatch order, so a serial and a pooled
 search of the same frontier are the same search; dfs runs draw from the
 session RNG, as the paper's single directed search does.
 
+The random-testing baseline (:mod:`repro.dart.random_testing`) is one
+more session of this loop: its inputs are untracked, so no run plans a
+child, every drain is one run, and Fig. 2's random restart draws each
+next vector from the session RNG.
+
 The run, the planning call and the checkpoint are layers of the
 session's :class:`repro.obs.clock.LayerClock` (``compile``, ``cache``
 and ``solver`` nest inside them, each charged its exclusive time).
@@ -127,8 +132,11 @@ class RunContext:
     picklable, so each worker lowers its own copy).
     """
 
-    def __init__(self, source, toplevel, options, filename, cache=None):
+    def __init__(self, source, toplevel, options, filename, cache=None,
+                 track_inputs=True):
         self.options = options
+        #: False for the random-testing baseline: no input is tracked.
+        self.track_inputs = track_inputs
         with collector_paused():
             # One lex, parse and analysis of the source serves the
             # driver's interface, the compiled module and the
@@ -181,13 +189,18 @@ class RunContext:
 class Dart:
     """A DART session for one program and one toplevel function."""
 
+    #: Whether the inputs are tracked symbolically; False turns the
+    #: session into the random-testing baseline.
+    track_inputs = True
+
     def __init__(self, source, toplevel, options=None, filename="<program>"):
         self.options = options or DartOptions()
         self.toplevel = toplevel
         #: Kept so the parallel engine can rebuild the context per worker.
         self.source = source
         self.filename = filename
-        self.ctx = RunContext(source, toplevel, self.options, filename)
+        self.ctx = RunContext(source, toplevel, self.options, filename,
+                              track_inputs=self.track_inputs)
         #: The structured trace bus (repro.obs.trace).  Disabled — and
         #: free — until run() attaches a sink (``trace_file``), or a
         #: caller attaches one programmatically before run().
@@ -205,6 +218,10 @@ class Dart:
             "options": self.options.digest(),
             "encoding": ENCODING_VERSION,
         }
+        if not self.track_inputs:
+            # A baseline checkpoint never resumes a directed session, nor
+            # the other way round.
+            self.fingerprint["search"] = "random"
 
     @property
     def module(self):
@@ -259,6 +276,7 @@ class Dart:
                 tr.SESSION_STARTED, toplevel=self.toplevel,
                 strategy=self.options.strategy, seed=self.options.seed,
                 depth=self.options.depth, jobs=self.options.jobs,
+                **({} if self.track_inputs else {"search": "random"}),
             )
         result = None
         try:
@@ -391,12 +409,14 @@ class ItemResult:
         return self.status == OK or self.status == FAULT
 
 
-def quarantine_record(exc, im, iteration, trace_tail=None):
-    """The :class:`QuarantineRecord` of a run lost to the internal
-    failure ``exc``: a watchdog timeout, resource exhaustion (recursion
-    or memory) or anything else, detailed by the exception and the
-    innermost frame it escaped from.  The random-testing baseline's runs
-    cross the same boundary and use it too."""
+def _quarantine(result, exc, bus, tail):
+    """Turn an internal failure into data: the run is lost, not the
+    session (the commit degrades the completeness claim).
+
+    The record classifies ``exc`` — a watchdog timeout, resource
+    exhaustion (recursion or memory) or anything else — and details it
+    by the exception and the innermost frame it escaped from.
+    """
     if isinstance(exc, RunTimeout):
         classification = RUN_TIMEOUT
     elif isinstance(exc, (RecursionError, MemoryError)):
@@ -410,20 +430,14 @@ def quarantine_record(exc, im, iteration, trace_tail=None):
         detail += " [{}:{} in {}]".format(
             frame.filename.rsplit("/", 1)[-1], frame.lineno, frame.name
         )
-    return QuarantineRecord(
-        classification, im.values(), [slot.kind for slot in im], iteration,
-        detail, trace_tail=trace_tail,
-    )
-
-
-def _quarantine(result, exc, bus, tail):
-    """Turn an internal failure into data: the run is lost, not the
-    session (the commit degrades the completeness claim)."""
     result.status = QUARANTINED
+    im = result.im
     # The flight recorder: this run's own events up to the failure.
-    record = result.quarantine = quarantine_record(
-        exc, result.im, result.iteration,
-        tail.tail() if tail is not None else None)
+    record = result.quarantine = QuarantineRecord(
+        classification, im.values(), [slot.kind for slot in im],
+        result.iteration, detail,
+        trace_tail=tail.tail() if tail is not None else None,
+    )
     if bus is not None and bus.enabled:
         bus.emit(tr.QUARANTINE, classification=record.classification,
                  iteration=result.iteration, detail=record.detail)
@@ -467,7 +481,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
         # well as the run itself: both are per-execution costs.  Lazy
         # IR lowering inside the run is its own (nested) compile layer.
         prev = clock.enter(EXECUTE)
-    hooks = DirectedHooks(im, stack, flags, rng, options)
+    hooks = DirectedHooks(im, stack, flags, rng, options, ctx.track_inputs)
     # The tighter of the per-run limit and the session deadline — so a
     # single pathological run cannot blow past ``time_limit``; the
     # watchdog trips at most one check interval late.
@@ -1017,6 +1031,10 @@ class _Session:
         checkpoint cadence, the between-runs fault seam and budget
         truncation do not depend on the executor.
         """
+        if not self.ctx.track_inputs:
+            # Random testing never claims completeness, not even of a
+            # program without inputs.
+            self.flags.clear_linear()
         pending = self._resume()
         self._inflight = executor.inflight
         executor.start(self.stats.iterations + 1)

@@ -124,24 +124,6 @@ class ConstraintSlicer:
                     uf.union(first, var)
         self._processed = j
 
-    def group_indices(self, j, var):
-        """Indices of ``constraints[:j]`` in ``var``'s sharing group.
-
-        Powers the worklist-dedup fingerprint (see
-        :func:`repro.dart.solve._child_fingerprint`): the group is the
-        set of prefix conjuncts that pinned ``var``'s current value, so
-        two entries agreeing on it (and on the value) constrain that
-        part of their futures identically.
-        """
-        self._advance(j)
-        uf = self._uf
-        root = uf.find(var)
-        vars_by_index = self._vars
-        return [
-            i for i in range(j)
-            if vars_by_index[i] and uf.find(vars_by_index[i][0]) == root
-        ]
-
     def slice(self, j, negated):
         """The sliced solver query for flipping conditional ``j``."""
         self._advance(j)

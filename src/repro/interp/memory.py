@@ -357,7 +357,3 @@ class Memory:
     @property
     def stack_used(self):
         return self._stack_used
-
-    @property
-    def heap_used(self):
-        return self._heap_used

@@ -273,12 +273,6 @@ class Switch(Stmt):
         self.expr = expr
         self.entries = entries
 
-    def case_values(self):
-        return [e for kind, e in self.entries if kind == "case"]
-
-    def has_default(self):
-        return any(kind == "default" for kind, _ in self.entries)
-
 
 class DeclStmt(Stmt):
     """A local declaration statement; may declare several variables."""

@@ -36,9 +36,6 @@ class CType:
     def is_void(self):
         return isinstance(self, VoidType)
 
-    def is_function(self):
-        return isinstance(self, FunctionType)
-
     def is_scalar(self):
         return self.is_integer() or self.is_pointer()
 
@@ -264,11 +261,6 @@ class StructType(CType):
             "struct {} has no field {!r}".format(self.tag, name)
         )
 
-    def has_field(self, name):
-        return self.fields is not None and any(
-            f.name == name for f in self.fields
-        )
-
     def __eq__(self, other):
         return self is other
 
@@ -322,8 +314,3 @@ def usual_arithmetic_conversion(left, right):
     if not left.signed or not right.signed:
         return UINT
     return INT
-
-
-def is_null_pointer_constant(expr_ctype, expr_value):
-    """True for a literal 0 (or NULL, which parses to literal 0)."""
-    return expr_ctype is not None and expr_ctype.is_integer() and expr_value == 0

@@ -37,6 +37,7 @@ def summarize_trace(events):
     total_wall = None
     status = None
     engine = None
+    search = "directed"
     iterations = 0
     coverage = None
     for event in events:
@@ -72,6 +73,8 @@ def summarize_trace(events):
             subsumption["flips_subsumed"] += 1
         elif etype == tr.WORKLIST_DEDUP:
             subsumption["worklist_deduped"] += 1
+        elif etype == tr.SESSION_STARTED:
+            search = event.get("search", search)
         elif etype == tr.SESSION_FINISHED:
             total_wall = event.get("wall_s")
             phases = event.get("phases")
@@ -93,6 +96,8 @@ def summarize_trace(events):
         # "dfs" / "serial" / "pool" — which engine ran the search
         # (absent in traces written before the field existed).
         "engine": engine,
+        # "directed", or "random" for the random-testing baseline.
+        "search": search,
         "iterations": iterations,
         "wall_s": total_wall,
         # The session's layer clock, as session_finished carries it (None
@@ -128,6 +133,9 @@ def render_summary(summary):
                      summary.get("engine") or "?",
                      summary["runs"]["total"],
                      "{:.4f}s".format(wall) if wall is not None else "?"))
+    if summary.get("search") == "random":
+        lines.append("search: random-testing baseline (untracked inputs, "
+                     "no branch flips)")
     lines.append("")
     if summary["phases"] is not None:
         lines.extend(render_layers(summary["phases"], wall))

@@ -3,15 +3,21 @@
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.obs import LAYERS
+from repro.obs import LAYERS, read_trace
 from repro.programs.ac_controller import (
     AC_CONTROLLER_SOURCE,
     AC_CONTROLLER_TOPLEVEL,
 )
+from repro.programs import samples
 from tests.perf_sources import SUBSUME_SOURCE
 
 
@@ -227,3 +233,132 @@ class TestCli:
         assert lines[header - 1].startswith("instructions: ")
         rows = [line.split()[0] for line in lines[header + 1:]]
         assert rows == list(LAYERS) + ["other"]
+
+
+#: Wall-clock readings, plus whether the session resumed.
+UNSTABLE = {"elapsed_s", "phases", "histograms", "resumed"}
+
+
+def _strip(payload, drop):
+    if isinstance(payload, dict):
+        return {key: _strip(value, drop) for key, value in payload.items()
+                if key not in drop}
+    if isinstance(payload, list):
+        return [_strip(value, drop) for value in payload]
+    return payload
+
+
+#: A loop warms every run up to tens of milliseconds, so a random-testing
+#: session is still running when the test delivers its signal.
+SLOW_RANDOM_SOURCE = """
+int f(int a) {
+  int i;
+  i = 0;
+  while (i < 30000)
+    i = i + 1;
+  if (a == 7) abort();
+  return i;
+}
+"""
+
+
+class TestRandomBaselineSessionOptions:
+    """``--random`` runs the session loop, so every session option the
+    directed search honours applies to the baseline too."""
+
+    @pytest.fixture
+    def struct_cast(self, tmp_path):
+        path = tmp_path / "struct_cast.c"
+        path.write_text(samples.STRUCT_CAST_SOURCE)
+        return [str(path), samples.STRUCT_CAST_TOPLEVEL, "--random",
+                "--all-errors", "--seed", "3"]
+
+    def test_trace_names_the_baseline(self, struct_cast, tmp_path, capsys):
+        trace = str(tmp_path / "random.jsonl")
+        assert main(struct_cast + ["--max-iterations", "50",
+                                   "--trace", trace]) == 1
+        capsys.readouterr()
+        events = list(read_trace(trace))
+        started = events[0]
+        assert started["type"] == "session_started"
+        assert started["search"] == "random"
+        assert started["strategy"] == "dfs" and started["jobs"] == 1
+        assert sum(event["type"] == "run_finished" for event in events) \
+            == 50
+        assert main(["trace-summary", trace]) == 0
+        out = capsys.readouterr().out
+        assert "search: random-testing baseline" in out
+        assert "runs: 50 total" in out
+        assert "attempted 0 -> sat 0 -> forced 0" in out
+
+    def test_state_file_resume_matches_an_uninterrupted_run(
+        self, struct_cast, tmp_path, capsys
+    ):
+        state = str(tmp_path / "state.json")
+        assert main(struct_cast + ["--max-iterations", "200",
+                                   "--json"]) == 1
+        uninterrupted = json.loads(capsys.readouterr().out)
+        main(struct_cast + ["--max-iterations", "10", "--state-file", state])
+        capsys.readouterr()
+        assert os.path.exists(state)
+        assert main(struct_cast + ["--max-iterations", "200",
+                                   "--state-file", state, "--json"]) == 1
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["resumed"] is True
+        assert uninterrupted["stats"]["iterations"] == 200
+        assert len(uninterrupted["errors"]) == 2
+        assert _strip(resumed, UNSTABLE) == _strip(uninterrupted, UNSTABLE)
+
+    def test_exported_suite_replays(self, struct_cast, tmp_path, capsys):
+        suite = str(tmp_path / "suite")
+        assert main(struct_cast + ["--max-iterations", "200",
+                                   "--export-suite", suite]) == 1
+        capsys.readouterr()
+        assert main(["replay-suite", suite, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"]
+        # The two distinct errors plus the clean path.
+        assert len(report["passed"]) == 3
+
+    def test_profile_phases_prints_the_layer_table(self, struct_cast,
+                                                   capsys):
+        assert main(struct_cast + ["--max-iterations", "50",
+                                   "--profile-phases"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("phase breakdown (layer clock"))
+        rows = [line.split()[0] for line in lines[header + 1:]]
+        assert rows == list(LAYERS) + ["other"]
+
+    def test_sigint_exits_130_with_a_checkpoint(self, tmp_path):
+        program = tmp_path / "slow.c"
+        program.write_text(SLOW_RANDOM_SOURCE)
+        state = tmp_path / "state.json"
+        src_dir = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", str(program), "f", "--random",
+             "--state-file", str(state), "--checkpoint-every", "1",
+             "--time-limit", "120", "--max-iterations", "1000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, text=True,
+        )
+        try:
+            # The first autosave shows the session loop is running.
+            give_up = time.monotonic() + 30
+            while not state.exists() and proc.poll() is None \
+                    and time.monotonic() < give_up:
+                time.sleep(0.05)
+            assert state.exists(), "the baseline wrote no checkpoint"
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, (out, err)
+        assert "checkpoint saved" in out
+        assert state.exists()

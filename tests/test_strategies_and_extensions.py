@@ -3,7 +3,7 @@ directed pointer coins, bounded random_init, transparent memory."""
 
 import pytest
 
-from repro import DartOptions, dart_check, random_check
+from repro import Dart, DartOptions, RandomTester, dart_check, random_check
 from repro.programs import samples
 from repro.programs.ac_controller import AC_CONTROLLER_SOURCE
 
@@ -199,6 +199,33 @@ class TestRandomBaseline:
         b = random_check(source, "f", max_iterations=500, seed=9)
         assert a.found_error == b.found_error
         assert a.iterations == b.iterations
+
+    def test_random_ignores_strategy_and_jobs(self):
+        def outcome(**overrides):
+            result = random_check(samples.STRUCT_CAST_SOURCE, "bar",
+                                  max_iterations=200, seed=3,
+                                  stop_on_first_error=False, **overrides)
+            return ([(e.kind, str(e.location), e.inputs, e.iteration)
+                     for e in result.errors],
+                    result.stats.instructions_executed,
+                    sorted(result.stats.covered_branches))
+
+        assert outcome(strategy="bfs", jobs=2) == outcome() \
+            == outcome(strategy="random")
+
+    def test_random_never_claims_completeness_without_inputs(self):
+        source = "int g; int f() { if (g) abort(); return 0; }"
+        assert dart_check(source, "f").status == "complete"
+        result = random_check(source, "f", max_iterations=20)
+        assert result.status == "exhausted"
+        assert result.iterations == 20
+
+    def test_baseline_checkpoints_never_cross_with_directed_ones(self):
+        directed = Dart(samples.H_SOURCE, "h")
+        baseline = RandomTester(samples.H_SOURCE, "h")
+        assert "search" not in directed.fingerprint
+        assert baseline.fingerprint == dict(directed.fingerprint,
+                                            search="random")
 
 
 class TestOptionsValidation:
