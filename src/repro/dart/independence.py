@@ -39,6 +39,7 @@ parameter ``i``; calls share no state, so classes replicate per call.
 """
 
 from repro.dart.interface import extract_interface
+from repro.dart.slicing import UnionFind
 from repro.minic import SourceUnit
 from repro.minic import typesys as ts
 from repro.minic import ast_nodes as ast
@@ -52,35 +53,6 @@ class _Ineligible(Exception):
     """Raised anywhere the analysis cannot prove independence."""
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self._parent = {item: item for item in items}
-
-    def find(self, item):
-        parent = self._parent
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union_all(self, items):
-        items = iter(items)
-        first = next(items, None)
-        if first is None:
-            return
-        anchor = self.find(first)
-        for item in items:
-            self._parent[self.find(item)] = anchor
-
-    def classes(self):
-        by_root = {}
-        for item in self._parent:
-            by_root.setdefault(self.find(item), set()).add(item)
-        return list(by_root.values())
-
-
 class _Analyzer:
     """One pass over the toplevel body computing parameter coupling.
 
@@ -92,10 +64,18 @@ class _Analyzer:
     """
 
     def __init__(self, param_names):
-        self.uf = _UnionFind(param_names)
+        self.uf = UnionFind()
+        for name in param_names:
+            self.uf.find(name)
         self.env = {name: frozenset((name,)) for name in param_names}
         self.assigned = set(param_names)
         self.declared = set(param_names)
+
+    def _couple(self, names):
+        """Put every parameter in ``names`` into one coupling class."""
+        anchor = next(iter(names), None)
+        for name in names:
+            self.uf.union(anchor, name)
 
     # -- statements -------------------------------------------------------
 
@@ -110,7 +90,7 @@ class _Analyzer:
             self._branching(node.cond, node.then, node.otherwise, ctx)
         elif isinstance(node, ast.AssertStmt):
             # Lowered to ``if (!e) abort()``: a predicate like any other.
-            self.uf.union_all(self.expr(node.expr, ctx) | ctx)
+            self._couple(self.expr(node.expr, ctx) | ctx)
         elif isinstance(node, ast.AbortStmt):
             pass  # reachability is the (already coupled) context
         elif isinstance(node, ast.Return):
@@ -137,7 +117,7 @@ class _Analyzer:
     def _branching(self, cond, then, otherwise, ctx):
         """An ``If`` (or ternary): couple the predicate, merge the arms."""
         cond_inf = self.expr(cond, ctx)
-        self.uf.union_all(cond_inf | ctx)
+        self._couple(cond_inf | ctx)
         inner = ctx | cond_inf
         pre_env, pre_assigned = self.env, self.assigned
         self.env, self.assigned = dict(pre_env), set(pre_assigned)
@@ -245,14 +225,14 @@ class _Analyzer:
             left = self.expr(node.left, ctx)
             # The right operand is itself branch-guarded by the left.
             right = self.expr(node.right, ctx | left)
-            self.uf.union_all(left | right | ctx)
+            self._couple(left | right | ctx)
             return left | right
         left = self.expr(node.left, ctx)
         right = self.expr(node.right, ctx)
         if node.op in ("/", "%"):
             # A faulting expression is a predicate: whether it traps
             # depends on the divisor under this control context.
-            self.uf.union_all(right | ctx)
+            self._couple(right | ctx)
         return left | right
 
     def _assign(self, node, ctx):
@@ -264,7 +244,7 @@ class _Analyzer:
         value = self.expr(node.value, ctx)
         if node.op != "=":
             if node.op in ("/=", "%="):
-                self.uf.union_all(value | ctx)
+                self._couple(value | ctx)
             value = value | self._read(name)
         self.env[name] = value | ctx
         self.assigned.add(name)

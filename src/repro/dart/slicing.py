@@ -66,6 +66,13 @@ class UnionFind:
         if root_a != root_b:
             self.parent[root_b] = root_a
 
+    def classes(self):
+        """The classes as sets, in the order their items were first seen."""
+        by_root = {}
+        for item in self.parent:
+            by_root.setdefault(self.find(item), set()).add(item)
+        return list(by_root.values())
+
 
 class ConstraintSlicer:
     """Slices prefixes of one run's constraint list into variable groups.

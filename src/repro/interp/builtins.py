@@ -188,10 +188,6 @@ BUILTINS = {
     "exit": _builtin_exit,
 }
 
-#: Builtins that honour the transparent-memory extension (their symbolic
-#: effect is handled inside their implementation above).
-TRANSPARENT_BUILTINS = frozenset(["memcpy", "strcpy"])
-
 #: Input-acquisition intrinsics emitted by the generated driver, mapped to
 #: the input kind they produce.
 INPUT_INTRINSICS = {

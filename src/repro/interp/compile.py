@@ -34,12 +34,6 @@ equivalent.  The equivalence is pinned by the engine-differential oracle
 (``repro.testgen.oracles``) and a Hypothesis property over generated
 programs (``tests/test_compile_engine.py``).
 
-**Constant folding.** Pure concrete subtrees (literals, enum constants,
-arithmetic on folded operands) are evaluated at lowering time with the
-machine's exact wrap semantics; division by a folded zero is *not* folded
-(it must fault at runtime with the right location), and string literals
-are never folded (their addresses are per-machine).
-
 Lowering is lazy — a function is compiled on its first call — and
 :class:`CompiledProgram` enters the session's ``compile`` layer
 (:mod:`repro.obs.clock`) around it, so lowering never counts as
@@ -55,7 +49,7 @@ from repro.interp.faults import (
     InterpreterError,
     ProgramAbort,
 )
-from repro.interp.values import c_div, c_mod, wrap
+from repro.interp.values import c_div, c_mod
 from repro.minic import ast_nodes as ast
 from repro.minic import ir
 from repro.minic.symbols import ENUM_CONST, GLOBAL
@@ -76,10 +70,6 @@ _CMP = {
 
 #: Shared "no value" pair (void returns, casts to void).
 _ZERO_PAIR = (0, None)
-
-#: Constant-folding failure sentinel (None is a legitimate fold result
-#: only in the sense that it never is — folds are ints).
-_NOT_CONST = object()
 
 
 def _wrap_fn(ctype):
@@ -182,103 +172,6 @@ def _global_access(index, size, signed):
 
 
 # ---------------------------------------------------------------------------
-# Constant folding (lowering-time evaluation of pure concrete subtrees)
-# ---------------------------------------------------------------------------
-
-
-def _fold(e):
-    """The concrete value the machine would compute for ``e``, or
-    ``_NOT_CONST``.  Only side-effect-free nodes whose machine semantics
-    are fully determined at lowering time are folded; the arithmetic
-    mirrors ``Machine._apply_binary``/``_eval_unary`` exactly (including
-    the unsigned operand folding and the final wrap)."""
-    if isinstance(e, ast.IntLit):
-        return e.value
-    if isinstance(e, ast.Ident):
-        symbol = e.symbol
-        if symbol is not None and symbol.kind == ENUM_CONST:
-            return symbol.value
-        return _NOT_CONST
-    if isinstance(e, ast.Unary):
-        if e.op not in ("-", "~", "!"):
-            return _NOT_CONST
-        value = _fold(e.operand)
-        if value is _NOT_CONST:
-            return _NOT_CONST
-        if e.op == "!":
-            return 0 if value != 0 else 1
-        if e.ctype is None or not e.ctype.is_integer():
-            return _NOT_CONST
-        return wrap(-value if e.op == "-" else ~value, e.ctype)
-    if isinstance(e, ast.Cast):
-        value = _fold(e.operand)
-        if value is _NOT_CONST or e.ctype is None:
-            return _NOT_CONST
-        if e.ctype.is_void():
-            return 0
-        if e.ctype.is_integer():
-            return wrap(value, e.ctype)
-        if e.ctype.is_pointer():
-            return value & _M32
-        return _NOT_CONST
-    if isinstance(e, ast.Binary):
-        return _fold_binary(e)
-    return _NOT_CONST
-
-
-def _fold_binary(e):
-    lv = _fold(e.left)
-    if lv is _NOT_CONST:
-        return _NOT_CONST
-    rv = _fold(e.right)
-    if rv is _NOT_CONST:
-        return _NOT_CONST
-    lt = e.left.ctype.decay() if e.left.ctype is not None else None
-    rt = e.right.ctype.decay() if e.right.ctype is not None else None
-    if lt is None or rt is None:
-        return _NOT_CONST
-    op = e.op
-    if op in _CMP:
-        unsigned = (lt.is_pointer() or rt.is_pointer()
-                    or not lt.signed or not rt.signed)
-        if unsigned:
-            lv &= _M32
-            rv &= _M32
-        return 1 if _CMP[op](lv, rv) else 0
-    if lt.is_pointer() or rt.is_pointer():
-        return _NOT_CONST  # pointer arithmetic: addresses are per-machine
-    result_type = e.ctype.decay() if e.ctype is not None else None
-    if result_type is None or not result_type.is_integer():
-        return _NOT_CONST
-    if not result_type.signed:
-        lv &= _M32
-        rv &= _M32
-    if op == "+":
-        raw = lv + rv
-    elif op == "-":
-        raw = lv - rv
-    elif op == "*":
-        raw = lv * rv
-    elif op in ("/", "%"):
-        if rv == 0:
-            return _NOT_CONST  # must fault at runtime, with a location
-        raw = c_div(lv, rv) if op == "/" else c_mod(lv, rv)
-    elif op == "<<":
-        raw = lv << (rv & 31)
-    elif op == ">>":
-        raw = lv >> (rv & 31)
-    elif op == "&":
-        raw = lv & rv
-    elif op == "|":
-        raw = lv | rv
-    elif op == "^":
-        raw = lv ^ rv
-    else:
-        return _NOT_CONST
-    return wrap(raw, result_type)
-
-
-# ---------------------------------------------------------------------------
 # Expression lowering
 # ---------------------------------------------------------------------------
 
@@ -319,10 +212,6 @@ class _Compiler:
     # -- generic expression dispatch ------------------------------------
 
     def expr(self, e):
-        value = _fold(e)
-        if value is not _NOT_CONST:
-            pair = (value, None)
-            return lambda m, r: pair
         method = self._DISPATCH.get(type(e))
         if method is None:
             # Sound fallback: the interpreter evaluates the node against

@@ -3,13 +3,11 @@
 The RAM machine of Section 2.2 maps addresses to 32-bit words; mini-C
 follows C's modular semantics: unsigned arithmetic wraps, signed values are
 represented in two's complement, and narrowing conversions truncate.
+``wrap``, ``c_div`` and ``c_mod`` come from :mod:`repro.minic.consts`, so
+the machine and constant folding share one definition of that arithmetic.
 """
 
-WORD_BITS = 32
-WORD_MASK = 0xFFFFFFFF
-INT_MIN = -(1 << 31)
-INT_MAX = (1 << 31) - 1
-UINT_MAX = WORD_MASK
+from repro.minic.consts import c_div, c_mod, wrap  # noqa: F401
 
 
 def wrap_unsigned(value, size=4):
@@ -26,29 +24,9 @@ def wrap_signed(value, size=4):
     return value
 
 
-def wrap(value, ctype):
-    """Wrap ``value`` into the representation range of integer type ``ctype``."""
-    if ctype.signed:
-        return wrap_signed(value, ctype.size)
-    return wrap_unsigned(value, ctype.size)
-
-
 def to_unsigned(value, size=4):
     """Reinterpret a (possibly negative) value as unsigned."""
     return value & ((1 << (8 * size)) - 1)
-
-
-def c_div(a, b):
-    """C99 integer division: truncation toward zero."""
-    quotient = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        quotient = -quotient
-    return quotient
-
-
-def c_mod(a, b):
-    """C99 remainder: ``a == c_div(a, b) * b + c_mod(a, b)``."""
-    return a - c_div(a, b) * b
 
 
 def int_to_bytes(value, size, signed):

@@ -6,6 +6,10 @@ are compiled into explicit branches, so each primitive predicate becomes one
 :class:`repro.minic.ir.Branch` instruction that the directed search can
 target individually (see the paper's ``foobar`` discussion in Section 2.5).
 
+Constant subexpressions are folded here, and only here, by
+:func:`repro.minic.consts.const_value`, so both execution engines run the
+same folded IR.  A bare enum constant stays a name, for ``--disasm``.
+
 Side-effect ordering note: when a short-circuit or ternary expression is
 used in value position its evaluation is hoisted in front of the enclosing
 full expression.  C leaves the relative order of such side effects
@@ -14,6 +18,7 @@ unspecified, so this is a legal evaluation order.
 
 from repro.minic import ast_nodes as ast
 from repro.minic import typesys as ts
+from repro.minic.consts import const_value
 from repro.minic.errors import LoweringError
 from repro.minic.ir import (
     AbortInstr,
@@ -28,7 +33,7 @@ from repro.minic.ir import (
     Ret,
     StringRef,
 )
-from repro.minic.symbols import ENUM_CONST, LOCAL, Symbol
+from repro.minic.symbols import LOCAL, Symbol
 
 
 def _round_up(value, alignment):
@@ -244,11 +249,9 @@ class FunctionLowerer:
         for index, (kind, payload) in enumerate(stmt.entries):
             if kind != "case":
                 continue
-            lit = ast.IntLit(payload.case_value, location)
-            lit.ctype = ts.INT
             comparison = ast.Binary(
                 "==", self._temp_ident(symbol, subject_type, location),
-                lit, location,
+                _literal(payload.case_value, ts.INT, location), location,
             )
             comparison.ctype = ts.INT
             self._emit(Branch(comparison, entry_labels[index], location))
@@ -326,23 +329,16 @@ class FunctionLowerer:
         if isinstance(expr, ast.Comma):
             self._emit(Eval(self._flatten(expr.left), expr.location))
             return self._flatten(expr.right)
-        if isinstance(expr, ast.SizeofExpr) or isinstance(expr,
-                                                          ast.SizeofType):
-            lit = ast.IntLit(expr.size, expr.location)
-            lit.ctype = ts.UINT
-            return lit
+        if isinstance(expr, (ast.SizeofExpr, ast.SizeofType)):
+            return _literal(expr.size, ts.UINT, expr.location)
         if isinstance(expr, ast.StringLit):
             expr.intern_index = self._string_indexes[id(expr)]
             return expr
-        if isinstance(expr, ast.Unary):
-            expr.operand = self._flatten(expr.operand)
-            return _fold_unary(expr)
-        elif isinstance(expr, ast.Postfix):
+        if isinstance(expr, (ast.Unary, ast.Postfix, ast.Cast)):
             expr.operand = self._flatten(expr.operand)
         elif isinstance(expr, ast.Binary):
             expr.left = self._flatten(expr.left)
             expr.right = self._flatten(expr.right)
-            return _fold_binary(expr)
         elif isinstance(expr, ast.Assign):
             expr.target = self._flatten(expr.target)
             expr.value = self._flatten(expr.value)
@@ -353,8 +349,10 @@ class FunctionLowerer:
             expr.index = self._flatten(expr.index)
         elif isinstance(expr, ast.Member):
             expr.base = self._flatten(expr.base)
-        elif isinstance(expr, ast.Cast):
-            expr.operand = self._flatten(expr.operand)
+        if isinstance(expr, (ast.Unary, ast.Binary, ast.Cast)):
+            value = const_value(expr)
+            if value is not None:
+                return _literal(value, expr.ctype, expr.location)
         return expr
 
     def _flatten_boolean(self, expr):
@@ -390,9 +388,8 @@ class FunctionLowerer:
         return self._temp_ident(symbol, result_type, location)
 
     def _emit_temp_store(self, symbol, ctype, value, location):
-        lit = ast.IntLit(value, location)
-        lit.ctype = ts.INT
-        self._emit_temp_assign(symbol, ctype, lit, location)
+        self._emit_temp_assign(symbol, ctype,
+                               _literal(value, ts.INT, location), location)
 
     def _emit_temp_assign(self, symbol, ctype, value_expr, location):
         target = self._temp_ident(symbol, ctype, location)
@@ -401,130 +398,22 @@ class FunctionLowerer:
         self._emit(Eval(assign, location))
 
 
-def _wrap_to(value, ctype):
-    """Wrap a folded value into the expression's integer type."""
-    if not isinstance(ctype, ts.IntType):
-        return None
-    bits = 8 * ctype.size
-    value &= (1 << bits) - 1
-    if ctype.signed and value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
-
-
-def _make_lit(value, template):
-    lit = ast.IntLit(value, template.location)
-    lit.ctype = template.ctype
+def _literal(value, ctype, location):
+    lit = ast.IntLit(value, location)
+    lit.ctype = ctype
     return lit
 
 
-def _fold_unary(expr):
-    """Fold ``-lit``/``~lit``/``!lit`` at compile time (C semantics)."""
-    operand = expr.operand
-    if not isinstance(operand, ast.IntLit):
-        return expr
-    if expr.op == "-":
-        value = -operand.value
-    elif expr.op == "~":
-        value = ~operand.value
-    elif expr.op == "!":
-        value = 0 if operand.value else 1
-    else:
-        return expr
-    wrapped = _wrap_to(value, expr.ctype)
-    if wrapped is None:
-        return expr
-    return _make_lit(wrapped, expr)
-
-
-def _fold_binary(expr):
-    """Fold ``lit op lit`` — except faulting operations (``/ 0``, ``% 0``
-    must still raise at runtime) and non-integer results."""
-    left, right = expr.left, expr.right
-    if not (isinstance(left, ast.IntLit) and isinstance(right, ast.IntLit)):
-        return expr
-    a, b = left.value, right.value
-    op = expr.op
-    if op in ("/", "%") and b == 0:
-        return expr  # keep the runtime division-by-zero fault
-    if op in ("==", "!=", "<", ">", "<=", ">="):
-        value = 1 if {
-            "==": a == b, "!=": a != b, "<": a < b,
-            ">": a > b, "<=": a <= b, ">=": a >= b,
-        }[op] else 0
-    elif op == "+":
-        value = a + b
-    elif op == "-":
-        value = a - b
-    elif op == "*":
-        value = a * b
-    elif op == "/":
-        value = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
-    elif op == "%":
-        value = a - (abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)) * b
-    elif op == "&":
-        value = a & b
-    elif op == "|":
-        value = a | b
-    elif op == "^":
-        value = a ^ b
-    elif op == "<<":
-        value = a << (b & 31)
-    elif op == ">>":
-        value = a >> (b & 31)
-    else:
-        return expr
-    wrapped = _wrap_to(value, expr.ctype)
-    if wrapped is None:
-        return expr
-    return _make_lit(wrapped, expr)
-
-
-class _ConstInitEvaluator:
-    """Evaluates global initializers, which must be link-time constants."""
-
-    def __init__(self, string_indexes):
-        self._string_indexes = string_indexes
-
-    def evaluate(self, expr):
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.StringLit):
-            return StringRef(self._string_indexes[id(expr)])
-        if isinstance(expr, ast.Ident) and expr.symbol is not None \
-                and expr.symbol.kind == ENUM_CONST:
-            return expr.symbol.value
-        if isinstance(expr, (ast.SizeofExpr, ast.SizeofType)):
-            return expr.size
-        if isinstance(expr, ast.Unary) and expr.op == "-":
-            return -self._int(expr.operand)
-        if isinstance(expr, ast.Unary) and expr.op == "~":
-            return ~self._int(expr.operand)
-        if isinstance(expr, ast.Cast):
-            return self.evaluate(expr.operand)
-        if isinstance(expr, ast.Binary):
-            ops = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-                "<<": lambda a, b: a << b,
-                ">>": lambda a, b: a >> b,
-                "|": lambda a, b: a | b,
-                "&": lambda a, b: a & b,
-                "^": lambda a, b: a ^ b,
-            }
-            if expr.op in ops:
-                return ops[expr.op](self._int(expr.left),
-                                    self._int(expr.right))
+def _global_init(expr, string_indexes):
+    """A global initializer's value: a string literal or a constant."""
+    if isinstance(expr, ast.StringLit):
+        return StringRef(string_indexes[id(expr)])
+    value = const_value(expr)
+    if value is None:
         raise LoweringError(
             "global initializer is not a link-time constant", expr.location
         )
-
-    def _int(self, expr):
-        value = self.evaluate(expr)
-        if not isinstance(value, int):
-            raise LoweringError("non-integer constant", expr.location)
-        return value
+    return value
 
 
 def lower_program(program, info):
@@ -537,7 +426,6 @@ def lower_program(program, info):
 
     functions = {}
     global_vars = []
-    const_eval = _ConstInitEvaluator(string_indexes)
     seen_globals = set()
     for decl in program.declarations:
         if isinstance(decl, ast.FunctionDef):
@@ -559,6 +447,6 @@ def lower_program(program, info):
                 else decl
             init = None
             if defining.init is not None:
-                init = const_eval.evaluate(defining.init)
+                init = _global_init(defining.init, string_indexes)
             global_vars.append(GlobalVar(symbol, init))
     return Module(functions, global_vars, strings, info)

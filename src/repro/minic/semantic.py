@@ -14,6 +14,7 @@ of the paper) needs:
 
 from repro.minic import ast_nodes as ast
 from repro.minic import typesys as ts
+from repro.minic.consts import const_value, wrap
 from repro.minic.errors import SemanticError
 from repro.minic.symbols import (
     BUILTIN,
@@ -127,7 +128,9 @@ class SemanticAnalyzer:
 
     # -- type resolution --------------------------------------------------
 
-    def resolve_type(self, type_expr, location=None):
+    def resolve_type(self, type_expr, location=None, scope=None):
+        """The C type ``type_expr`` denotes; an array length is a constant
+        expression evaluated in ``scope`` (the global scope by default)."""
         if isinstance(type_expr, ast.BaseTypeExpr):
             try:
                 return _BASE_TYPES[type_expr.name]
@@ -158,54 +161,30 @@ class SemanticAnalyzer:
             return struct
         if isinstance(type_expr, ast.PointerTypeExpr):
             return ts.PointerType(
-                self.resolve_type(type_expr.pointee, location)
+                self.resolve_type(type_expr.pointee, location, scope)
             )
         if isinstance(type_expr, ast.ArrayTypeExpr):
-            element = self.resolve_type(type_expr.element, location)
+            element = self.resolve_type(type_expr.element, location, scope)
             length = None
             if type_expr.length_expr is not None:
-                length = self.eval_const(type_expr.length_expr)
+                # Read as an int, so an unsigned wrap-around such as
+                # ``sizeof(int) - 5`` is a negative length, not 2**32 - 1.
+                length = wrap(self.eval_const(type_expr.length_expr, scope),
+                              ts.INT)
                 if length < 0:
                     raise SemanticError("negative array length", location)
             return ts.ArrayType(element, length)
         raise SemanticError("unresolvable type syntax", location)
 
-    def eval_const(self, expr):
-        """Evaluate a compile-time constant integer expression."""
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.Ident):
-            symbol = self.info.globals_scope.lookup(expr.name)
-            if symbol is not None and symbol.kind == ENUM_CONST:
-                return symbol.value
-            raise SemanticError(
-                "{!r} is not a constant".format(expr.name), expr.location
-            )
-        if isinstance(expr, ast.Unary) and expr.op == "-":
-            return -self.eval_const(expr.operand)
-        if isinstance(expr, ast.Unary) and expr.op == "~":
-            return ~self.eval_const(expr.operand)
-        if isinstance(expr, ast.SizeofType):
-            return self.resolve_type(expr.type_expr, expr.location).size
-        if isinstance(expr, ast.Binary):
-            left = self.eval_const(expr.left)
-            right = self.eval_const(expr.right)
-            ops = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-                "/": lambda a, b: _const_div(a, b, expr.location),
-                "%": lambda a, b: _const_mod(a, b, expr.location),
-                "<<": lambda a, b: a << b,
-                ">>": lambda a, b: a >> b,
-                "|": lambda a, b: a | b,
-                "&": lambda a, b: a & b,
-                "^": lambda a, b: a ^ b,
-            }
-            if expr.op in ops:
-                return ops[expr.op](left, right)
-        raise SemanticError("expression is not a compile-time constant",
-                            expr.location)
+    def eval_const(self, expr, scope=None):
+        """Type-check ``expr`` in ``scope`` (the global scope by default)
+        and return its value as an integer constant expression."""
+        ctype = self._check_expr(expr, scope or self.info.globals_scope)
+        value = const_value(expr, _zero_divisor)
+        if value is None or not ctype.decay().is_integer():
+            raise SemanticError("expression is not a compile-time constant",
+                                expr.location)
+        return value
 
     # -- top-level pass ---------------------------------------------------
 
@@ -257,7 +236,8 @@ class SemanticAnalyzer:
         next_value = 0
         for name, value_expr in decl.enumerators:
             if value_expr is not None:
-                next_value = self.eval_const(value_expr)
+                # Converted to int, the enumerator's type.
+                next_value = wrap(self.eval_const(value_expr), ts.INT)
             symbol = Symbol(name, ENUM_CONST, ts.INT, value=next_value)
             self.info.globals_scope.define(symbol, decl.location)
             next_value += 1
@@ -450,7 +430,7 @@ class SemanticAnalyzer:
         try:
             for kind, payload in stmt.entries:
                 if kind == "case":
-                    value = self.eval_const(payload)
+                    value = self.eval_const(payload, inner)
                     if value in seen_values:
                         raise SemanticError(
                             "duplicate case value {}".format(value),
@@ -470,7 +450,7 @@ class SemanticAnalyzer:
             self._break_depth -= 1
 
     def _check_local_decl(self, decl, scope):
-        ctype = self.resolve_type(decl.type_expr, decl.location)
+        ctype = self.resolve_type(decl.type_expr, decl.location, scope)
         if ctype.is_void():
             raise SemanticError("variable of type void", decl.location)
         if not ctype.is_complete():
@@ -795,7 +775,7 @@ class SemanticAnalyzer:
         return field.ctype
 
     def _check_cast(self, expr, scope):
-        target = self.resolve_type(expr.type_expr, expr.location)
+        target = self.resolve_type(expr.type_expr, expr.location, scope)
         source = self._check_expr(expr.operand, scope).decay()
         if target.is_void():
             return target
@@ -807,7 +787,7 @@ class SemanticAnalyzer:
         return target
 
     def _check_sizeoftype(self, expr, scope):
-        ctype = self.resolve_type(expr.type_expr, expr.location)
+        ctype = self.resolve_type(expr.type_expr, expr.location, scope)
         if not ctype.is_complete() and not ctype.is_void():
             raise SemanticError("sizeof incomplete type", expr.location)
         expr.size = ctype.size
@@ -823,17 +803,12 @@ def _is_zero(expr):
     return isinstance(expr, ast.IntLit) and expr.value == 0
 
 
-def _const_div(a, b, location):
-    if b == 0:
-        raise SemanticError("division by zero in constant expression",
-                            location)
-    return int(a / b) if (a < 0) != (b < 0) else a // b
-
-
-def _const_mod(a, b, location):
-    if b == 0:
-        raise SemanticError("modulo by zero in constant expression", location)
-    return a - _const_div(a, b, location) * b
+def _zero_divisor(expr):
+    raise SemanticError(
+        "{} by zero in constant expression".format(
+            "division" if expr.op == "/" else "modulo"),
+        expr.location,
+    )
 
 
 def analyze(program):
