@@ -31,7 +31,7 @@ What the executor adds to the in-process one (the full argument lives in
   wait on the first solver instead of re-solving, and each worker's
   client is the serial cache emptied per item (exact results plus
   UNSAT-core and UNSAT-query refutations) — partitioned exactly so that
-  every worker result stays a pure function of its payload.
+  every worker result stays a pure function of its item.
 * **Worker death.** The kernel's fault boundary returns a lost run as
   data; a worker process dying outright (the in-process boundary cannot
   catch a segfault of the interpreter itself) is detected by the
@@ -45,13 +45,17 @@ What the executor adds to the in-process one (the full argument lives in
   (``jobs`` is excluded from the options digest exactly so a resumed
   search may change its parallelism).
 
-A worker returns each result as plain data: the run's statistics
-snapshot (:meth:`repro.dart.report.RunStats.snapshot`: counters,
-histograms and layer-clock times), its flags, covered branches and trace
-events.  Branch stacks travel as the ``bytes`` they already are.  The
-parent folds the result into the session (commutative merges, so the
-fold is deterministic; it is the parent's ``commit`` layer) and
-re-emits the events in commit order before the commit itself.
+A worker is forked with the session's :class:`repro.dart.runner.Dart`
+and runs its items on the inherited module, compiled closures, solver
+and load image: the front end runs once per session, in the parent.
+Items travel as ``(stack, im, bound, kill)``; a result comes back as the
+kernel's own :class:`repro.dart.runner.ItemResult` plus the run's
+statistics snapshot (:meth:`repro.dart.report.RunStats.snapshot`:
+counters, histograms and layer-clock times), its flags and its trace
+events.  The parent folds the result into the session (commutative
+merges, so the fold is deterministic; it is the parent's ``commit``
+layer) and re-emits the events in commit order before the commit
+itself.
 """
 
 import multiprocessing
@@ -61,87 +65,53 @@ import signal
 import time
 from queue import Empty
 
-from repro.dart import persist
-from repro.dart.report import (
-    INTERNAL_ERROR,
-    QuarantineRecord,
-    RunStats,
-    fault_fields,
-)
-from repro.dart.runner import (
-    QUARANTINED,
-    ItemResult,
-    RunContext,
-    _item_seed,
-    run_item,
-)
+from repro.dart.report import INTERNAL_ERROR, QuarantineRecord, RunStats
+from repro.dart.runner import QUARANTINED, ItemResult, _item_seed, run_item
 from repro.faults import points as fault_points
-from repro.interp.faults import RestoredFault
 from repro.obs import trace as tr
 from repro.obs.clock import COMMIT
 from repro.obs.trace import ListSink, TraceBus
 from repro.solver.shared import CacheServer, SharedCacheClient
 from repro.symbolic.flags import CompletenessFlags
 
-#: Worker processes are forked: the pool respawns workers mid-session
-#: (death recovery), and fork keeps that cheap and keeps the module
-#: import state consistent with the parent.
-try:
-    _MP = multiprocessing.get_context("fork")
-except ValueError:  # pragma: no cover — non-POSIX fallback
-    _MP = multiprocessing.get_context()
+#: Worker processes are forked: a worker inherits the session's built
+#: program and its end of the cache pipe, and a respawn mid-session
+#: (death recovery) costs a fork, not a front-end build.
+_MP = multiprocessing.get_context("fork")
 
 
 # -- worker side --------------------------------------------------------------
 
 
-def _run_payload(ctx, index, payload):
-    """Run one dispatched item through the kernel; the result as data.
+def _run(dart, index, stack, im, bound, traced, clocked):
+    """Run one dispatched item through the kernel.
 
-    The run gets private statistics, flags and (with tracing requested)
-    a private bus with an in-memory sink; the parent folds them into the
-    session at commit.
+    The run gets private statistics, flags and (traced) a private bus
+    with an in-memory sink; the parent folds them into the session at
+    commit.  Returns ``(result, stats snapshot, flags snapshot,
+    events)``.
     """
-    stats = RunStats(clocked=payload["profile"])
+    stats = RunStats(clocked=clocked)
     flags = CompletenessFlags()
     bus = sink = None
-    if payload["trace"]:
+    if traced:
         bus = TraceBus()
         sink = bus.attach(ListSink())
         flags.trace = bus
-    if ctx.cache is not None:
-        ctx.cache.trace = bus
-    if ctx.compiled is not None:
-        ctx.compiled.clock = stats.phases
+    if dart.cache is not None:
+        dart.cache.trace = bus
+    if dart.compiled is not None:
+        dart.compiled.clock = stats.phases
     result = run_item(
-        ctx, payload["stack"],
-        persist.decode_input_vector(payload["im"]), payload["bound"],
-        random.Random(_item_seed(ctx.options.seed, index)),
+        dart, stack, im, bound,
+        random.Random(_item_seed(dart.options.seed, index)),
         stats, flags, bus, index,
     )
-    fault = result.fault
-    return {
-        "status": result.status,
-        "planned": result.planned,
-        "im": persist.encode_input_vector(result.im),
-        "path": result.path,
-        "digest": result.digest,
-        "error": fault_fields(fault) if fault is not None else None,
-        # The future fingerprint rides along so the *parent* can dedupe
-        # at insert time against its drain-global seen set.
-        "children": [
-            (bytes(stack), persist.encode_input_vector(im), bound, fp)
-            for stack, im, bound, fp in result.children
-        ],
-        "quarantine": result.quarantine,
-        "covered": stats.covered_branches,
-        "flags": flags.snapshot(),
-        "stats": stats.snapshot(),
-        "events": sink.events if sink is not None else (),
-    }
+    return (result, stats.snapshot(), flags.snapshot(),
+            sink.events if sink is not None else ())
 
 
-def _pool_worker(wid, spec, work_q, result_q, cache_conn):
+def _pool_worker(wid, dart, work_q, result_q, cache_conn):
     """One long-lived worker: claim, execute, expand, report, repeat.
 
     The claim message is sent *before* the item runs, over the same
@@ -150,11 +120,11 @@ def _pool_worker(wid, spec, work_q, result_q, cache_conn):
     death-recovery sweep relies on.  ``None`` on the work queue is the
     shutdown sentinel.
     """
-    # Workers never inject faults themselves: under a fork start method
-    # the parent's installed injector would be inherited with a *copy*
-    # of its probe counters, making fault placement depend on worker
-    # scheduling.  The only worker-side fault is the kill switch, which
-    # the parent decides and ships in the payload.
+    # Workers never inject faults themselves: the parent's installed
+    # injector would be inherited with a *copy* of its probe counters,
+    # making fault placement depend on worker scheduling.  The only
+    # worker-side fault is the kill switch, which the parent decides and
+    # ships with the item.
     fault_points.uninstall()
     # Forked workers inherit the parent's signal_guard handlers, which
     # only set a flag the worker never reads — that would make SIGTERM
@@ -166,20 +136,21 @@ def _pool_worker(wid, spec, work_q, result_q, cache_conn):
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover — exotic platform
         pass
-    source, toplevel, options, filename = spec
-    client = SharedCacheClient(cache_conn) \
-        if (cache_conn is not None and options.solver_cache) else None
-    try:
-        ctx = RunContext(source, toplevel, options, filename, cache=client)
-    except Exception:  # pragma: no cover — broken program spec
-        os._exit(4)
+    client = None
+    if cache_conn is not None:
+        client = dart.cache = SharedCacheClient(cache_conn)
+    # The session's trace and profile settings, as of the fork.  The
+    # inherited bus and its sinks stay the parent's: a run emits onto
+    # its own bus only.
+    traced = dart.trace.enabled
+    clocked = traced or dart.options.profile_phases
     while True:
         job = work_q.get()
         if job is None:
             break
-        index, payload = job
+        index, (stack, im, bound, kill) = job
         result_q.put(("claim", wid, index))
-        if payload.get("kill"):
+        if kill:
             # Fault injection (``worker.kill``): die the way a
             # segfaulting interpreter would — no result, no exception.
             # The claim is flushed first (close + join_thread drains the
@@ -192,9 +163,9 @@ def _pool_worker(wid, spec, work_q, result_q, cache_conn):
             client.begin_item()
         started = time.perf_counter()
         try:
-            out = _run_payload(ctx, index, payload)
+            out = _run(dart, index, stack, im, bound, traced, clocked)
         except Exception as exc:  # pragma: no cover — second layer
-            out = {"lost": "worker: {}: {}".format(type(exc).__name__, exc)}
+            out = "worker: {}: {}".format(type(exc).__name__, exc)
         busy = time.perf_counter() - started
         result_q.put(("result", wid, index, out, round(busy, 6)))
 
@@ -227,10 +198,11 @@ class _ProcessExecutor:
         self._workers = {}  # wid -> Process
         self._slots = []  # wid per round-robin slot (steal nominees)
         self._next_wid = 0  # allocator when no cache server exists
-        self._payloads = {}  # index -> dispatched payload (re-dispatch)
         self._nominees = {}  # index -> nominated wid (steal accounting)
         self._claims = {}  # index -> wid of the latest claim
-        self._buffer = {}  # index -> result, until its commit turn
+        #: index -> (result, stats, flags, events), or a lost run's
+        #: detail string, until its commit turn.
+        self._buffer = {}
         self._retried = set()  # indices already re-dispatched once
         self._next_dispatch = 1
         self._next_commit = 1
@@ -246,11 +218,10 @@ class _ProcessExecutor:
         else:
             wid = self._next_wid
             self._next_wid += 1
-        dart = self.session.dart
-        spec = (dart.source, dart.toplevel, self.options, dart.filename)
         process = _MP.Process(
             target=_pool_worker,
-            args=(wid, spec, self._work_q, self._result_q, cache_conn),
+            args=(wid, self.session.dart, self._work_q, self._result_q,
+                  cache_conn),
             daemon=True,
         )
         process.start()
@@ -325,28 +296,18 @@ class _ProcessExecutor:
         while pending \
                 and (self._next_dispatch - self._next_commit) < self.window \
                 and self._next_dispatch <= self.options.max_iterations:
-            item = session.pop(pending)
+            stack, im, bound = item = session.pop(pending)
             index = self._next_dispatch
             self._next_dispatch += 1
-            stack, im, bound = item
-            payload = {
-                "stack": bytes(stack),
-                "im": persist.encode_input_vector(im),
-                "bound": bound,
-                "trace": session.trace.enabled,
-                "profile": session.stats.phases.enabled,
-            }
-            if injector is not None and injector.worker_kill(index):
-                # Parent-side kill decision, keyed on the dispatch index
-                # (worker processes share no probe counter); the worker
-                # dies right after claiming the item.
-                payload["kill"] = True
+            # Parent-side kill decision, keyed on the dispatch index
+            # (worker processes share no probe counter); the worker dies
+            # right after claiming the item.
+            kill = injector is not None and injector.worker_kill(index)
             self.inflight[index] = item
-            self._payloads[index] = payload
             if self._slots:
                 self._nominees[index] = \
                     self._slots[(index - 1) % len(self._slots)]
-            self._work_q.put((index, payload))
+            self._work_q.put((index, (stack, im, bound, kill)))
 
     def take(self, index):
         """Block until the head-of-line result is in; fold it into the
@@ -357,26 +318,25 @@ class _ProcessExecutor:
         out = self._buffer.pop(index)
         self._next_commit += 1
         stack, im, _bound = self.inflight.pop(index)
-        self._payloads.pop(index, None)
         self._nominees.pop(index, None)
         self._claims.pop(index, None)
         self._retried.discard(index)
-        if "lost" in out:
-            return self._lost(index, stack, im, out["lost"])
+        if isinstance(out, str):
+            return self._lost(index, stack, im, out)
         clock = self.session.stats.phases
         timed = clock.enabled
         if timed:
             prev = clock.enter(COMMIT)
-        result = self._fold(index, out)
+        result = self._fold(*out)
         if timed:
             clock.leave(prev)
         return result
 
-    def _fold(self, index, out):
+    def _fold(self, result, run_stats, run_flags, events):
         session = self.session
         stats = session.stats
         flags = session.flags
-        all_linear, all_locs, _forcing, all_faithful = out["flags"]
+        all_linear, all_locs, _forcing, all_faithful = run_flags
         if not all_linear:
             flags.clear_linear()
         if not all_locs:
@@ -386,28 +346,15 @@ class _ProcessExecutor:
         # Counters and histograms add, layer times add: commit order
         # makes the merge stable, commutativity makes it independent of
         # worker scheduling.
-        stats.merge(out["stats"])
-        stats.covered_branches |= out["covered"]
-        result = ItemResult(index, out["planned"],
-                            persist.decode_input_vector(out["im"]))
-        result.status = out["status"]
-        result.covered = out["covered"]
-        result.path = out["path"]
-        result.digest = out["digest"]
-        if out["error"] is not None:
-            result.fault = RestoredFault(**out["error"])
-        result.quarantine = out["quarantine"]
-        result.children = [
-            (stack, persist.decode_input_vector(im), bound, fp)
-            for stack, im, bound, fp in out["children"]
-        ]
+        stats.merge(run_stats)
+        stats.covered_branches |= result.covered
         trace = session.trace
         if trace.enabled:
             # Re-emit in commit order, patching in what only the parent
             # knows: whether the run's path was new to the session.
             new_path = result.digest is not None \
                 and result.digest not in stats.distinct_paths
-            for event in out["events"]:
+            for event in events:
                 if event["type"] == tr.RUN_FINISHED:
                     event = dict(event, new_path=new_path)
                 trace.forward(event)
@@ -464,7 +411,7 @@ class _ProcessExecutor:
             _, wid, index, out, busy = message
             if index < self._next_commit or index in self._buffer:
                 return  # duplicate (conservative re-dispatch): results
-                # are pure functions of the payload, so dropping one of
+                # are pure functions of the item, so dropping one of
                 # two identical copies is lossless.
             self._busy_s += busy
             self._buffer[index] = out
@@ -521,14 +468,13 @@ class _ProcessExecutor:
                 # Second death on the same item: give it up as a lost
                 # run; the commit degrades the completeness claim like
                 # any other quarantine.
-                self._buffer[index] = {"lost": "worker process died twice"}
+                self._buffer[index] = "worker process died twice"
                 continue
             self._retried.add(index)
             self._claims.pop(index, None)
-            payload = dict(self._payloads[index])
-            payload.pop("kill", None)
-            self._payloads[index] = payload
-            self._work_q.put((index, payload))
+            # The modeled crash is transient: the retry runs.
+            stack, im, bound = self.inflight[index]
+            self._work_q.put((index, (stack, im, bound, False)))
 
 
 def run_parallel_generational(session):

@@ -37,7 +37,7 @@ CHECKPOINT_CORRUPT = "checkpoint-corrupt"
 
 def fault_fields(fault):
     """A fault's ``{"kind", "message", "location"}`` as JSON-ready data:
-    the shape error reports, suite witnesses and pool results carry."""
+    the shape error reports and suite witnesses carry."""
     return {
         "kind": fault.kind,
         "message": getattr(fault, "message", str(fault)),

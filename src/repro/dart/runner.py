@@ -123,20 +123,25 @@ def collector_paused():
             gc.enable()
 
 
-class RunContext:
-    """What every run of one (program, toplevel, options) needs.
+class Dart:
+    """A DART session for one program and one toplevel function.
 
-    The driver module, its compiled closures, the solver, the solver
-    result cache and the worklist-dedup eligibility classes.  Built once
-    by :class:`Dart` and once per pool worker process (closures are not
-    picklable, so each worker lowers its own copy).
+    Owns what every run needs: the driver module, its compiled closures,
+    the solver, the solver result cache, the worklist-dedup eligibility
+    classes and the module's load image.  Built once per session; a pool
+    worker is forked with it and runs its items on the inherited objects.
     """
 
-    def __init__(self, source, toplevel, options, filename, cache=None,
-                 track_inputs=True):
-        self.options = options
-        #: False for the random-testing baseline: no input is tracked.
-        self.track_inputs = track_inputs
+    #: Whether the inputs are tracked symbolically; False turns the
+    #: session into the random-testing baseline.
+    track_inputs = True
+
+    def __init__(self, source, toplevel, options=None, filename="<program>"):
+        self.options = options = options or DartOptions()
+        self.toplevel = toplevel
+        #: Kept for the checkpoint fingerprint and the suite exporter.
+        self.source = source
+        self.filename = filename
         with collector_paused():
             # One lex, parse and analysis of the source serves the
             # driver's interface, the compiled module and the
@@ -154,11 +159,15 @@ class RunContext:
                 unit, toplevel, options.depth, filename=filename,
             ) if options.subsumption else None
         self.solver = Solver(seed=options.seed)
-        #: Solver result cache (None when disabled); a pool worker passes
-        #: its client of the shared cache server.
-        if cache is None and options.solver_cache:
-            cache = SolverResultCache()
-        self.cache = cache
+        #: The structured trace bus (repro.obs.trace).  Disabled — and
+        #: free — until run() attaches a sink (``trace_file``), or a
+        #: caller attaches one programmatically before run().
+        self.trace = TraceBus()
+        #: Solver result cache (None when disabled); a pool worker swaps
+        #: in its client of the shared cache server.
+        self.cache = SolverResultCache() if options.solver_cache else None
+        if self.cache is not None:
+            self.cache.trace = self.trace
         #: The compiled execution engine (repro.interp.compile): functions
         #: are lowered once and the closures reused across runs.  None
         #: selects the tree-walking interpreter (``--no-compile``).
@@ -166,12 +175,28 @@ class RunContext:
             if options.compiled_execution else None
         #: The module's post-load memory (repro.interp.machine.LoadImage),
         #: taken from the first machine and restored into every later
-        #: one; it lives and dies with this context, so no other session
+        #: one; it lives and dies with this session, so no other session
         #: pins its module.
         self.image = None
+        #: Identifies (program, toplevel, search configuration, constraint
+        #: encoding) so a checkpoint written by a different session — or
+        #: by the same session under an older constraint encoding, whose
+        #: recorded ``done`` verdicts and models may be stale — is
+        #: rejected and its branches re-solved.
+        self.fingerprint = {
+            "source": hashlib.sha256(source.encode()).hexdigest(),
+            "toplevel": toplevel,
+            "options": options.digest(),
+            "encoding": ENCODING_VERSION,
+        }
+        if not self.track_inputs:
+            # A baseline checkpoint never resumes a directed session, nor
+            # the other way round.
+            self.fingerprint["search"] = "random"
 
     def machine(self, hooks, flags, deadline=None, interrupt_check=None,
                 trace=None):
+        """A machine for one run of the module, from the load image."""
         options = self.options
         machine = Machine(self.module, MachineOptions(
             max_steps=options.max_steps,
@@ -184,52 +209,6 @@ class RunContext:
         if self.image is None:
             self.image = machine.load_image()
         return machine
-
-
-class Dart:
-    """A DART session for one program and one toplevel function."""
-
-    #: Whether the inputs are tracked symbolically; False turns the
-    #: session into the random-testing baseline.
-    track_inputs = True
-
-    def __init__(self, source, toplevel, options=None, filename="<program>"):
-        self.options = options or DartOptions()
-        self.toplevel = toplevel
-        #: Kept so the parallel engine can rebuild the context per worker.
-        self.source = source
-        self.filename = filename
-        self.ctx = RunContext(source, toplevel, self.options, filename,
-                              track_inputs=self.track_inputs)
-        #: The structured trace bus (repro.obs.trace).  Disabled — and
-        #: free — until run() attaches a sink (``trace_file``), or a
-        #: caller attaches one programmatically before run().
-        self.trace = TraceBus()
-        if self.ctx.cache is not None:
-            self.ctx.cache.trace = self.trace
-        #: Identifies (program, toplevel, search configuration, constraint
-        #: encoding) so a checkpoint written by a different session — or
-        #: by the same session under an older constraint encoding, whose
-        #: recorded ``done`` verdicts and models may be stale — is
-        #: rejected and its branches re-solved.
-        self.fingerprint = {
-            "source": hashlib.sha256(source.encode()).hexdigest(),
-            "toplevel": toplevel,
-            "options": self.options.digest(),
-            "encoding": ENCODING_VERSION,
-        }
-        if not self.track_inputs:
-            # A baseline checkpoint never resumes a directed session, nor
-            # the other way round.
-            self.fingerprint["search"] = "random"
-
-    @property
-    def module(self):
-        return self.ctx.module
-
-    @property
-    def compiled(self):
-        return self.ctx.compiled
 
     # -- the paper's Fig. 2 -------------------------------------------------
 
@@ -448,7 +427,7 @@ def _quarantine(result, exc, bus, tail):
 TRACE_RING = 32
 
 
-def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
+def run_item(dart, stack, im, bound, rng, stats, flags, bus, iteration,
              session_deadline=None, interrupt_check=None, known_paths=()):
     """The run kernel: one instrumented run inside the fault boundary,
     then the planning of its children.
@@ -472,7 +451,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
     executors call this, so a run's result depends on its arguments
     alone, never on the process it ran in.
     """
-    options = ctx.options
+    options = dart.options
     planned = bool(stack)
     clock = stats.phases
     timed = clock.enabled
@@ -481,7 +460,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
         # well as the run itself: both are per-execution costs.  Lazy
         # IR lowering inside the run is its own (nested) compile layer.
         prev = clock.enter(EXECUTE)
-    hooks = DirectedHooks(im, stack, flags, rng, options, ctx.track_inputs)
+    hooks = DirectedHooks(im, stack, flags, rng, options, dart.track_inputs)
     # The tighter of the per-run limit and the session deadline — so a
     # single pathological run cannot blow past ``time_limit``; the
     # watchdog trips at most one check interval late.
@@ -490,7 +469,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
         limit = time.perf_counter() + options.run_time_limit
         if deadline is None or limit < deadline:
             deadline = limit
-    machine = ctx.machine(hooks, flags, deadline, interrupt_check, bus)
+    machine = dart.machine(hooks, flags, deadline, interrupt_check, bus)
     traced = bus is not None and bus.enabled
     tail = None
     if traced:
@@ -547,8 +526,8 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
             prev = clock.enter(PLAN)
         if options.strategy == "dfs":
             child = solve_path_constraint(
-                hooks.constraints, hooks.stack, im, ctx.solver, flags,
-                stats, options.solver_escalation, cache=ctx.cache,
+                hooks.constraints, hooks.stack, im, dart.solver, flags,
+                stats, options.solver_escalation, cache=dart.cache,
                 slicing=options.constraint_slicing, trace=bus,
                 subsume=options.subsumption,
             )
@@ -557,10 +536,10 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
         else:
             result.children = expand_worklist_children(
                 hooks.stack, hooks.constraints, im, bound,
-                ctx.solver, flags, stats, options.solver_escalation,
-                cache=ctx.cache, slicing=options.constraint_slicing,
+                dart.solver, flags, stats, options.solver_escalation,
+                cache=dart.cache, slicing=options.constraint_slicing,
                 trace=bus, subsume=options.subsumption,
-                independence=ctx.independence,
+                independence=dart.independence,
             )
         if timed:
             clock.leave(prev)
@@ -570,7 +549,7 @@ def run_item(ctx, stack, im, bound, rng, stats, flags, bus, iteration,
 class _InlineExecutor:
     """The ``jobs == 1`` executor: a window of one item, run in this
     process at dispatch, straight into the session's statistics, flags
-    and trace bus — no payload encoding, no statistics merge."""
+    and trace bus — no pickling, no statistics merge."""
 
     def __init__(self, session):
         self.session = session
@@ -606,7 +585,6 @@ class _Session:
 
     def __init__(self, dart):
         self.dart = dart
-        self.ctx = dart.ctx
         self.options = dart.options
         self.trace = dart.trace
         self.flags = CompletenessFlags()
@@ -616,8 +594,8 @@ class _Session:
         # trace.
         self.stats = RunStats(
             clocked=self.options.profile_phases or self.trace.enabled)
-        if self.ctx.compiled is not None:
-            self.ctx.compiled.clock = self.stats.phases
+        if dart.compiled is not None:
+            dart.compiled.clock = self.stats.phases
         if fault_points.ACTIVE is not None:
             # Injected faults count into this session's statistics and
             # trace stream (a harness-owned injector is re-bound per
@@ -711,7 +689,7 @@ class _Session:
         """Run the kernel in this process on the session's own state."""
         stats = self.stats
         return run_item(
-            self.ctx, stack, im, bound, rng, stats, self.flags, self.trace,
+            self.dart, stack, im, bound, rng, stats, self.flags, self.trace,
             stats.iterations, session_deadline=self._deadline,
             interrupt_check=self._probe, known_paths=stats.distinct_paths,
         )
@@ -798,7 +776,7 @@ class _Session:
         if self._interrupted and (self._truncated
                                   or self.status == EXHAUSTED):
             self.status = INTERRUPTED
-        coverage = BranchCoverage(self.ctx.module,
+        coverage = BranchCoverage(self.dart.module,
                                   self.stats.covered_branches)
         # Surface the rollup through the stats summary too, so JSON
         # reports built from RunStats alone carry the C1 numbers.
@@ -1031,7 +1009,7 @@ class _Session:
         checkpoint cadence, the between-runs fault seam and budget
         truncation do not depend on the executor.
         """
-        if not self.ctx.track_inputs:
+        if not self.dart.track_inputs:
             # Random testing never claims completeness, not even of a
             # program without inputs.
             self.flags.clear_linear()

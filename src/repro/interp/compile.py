@@ -53,6 +53,7 @@ from repro.interp.values import c_div, c_mod
 from repro.minic import ast_nodes as ast
 from repro.minic import ir
 from repro.minic.symbols import ENUM_CONST, GLOBAL
+from repro.minic.typesys import compares_unsigned
 from repro.obs.clock import COMPILE
 from repro.symbolic.evaluate import constraint_from_branch
 from repro.symbolic.expr import EQ, LinExpr
@@ -81,16 +82,6 @@ def _wrap_fn(ctype):
         # Branch-free two's-complement wrap.
         return lambda v: ((v & mask) ^ sbit) - sbit
     return lambda v: v & mask
-
-
-def _unsigned_ctype(ctype):
-    """Machine._unsigned_ctype, available at lowering time."""
-    if ctype is None:
-        return False
-    ctype = ctype.decay()
-    if ctype.is_pointer():
-        return True
-    return ctype.is_integer() and not ctype.signed
 
 
 def _load_sym(m, addr, size):
@@ -486,7 +477,7 @@ class _Compiler:
 
             return ev_inv
         if op == "!":
-            unsigned = _unsigned_ctype(e.operand.ctype)
+            unsigned = compares_unsigned(e.operand.ctype)
 
             def ev_not(m, r):
                 value, sym = operand(m, r)
@@ -582,8 +573,7 @@ class _Compiler:
 
         if op in _CMP:
             cmpf = _CMP[op]
-            unsigned = (lt.is_pointer() or rt.is_pointer()
-                        or not lt.signed or not rt.signed)
+            unsigned = compares_unsigned(lt, rt)
 
             def apply_cmp(m, lv, ls, rv, rs):
                 if ls is None and rs is None:
@@ -858,7 +848,7 @@ class _Compiler:
             return step_eval
         if isinstance(instruction, ir.Branch):
             cond = self.expr(instruction.cond)
-            unsigned = _unsigned_ctype(instruction.cond.ctype)
+            unsigned = compares_unsigned(instruction.cond.ctype)
             target = instruction.target
             next_pc = pc + 1
             location = instruction.location

@@ -10,6 +10,8 @@ exception, then a bug has been found").
 construct in the harness itself and is never reported as a program bug.
 """
 
+import copyreg
+
 
 class ExecutionFault(Exception):
     """Base class for detected program errors."""
@@ -20,6 +22,12 @@ class ExecutionFault(Exception):
         super().__init__(message)
         self.message = message
         self.location = location
+
+    def __reduce__(self):
+        # The subclasses' constructors differ (an address, a step count,
+        # a restored kind), so ``args`` cannot rebuild them: pickle the
+        # fields instead, and restore them without calling ``__init__``.
+        return copyreg.__newobj__, (type(self),) + self.args, self.__dict__
 
     def describe(self):
         if self.location is not None:

@@ -480,7 +480,7 @@ class Machine:
             self.symbolic_steps += 1
             constraint = constraint_from_branch(
                 sym, taken, widener=self.widener, value=value,
-                unsigned=self._unsigned_ctype(instr.cond.ctype),
+                unsigned=ts.compares_unsigned(instr.cond.ctype),
             )
         self.branches_executed += 1
         self.covered_branches.add((function.name, pc, taken))
@@ -625,7 +625,7 @@ class Machine:
                 # Domain-precise lanes come back as the plain ``e == 0``.
                 notsym = self.widener.widen_truth_test(
                     EQ, value, sym,
-                    self._unsigned_ctype(expr.operand.ctype), result,
+                    ts.compares_unsigned(expr.operand.ctype), result,
                 )
             else:
                 notsym = self.evaluator.logical_not(value, sym)
@@ -733,22 +733,9 @@ class Machine:
         # fact stays bit-precise (see repro.symbolic.widen).
         return wrap(raw, result_type), sym
 
-    @staticmethod
-    def _unsigned_ctype(ctype):
-        """Whether a truth test of ``ctype`` lives in the unsigned window."""
-        if ctype is None:
-            return False
-        ctype = ctype.decay()
-        if ctype.is_pointer():
-            return True
-        return ctype.is_integer() and not ctype.signed
-
     def _compare(self, op, left_type, left_value, left_sym,
                  right_type, right_value, right_sym):
-        unsigned = (
-            left_type.is_pointer() or right_type.is_pointer()
-            or not left_type.signed or not right_type.signed
-        )
+        unsigned = ts.compares_unsigned(left_type, right_type)
         return self._compare_values(op, unsigned, left_value, left_sym,
                                     right_value, right_sym)
 

@@ -7,7 +7,9 @@ so a constant means the same thing in every context and the same thing as
 when the machine computes it at run time:
 
 * every operator wraps to its result type (C's 32-bit modular arithmetic);
-* a comparison with an unsigned or pointer operand compares unsigned;
+* a comparison compares unsigned when an operand is a pointer or the
+  usual arithmetic conversions make it unsigned (C's promotions: an
+  ``unsigned char`` operand compares as ``int``);
 * shift counts are masked to 5 bits;
 * ``/`` and ``%`` truncate toward zero;
 * a cast wraps to an integer type, masks to a pointer type and gives 0
@@ -24,6 +26,7 @@ import operator
 
 from repro.minic import ast_nodes as ast
 from repro.minic.symbols import ENUM_CONST
+from repro.minic.typesys import compares_unsigned
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -138,8 +141,7 @@ def _binary_value(expr, on_zero_divisor):
     left_type = expr.left.ctype.decay()
     right_type = expr.right.ctype.decay()
     if op in _COMPARISONS:
-        if left_type.is_pointer() or right_type.is_pointer() \
-                or not left_type.signed or not right_type.signed:
+        if compares_unsigned(left_type, right_type):
             left &= WORD_MASK
             right &= WORD_MASK
         return 1 if _COMPARISONS[op](left, right) else 0

@@ -314,3 +314,23 @@ def usual_arithmetic_conversion(left, right):
     if not left.signed or not right.signed:
         return UINT
     return INT
+
+
+def compares_unsigned(left, right=INT):
+    """Whether C compares a ``left`` and a ``right`` operand unsigned.
+
+    True for a pointer operand, and for integer operands whose usual
+    arithmetic conversion is unsigned: ``(unsigned char)200 > -1``
+    promotes both sides to ``int`` and compares signed.  A truth test is
+    a comparison with the ``int`` 0, the default ``right``; an untyped
+    operand (None) is tested signed.
+    """
+    if left is None:
+        return False
+    left = left.decay()
+    right = right.decay()
+    if left.is_pointer() or right.is_pointer():
+        return True
+    if not (left.is_integer() and right.is_integer()):
+        return False
+    return not usual_arithmetic_conversion(left, right).signed

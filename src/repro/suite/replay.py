@@ -110,7 +110,7 @@ def execute_vector(dart, inputs, kinds):
         im.record(ordinal, kind, value)
     hooks = _ReplayRecordingHooks(
         im, b"", CompletenessFlags(), random.Random(0), dart.options)
-    machine = dart.ctx.machine(hooks, CompletenessFlags(), trace=dart.trace)
+    machine = dart.machine(hooks, CompletenessFlags(), trace=dart.trace)
     fault = None
     try:
         machine.run(DRIVER_ENTRY)

@@ -221,8 +221,9 @@ def front_end_divergence(source, toplevel, depth=1, max_init_depth=None):
     """How a session's one-lex front end disagrees with the plain
     pipeline on ``source``, or None.
 
-    The session side is what :class:`repro.dart.runner.RunContext` does:
-    one :class:`SourceUnit` serves ``build_test_program`` and then
+    The session side is what :class:`repro.dart.runner.Dart` does, once
+    per session (pool workers are forked with it, so they never rebuild
+    it): one :class:`SourceUnit` serves ``build_test_program`` and then
     ``coupling_classes``.  The reference compiles ``source + driver`` as
     plain text and computes the classes from the source text.
     """
@@ -423,7 +424,7 @@ class OracleBattery:
                     self._dart_options(**overrides))
         violations = []
         if check_models and overrides.get("jobs", 1) == 1:
-            dart.ctx.solver = _CheckingSolver(dart.ctx.solver, violations)
+            dart.solver = _CheckingSolver(dart.solver, violations)
         result = dart.run()
         self.counters["dart_sessions"] += 1
         self.counters["conjuncts_widened"] += \

@@ -123,6 +123,21 @@ class TestMachineSemantics:
         assert run_both("int f(void) { unsigned s = sizeof(int); "
                         "int m = -1; return s > m; }") == 0
 
+    def test_narrow_unsigned_compares_as_int(self):
+        # C promotes unsigned char to int before comparing: 200 > -1.
+        value = folded_return("(unsigned char)200 > -1")
+        assert isinstance(value, ast.IntLit) and value.value == 1
+        assert run_both("int f(void) { unsigned char c = 200; int m = -1; "
+                        "return c > m; }") == 1
+        assert run_both("unsigned short s = 65535; int f(void) { "
+                        "return s > -1; }") == 1
+        assert global_init("int g = (unsigned char)200 > -1;") == 1
+        assert run_both("int g = (unsigned char)200 > -1; "
+                        "int f(void) { return g; }") == 1
+        # A full-width unsigned operand still makes the comparison unsigned.
+        assert run_both("int f(void) { unsigned u = 200; int m = -1; "
+                        "return u > m; }") == 0
+
     def test_unsigned_difference_wraps(self):
         value = folded_return("sizeof(int) - 5 == -1")
         assert isinstance(value, ast.IntLit) and value.value == 1

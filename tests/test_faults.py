@@ -1,6 +1,8 @@
 """Fault detection: the errors DART reports (crashes, aborts, assertions,
 division by zero, non-termination, stack overflow, invalid frees)."""
 
+import pickle
+
 import pytest
 
 from repro.interp import (
@@ -14,9 +16,16 @@ from repro.interp import (
     SegFault,
     StackOverflow,
 )
-from repro.interp.faults import InterpreterError
+from repro.interp.faults import (
+    ExecutionFault,
+    InterpreterError,
+    OutOfMemory,
+    RestoredFault,
+    UninitializedRead,
+)
 from repro.interp.memory import MemoryOptions
 from repro.minic import compile_program
+from repro.minic.errors import SourceLocation
 
 
 def run(source, function="f", args=(), **opts):
@@ -172,3 +181,46 @@ class TestOtherFaults:
         src = "int probe(void); int f(void) { return probe(); }"
         with pytest.raises(InterpreterError):
             run(src)
+
+
+class TestFaultsPickle:
+    """Faults cross process boundaries (pool results) intact."""
+
+    LOCATION = SourceLocation("<program>", 3, 7)
+
+    def faults(self):
+        loc = self.LOCATION
+        return [
+            ExecutionFault("generic", loc),
+            ProgramAbort("abort() called", loc),
+            AssertionViolation("x > 0", loc),
+            SegFault("NULL dereference", 0, loc),
+            DivisionByZero("division by zero", loc),
+            InvalidFree("double free", loc),
+            OutOfMemory("heap exhausted", loc),
+            StackOverflow("call depth exceeded", loc),
+            UninitializedRead("read of uninitialized memory", 0x1004, loc),
+            NonTermination(500, loc),
+            RestoredFault("abort", "abort() called", "<program>:3:7"),
+            SegFault("no location", 8),
+        ]
+
+    def test_every_subclass_is_covered(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert set(subclasses(ExecutionFault)) <= \
+            {type(fault) for fault in self.faults()}
+
+    def test_round_trip_keeps_the_fields(self):
+        for fault in self.faults():
+            copy = pickle.loads(pickle.dumps(fault))
+            assert type(copy) is type(fault)
+            assert copy.kind == fault.kind
+            assert copy.message == fault.message
+            assert str(copy.location) == str(fault.location)
+            assert getattr(copy, "address", None) == \
+                getattr(fault, "address", None)
+            assert copy.describe() == fault.describe()

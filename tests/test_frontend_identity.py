@@ -115,7 +115,7 @@ def test_classes_from_the_analysed_ast_equal_an_unanalysed_walk(
 def test_session_classes_equal_those_from_the_source_text():
     source = samples.FOOBAR_SOURCE
     dart = Dart(source, samples.FOOBAR_TOPLEVEL, DartOptions(depth=2))
-    assert dart.ctx.independence == coupling_classes(
+    assert dart.independence == coupling_classes(
         source, samples.FOOBAR_TOPLEVEL, 2)
 
 

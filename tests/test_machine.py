@@ -504,18 +504,18 @@ class TestLoadImage:
 
     def test_session_image_survives_its_runs(self):
         from repro import DartOptions
-        from repro.dart.runner import RunContext
+        from repro.dart.runner import Dart
         from repro.interp.machine import ExecutionHooks
         from repro.symbolic.flags import CompletenessFlags
 
-        ctx = RunContext(self.SOURCE, "f", DartOptions(), "<test>")
-        assert ctx.image is None
-        initial = self._regions(Machine(ctx.module))
+        dart = Dart(self.SOURCE, "f", DartOptions(), "<test>")
+        assert dart.image is None
+        initial = self._regions(Machine(dart.module))
         for _ in range(3):
-            machine = ctx.machine(ExecutionHooks(), CompletenessFlags())
+            machine = dart.machine(ExecutionHooks(), CompletenessFlags())
             assert self._regions(machine) == initial
             assert machine.run("f", ()) == 8 + 3 + 99
-        assert ctx.image is not None
+        assert dart.image is not None
 
     def test_image_is_taken_before_any_execution(self):
         module = compile_program(self.SOURCE)

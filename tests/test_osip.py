@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro import DartOptions, dart_check
-from repro.dart.runner import Dart, RunContext, collector_paused
+from repro.dart.runner import Dart, collector_paused
 from repro.interp import Machine, MachineOptions, SegFault
 from repro.interp.memory import MemoryOptions
 from repro.minic import compile_program
@@ -129,7 +129,7 @@ class TestSessionBuildCollector:
         gc.collect()
         gc.callbacks.append(record)
         try:
-            RunContext(source, name, sweep_options(), "<osip>")
+            Dart(source, name, sweep_options(), "<osip>")
         finally:
             gc.callbacks.remove(record)
         # The one allowed is the young collection the first allocation

@@ -152,6 +152,27 @@ class TestPoolCache:
         assert result.stats.flips_subsumed_core > 0
 
 
+class TestPoolInheritsTheSession:
+    """Workers are forked with the session's Dart: the front end runs
+    once, in the parent, however many workers start or respawn."""
+
+    def test_workers_never_rebuild_the_front_end(self, monkeypatch):
+        options = dict(depth=2, strategy="bfs", max_iterations=60)
+        source = ns_source("dolev_yao")
+        serial = run(source, "ns_dy_step", 1, **options)
+        dart = Dart(source, "ns_dy_step", DartOptions(jobs=2, **options))
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the front end ran again")
+
+        monkeypatch.setattr("repro.dart.runner.build_test_program",
+                            no_rebuild)
+        pooled = dart.run()
+        assert_same_search(serial, pooled)
+        assert pooled.quarantined == []
+        assert pooled.stats.pool_workers_lost == 0
+
+
 class TestCheckpointInterop:
     def test_parallel_checkpoint_resumes_serially_and_back(self, tmp_path):
         state = os.path.join(str(tmp_path), "state.json")
