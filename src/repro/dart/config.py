@@ -3,7 +3,7 @@
 import hashlib
 
 from repro.interp.memory import MemoryOptions
-from repro.solver.core import NODE_BUDGET
+from repro.solver.core import BUDGET_ESCALATION, NODE_BUDGET
 
 #: Search strategies: the paper's depth-first Fig. 5, and the orders of its
 #: footnote 4 ("the next branch to be forced could be selected using a
@@ -41,7 +41,6 @@ class DartOptions:
         state_file=None,
         run_time_limit=None,
         checkpoint_every=25,
-        solver_escalation=4,
         handle_signals=False,
         constraint_slicing=True,
         solver_cache=True,
@@ -104,10 +103,6 @@ class DartOptions:
         #: this many runs (in addition to budget-exhaustion / signal
         #: checkpoints).  0 disables periodic autosave.
         self.checkpoint_every = checkpoint_every
-        #: On a solver ``unknown`` (node budget exhausted), retry once
-        #: with the budget multiplied by this factor before degrading to
-        #: the random-testing fallback.  <= 1 disables the retry.
-        self.solver_escalation = solver_escalation
         #: Install SIGINT/SIGTERM handlers for the duration of the session
         #: that checkpoint (when ``state_file`` is set) and return a
         #: partial result instead of dying mid-run.  The CLI enables this.
@@ -214,12 +209,13 @@ class DartOptions:
         relevant = (
             self.depth, self.strategy, self.seed,
             self.stop_on_first_error, self.max_steps,
-            # The solver's node budget (a constant), hashed in this place
-            # so digests in saved checkpoints and suites stay valid.
+            # The solver's node budget and its escalation factor are
+            # constants, hashed in these places so digests in saved
+            # checkpoints and suites stay valid.
             NODE_BUDGET, self.directed_pointer_choices,
             self.max_init_depth, self.transparent_memory,
             self.stack_limit, self.heap_limit, self.max_call_depth,
-            self.track_uninitialized, self.solver_escalation,
+            self.track_uninitialized, BUDGET_ESCALATION,
             self.constraint_slicing, self.solver_cache,
         )
         return hashlib.sha256(repr(relevant).encode()).hexdigest()[:16]

@@ -527,18 +527,17 @@ def run_item(dart, stack, im, bound, rng, stats, flags, bus, iteration,
         if options.strategy == "dfs":
             child = solve_path_constraint(
                 hooks.constraints, hooks.stack, im, dart.solver, flags,
-                stats, options.solver_escalation, cache=dart.cache,
-                slicing=options.constraint_slicing, trace=bus,
-                subsume=options.subsumption,
+                stats, cache=dart.cache, slicing=options.constraint_slicing,
+                trace=bus, subsume=options.subsumption,
             )
             if child is not None:
                 result.children = (child,)
         else:
             result.children = expand_worklist_children(
-                hooks.stack, hooks.constraints, im, bound,
-                dart.solver, flags, stats, options.solver_escalation,
-                cache=dart.cache, slicing=options.constraint_slicing,
-                trace=bus, subsume=options.subsumption,
+                hooks.stack, hooks.constraints, im, bound, dart.solver,
+                flags, stats, cache=dart.cache,
+                slicing=options.constraint_slicing, trace=bus,
+                subsume=options.subsumption,
                 independence=dart.independence,
             )
         if timed:

@@ -38,7 +38,7 @@ per conjunct and it converts a potential unsound plan into an explicit,
 solvable obligation.
 
 Completeness is likewise unaffected: UNSAT of the sliced group implies
-UNSAT of any superset, so ``done`` marking stays correct.
+UNSAT of any superset, so an all-UNSAT flip stays a proof.
 """
 
 

@@ -1,23 +1,27 @@
-"""``solve_path_constraint`` (Fig. 5) and the generational expansion.
+"""One planner for every search order: Fig. 5 and footnote 4's orders.
 
-After a run completes, the deepest conditional whose other branch has not
-been explored (no :data:`~repro.dart.pathcond.DONE` flag) is selected;
-its conjunct is negated and the path-constraint prefix up to it is handed
-to the solver.  On success the
-truncated stack (with the branch bit flipped) and the updated input vector
-``IM + IM'`` drive the next run.  On UNSAT the next candidate branch is
-tried — the paper's recursive descent; on UNKNOWN additionally
-``all_linear`` is cleared, because prover incompleteness costs the
-termination guarantee exactly like a non-linear expression does.
+After a run completes, the planner walks an index sequence over its
+branch stack; for each conditional it negates the conjunct, hands the
+path-constraint prefix up to it to the solver, and on success plans a
+child: the truncated stack (with the branch bit flipped) and the updated
+input vector ``IM + IM'``.  The two entry points differ only in that
+sequence and in how many children they keep:
 
-Footnote 4 of the paper notes the flipped branch "could be selected using a
-different strategy, e.g., randomly or in a breadth-first manner".  Those
-orders are not a different choice of branch here but a different order of
-runs: :func:`expand_worklist_children` plans a child for *every* newly
-discovered flippable branch, and the session drains the resulting worklist
-in FIFO or random order.  Both planners return children in one shape,
-``(stack, im, bound, fingerprint)``, so the session loop treats a Fig. 5
-plan as a one-item worklist.
+* :func:`solve_path_constraint` (Fig. 5) walks the not-yet-``done``
+  conditionals deepest first (:func:`candidate_indices`) and stops at
+  the first SAT flip — on UNSAT the next candidate is tried, the paper's
+  recursive descent;
+* :func:`expand_worklist_children` walks every newly discovered
+  conditional, ``bound..len(stack)``, and keeps every child.  Footnote 4
+  notes the flipped branch "could be selected using a different
+  strategy, e.g., randomly or in a breadth-first manner"; those orders
+  are not a different choice of branch here but a different order of
+  runs — the session drains the children in FIFO or random order.
+
+Both return children in one shape, ``(stack, im, bound, fingerprint)``,
+so the session loop treats a Fig. 5 plan as a one-item worklist.  The
+shared loop also owns the one rule for what a flip costs ``all_linear``
+(see :func:`_plan`).
 
 Two throughput layers plug in here (see DESIGN.md, "Performance"):
 
@@ -46,11 +50,12 @@ from repro.dart.slicing import ConstraintSlicer
 from repro.obs import trace as tr
 from repro.obs.clock import CACHE, SOLVER
 from repro.solver.cache import SolverResultCache
-from repro.solver.core import UNKNOWN, SolverResult
+from repro.solver.core import BUDGET_ESCALATION, UNKNOWN, SolverResult
 from repro.symbolic.widen import (
     WidenedCmp,
     flatten_constraints,
     negation_candidates,
+    one_window,
 )
 
 
@@ -284,37 +289,6 @@ def _assignment_of(im):
     return {ordinal: slot.value for ordinal, slot in enumerate(im)}
 
 
-def _query_for(j, negated, slicer, non_none, count_before, stats):
-    """The solver query for flipping conditional ``j`` (sliced or full)."""
-    if slicer is not None:
-        query = slicer.slice(j, negated)
-        if stats is not None:
-            stats.sliced_conjuncts_dropped += \
-                count_before[j] + 1 - len(query)
-    else:
-        query = non_none[: count_before[j]]
-        query.append(negated)
-    # Widened conjuncts carry window guards that the solver's
-    # normalization (which reads only op/lin) would silently ignore;
-    # expand them into plain conjuncts here — after slicing has grouped
-    # and the accounting above has counted whole conjuncts.
-    return flatten_constraints(query)
-
-
-def _negations_of(conjunct, domains):
-    """Ordered negation candidates for flipping ``conjunct``.
-
-    A plain conjunct has exactly one.  A widened conjunct's anchored
-    negation only covers this run's wrap window, so the feasible windows
-    are enumerated (see :func:`repro.symbolic.widen.negation_candidates`);
-    the second element is False when the enumeration was truncated and an
-    all-UNSAT answer must not count as an infeasibility proof.
-    """
-    if isinstance(conjunct, WidenedCmp):
-        return negation_candidates(conjunct, domains)
-    return [conjunct.negate()], True
-
-
 def _child_fingerprint(query, query_vars, assignment, domains):
     """Canonical future fingerprint of a dedup-*eligible* worklist child.
 
@@ -344,131 +318,136 @@ def _child_fingerprint(query, query_vars, assignment, domains):
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
-def solve_path_constraint(constraints, stack, im, solver, flags,
-                          stats=None, escalation=1, cache=None, slicing=True,
-                          trace=None, subsume=False):
-    """Pick the deepest branch to flip and solve for inputs reaching it.
+def _plan(constraints, stack, im, indices, solver, flags, stats, cache,
+          slicing, trace, subsume, first_only, independence=None):
+    """The flip loop both search orders share.
 
-    ``constraints`` is the completed run's path constraint, ``stack`` its
-    finished branch stack (marked done in place as candidates are
-    exhausted), ``im`` the run's input vector.  Returns the next run as a
-    child tuple ``(stack, im, bound, None)`` — the truncated stack with
-    its last bit flipped, ``IM + IM'``, the index past the flip, and no
-    dedup fingerprint — or None when every branch along the path is
-    exhausted (this directed search is over).
-    """
-    domains = im.domains()
-    non_none, count_before = _prefix_index(constraints)
-    slicer = ConstraintSlicer(constraints, _assignment_of(im)) \
-        if slicing else None
-    for j in candidate_indices(stack):
-        conjunct = constraints[j]
-        if conjunct is None:
-            # Concrete-fallback predicate: not flippable by solving.  Its
-            # other branch is only reachable through different earlier
-            # choices (or not at all).  Mark it done so it is not
-            # re-examined on every later solve with the same prefix.
-            stack[j] |= DONE
-            continue
-        negations, exhaustive = _negations_of(conjunct, domains)
-        if stats is not None:
-            stats.flips_attempted += 1
-        all_unsat = True
-        for windex, negated in enumerate(negations):
-            query = _query_for(j, negated, slicer, non_none,
-                               count_before, stats)
-            if windex == 0 and trace is not None and trace.enabled:
-                trace.emit(tr.CONJUNCT_NEGATED, index=j,
-                           prefix=count_before[j], query=len(query),
-                           windows=len(negations))
-            result = solve_with_retry(solver, query, domains, stats,
-                                      escalation, cache, trace, subsume)
-            if result.is_sat:
-                if stats is not None:
-                    stats.flips_sat += 1
-                child = stack[: j + 1]
-                child[j] ^= 1
-                return child, im.updated(result.model), j + 1, None
-            if result.status == "unknown":
-                # Prover incompleteness: same effect as a non-linear
-                # predicate.
-                all_unsat = False
-                flags.clear_linear()
-        if all_unsat:
-            if exhaustive:
-                # Proved UNSAT (across every wrap window, for widened
-                # conjuncts): the other branch is infeasible under this
-                # prefix, which is permanent for this branch history —
-                # mark it done so later solves with the same prefix skip
-                # it.  (Fig. 5 re-derives the UNSAT on every call; this
-                # is a pure memoization.)
-                stack[j] |= DONE
-            else:
-                # Window enumeration truncated: UNSAT here is not a
-                # proof.  Give up on this branch but record the lost
-                # guarantee like any other prover incompleteness.
-                stack[j] |= DONE
-                flags.clear_linear()
-    return None
-
-
-def expand_worklist_children(stack, constraints, im, bound, solver, flags,
-                             stats=None, escalation=1, cache=None,
-                             slicing=True, trace=None, subsume=False,
-                             independence=None):
-    """Generational expansion: children for indices ``bound..len(stack)``.
-
-    The "bfs" and "random" strategies spawn one pending input vector per
-    newly discovered flippable branch; this helper owns that loop, with
-    the same slicing/caching fast path as Fig. 5's planner.  Returns a
-    list of ``(child_stack, child_im, child_bound, fingerprint)``
-    4-tuples in branch order; ``fingerprint`` is the dedup key of
-    :func:`_child_fingerprint` when ``subsume``, slicing and the
+    Tries to flip each conditional of ``indices`` in turn and returns the
+    children ``(stack, im, bound, fingerprint)`` of the flips the solver
+    satisfies, in ``indices`` order — only the first when ``first_only``.
+    A child is fingerprinted for worklist dedup
+    (:func:`_child_fingerprint`) only when ``subsume``, slicing and the
     session's ``independence`` classes (see
-    :func:`repro.dart.independence.coupling_classes`) all permit it,
-    else None — children without a fingerprint are never deduped.
+    :func:`repro.dart.independence.coupling_classes`) all permit it.
+
+    A plain conjunct has one negation; a widened one is tried in every
+    wrap window the input domains allow (see
+    :func:`repro.symbolic.widen.negation_candidates`) until one is SAT.
+    This loop is the one place that decides what a flip costs
+    ``all_linear``: an UNKNOWN attempt clears it, as a non-linear
+    predicate would, and a flip with no SAT window proves the flipped
+    branch infeasible only when its window enumeration was exhaustive
+    and no widened conjunct of its queries' prefixes can leave its
+    anchoring run's wrap window (:func:`repro.symbolic.widen.one_window`):
+    that conjunct's guards admit only models in that window, and an UNSAT
+    inside it shows the branch unexplored, not unreachable.  Otherwise
+    the flag is cleared too.
     """
     domains = im.domains()
     non_none, count_before = _prefix_index(constraints)
     assignment = _assignment_of(im)
     slicer = ConstraintSlicer(constraints, assignment) \
         if slicing else None
+    fingerprinted = subsume and slicer is not None \
+        and independence is not None
     children = []
-    for j in range(bound, len(stack)):
+    for j in indices:
         conjunct = constraints[j]
         if conjunct is None:
+            # Concrete-fallback predicate: not flippable by solving.  Its
+            # other branch is only reachable through different earlier
+            # choices (or not at all).
             continue
-        negations, exhaustive = _negations_of(conjunct, domains)
+        if isinstance(conjunct, WidenedCmp):
+            negations, exhaustive = negation_candidates(conjunct, domains)
+        else:
+            negations, exhaustive = [conjunct.negate()], True
         if stats is not None:
             stats.flips_attempted += 1
-        if not exhaustive:
-            flags.clear_linear()
-        for windex, negated in enumerate(negations):
-            query = _query_for(j, negated, slicer, non_none,
-                               count_before, stats)
-            if windex == 0 and trace is not None and trace.enabled:
-                trace.emit(tr.CONJUNCT_NEGATED, index=j,
-                           prefix=count_before[j], query=len(query),
-                           windows=len(negations))
-            result = solve_with_retry(solver, query, domains, stats,
-                                      escalation, cache, trace, subsume)
-            if result.is_sat:
+        queries = []
+        unknown = False
+        model = None
+        for negated in negations:
+            if slicer is not None:
+                query = slicer.slice(j, negated)
                 if stats is not None:
-                    stats.flips_sat += 1
-                child = stack[: j + 1]
-                child[j] ^= 1
-                fp = None
-                if subsume and slicer is not None \
-                        and independence is not None:
-                    query_vars = set()
-                    for c in query:
-                        query_vars |= c.variables()
-                    if dedup_eligible(query_vars, independence):
-                        fp = _child_fingerprint(query, query_vars,
-                                                assignment, domains)
-                children.append((child, im.updated(result.model), j + 1,
-                                 fp))
+                    stats.sliced_conjuncts_dropped += \
+                        count_before[j] + 1 - len(query)
+            else:
+                query = non_none[: count_before[j]]
+                query.append(negated)
+            queries.append(query)
+            # Widened conjuncts carry window guards that the solver's
+            # normalization (which reads only op/lin) would silently
+            # ignore; expand them into plain conjuncts here — after
+            # slicing has grouped and the accounting above has counted
+            # whole conjuncts.
+            flat = flatten_constraints(query)
+            if len(queries) == 1 and trace is not None and trace.enabled:
+                trace.emit(tr.CONJUNCT_NEGATED, index=j,
+                           prefix=count_before[j], query=len(flat),
+                           windows=len(negations))
+            result = solve_with_retry(solver, flat, domains, stats,
+                                      BUDGET_ESCALATION, cache, trace,
+                                      subsume)
+            if result.is_sat:
+                model = result.model
                 break
-            if result.status == "unknown":
-                flags.clear_linear()
+            if result.status == UNKNOWN:
+                unknown = True
+        if unknown or model is None and (not exhaustive or any(
+                isinstance(c, WidenedCmp) and not one_window(c, domains)
+                for query in queries for c in query[:-1])):
+            flags.clear_linear()
+        if model is None:
+            continue
+        if stats is not None:
+            stats.flips_sat += 1
+        child = stack[: j + 1]
+        child[j] ^= 1
+        fingerprint = None
+        if fingerprinted:
+            query_vars = set()
+            for c in flat:
+                query_vars |= c.variables()
+            if dedup_eligible(query_vars, independence):
+                fingerprint = _child_fingerprint(flat, query_vars,
+                                                 assignment, domains)
+        children.append((child, im.updated(model), j + 1, fingerprint))
+        if first_only:
+            break
     return children
+
+
+def solve_path_constraint(constraints, stack, im, solver, flags,
+                          stats=None, cache=None, slicing=True, trace=None,
+                          subsume=False):
+    """Fig. 5: flip the deepest not-yet-``done`` branch the solver can.
+
+    ``constraints`` is the completed run's path constraint, ``stack`` its
+    finished branch stack, ``im`` the run's input vector.  Returns the
+    next run as a child tuple ``(stack, im, bound, None)`` — the truncated
+    stack with its last bit flipped, ``IM + IM'``, the index past the
+    flip, and no dedup fingerprint — or None when every branch along the
+    path is exhausted (this directed search is over).
+    """
+    children = _plan(constraints, stack, im, candidate_indices(stack),
+                     solver, flags, stats, cache, slicing, trace, subsume,
+                     first_only=True)
+    return children[0] if children else None
+
+
+def expand_worklist_children(stack, constraints, im, bound, solver, flags,
+                             stats=None, cache=None, slicing=True,
+                             trace=None, subsume=False, independence=None):
+    """Generational expansion: children for indices ``bound..len(stack)``.
+
+    The "bfs" and "random" strategies spawn one pending input vector per
+    newly discovered flippable branch (the parent already enumerated
+    everything shallower).  Returns the children in branch order; see
+    :func:`_plan` for when one carries a dedup fingerprint — children
+    without one are never deduped.
+    """
+    return _plan(constraints, stack, im, range(bound, len(stack)), solver,
+                 flags, stats, cache, slicing, trace, subsume,
+                 first_only=False, independence=independence)

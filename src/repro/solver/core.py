@@ -62,6 +62,10 @@ class _Budget:
 #: Default search-node budget of one solver call.
 NODE_BUDGET = 50_000
 
+#: A flip query answered UNKNOWN (node budget exhausted) is retried once
+#: with the budget multiplied by this factor before the search degrades.
+BUDGET_ESCALATION = 4
+
 
 class Solver:
     """Decides conjunctions of CmpExpr constraints over bounded integers."""

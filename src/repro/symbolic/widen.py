@@ -54,10 +54,14 @@ conjunct is the *flip target*, the solving layer widens the negation back
 out with :func:`negation_candidates`: the machine's true negation is the
 union of the flipped primary over every wrap window the input domains
 allow, and the windows (each a plain conjunction) are enumerated until
-one is SAT — so an all-UNSAT answer is a genuine infeasibility proof, and
-``complete`` verdicts stay honest.  Only when the window count exceeds
-:data:`MAX_NEGATION_WINDOWS` (huge coefficients) is the enumeration
-truncated, which the caller records as prover incompleteness.
+one is SAT.  An all-UNSAT answer is a genuine infeasibility proof only
+when no widened conjunct in the query's *prefix* can leave its own
+anchoring run's window (:func:`one_window`): a prefix conjunct's guards
+admit only models in that window, and the flip may be feasible in
+another.  The caller records any other all-UNSAT answer as prover
+incompleteness, so ``complete`` verdicts stay honest — as it does one
+whose enumeration was truncated because the window count exceeds
+:data:`MAX_NEGATION_WINDOWS` (huge coefficients).
 
 When widening is impossible — a lane whose quotient does not divide
 exactly (a narrow-type wrap below 32 bits), or a term outside the linear
@@ -222,6 +226,14 @@ def _lane_quotients(lin, lo, hi, domains):
     return range((low - lo) // WRAP, (high - lo) // WRAP + 1)
 
 
+def one_window(conjunct, domains):
+    """Whether every lane of ``conjunct`` has one feasible wrap window
+    under ``domains`` — its anchoring run's, so its guards exclude no
+    model of the machine comparison."""
+    return all(len(_lane_quotients(lin, lo, hi, domains)) <= 1
+               for lin, lo, hi in conjunct.lanes)
+
+
 def negation_candidates(conjunct, domains, limit=MAX_NEGATION_WINDOWS):
     """Negations of a widened conjunct, one per feasible wrap window.
 
@@ -231,7 +243,8 @@ def negation_candidates(conjunct, domains, limit=MAX_NEGATION_WINDOWS):
     domains allow; this enumerates them as separate plain conjunctions so
     the linear solver (which has no disjunction) can try each in turn:
     a SAT answer for any window is a genuine flip, and UNSAT across all
-    of them a genuine infeasibility proof.
+    of them a genuine infeasibility proof when no widened prefix
+    conjunct pins the query to one window (see :func:`one_window`).
 
     Returns ``(candidates, exhaustive)``; ``exhaustive`` is False when
     more than ``limit`` window combinations exist and the list was

@@ -637,7 +637,7 @@ class OracleBattery:
                 continue
             child = solve_path_constraint(
                 hooks.constraints, hooks.stack, im, solver, flags,
-                stats, escalation=2, cache=cache, slicing=True)
+                stats, cache=cache, slicing=True)
             if child is None:
                 break
             stack, im, _bound, _fp = child

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro import DartOptions, dart_check, random_check
+from repro.dart import solve
 from repro.dart.instrument import DirectedHooks
 from repro.dart.report import (
     INTERNAL_ERROR,
@@ -257,14 +258,13 @@ class TestSolverResilience:
 
         monkeypatch.setattr(Solver, "solve", budget_starved)
         rescued = dart_check(samples.H_SOURCE, "h",
-                             max_iterations=40, seed=0,
-                             solver_escalation=4)
+                             max_iterations=40, seed=0)
         assert rescued.found_error
         assert rescued.stats.solver_retries >= 1
         assert rescued.stats.solver_escalations >= 1
+        monkeypatch.setattr(solve, "BUDGET_ESCALATION", 1)
         degraded = dart_check(samples.H_SOURCE, "h",
-                              max_iterations=40, seed=0,
-                              solver_escalation=1)
+                              max_iterations=40, seed=0)
         assert not degraded.found_error
 
     def test_solver_call_accounting_invariant_holds(self, monkeypatch):
@@ -278,8 +278,7 @@ class TestSolverResilience:
 
         monkeypatch.setattr(Solver, "solve", budget_starved)
         result = dart_check(samples.Z_SOURCE, "f",
-                            max_iterations=40, seed=0,
-                            solver_escalation=4)
+                            max_iterations=40, seed=0)
         stats = result.stats
         assert stats.solver_calls == (
             stats.solver_sat + stats.solver_unsat + stats.solver_unknown

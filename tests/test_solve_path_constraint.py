@@ -132,15 +132,25 @@ class TestSolvePathConstraint:
         assert plan.im[0].value != 5
 
     def test_unsat_marks_done(self):
+        # The UNSAT flip of index 1 is done for good: the plan flips the
+        # shallower branch, and its stack ends before index 1, so no later
+        # run of this directed search re-examines it.  The run's own stack
+        # is left as the run finished it.
         constraints, stack, im = build_run([(1, eq(0, 5)), (1, eq(0, 5))])
-        solve(constraints, stack, im)
-        assert stack[1] & DONE  # memoized as permanently infeasible
+        plan, flags = solve(constraints, stack, im)
+        assert [entry & 1 for entry in plan.stack] == [0]
+        assert stack == bytearray([1, 1])
+        assert flags.all_linear  # a proof, not a degradation
 
     def test_unflippable_concrete_branch_skipped_and_marked(self):
-        constraints, stack, im = build_run([(1, None)])
+        # A concrete-fallback branch is never flipped by solving: the
+        # plan flips the shallower branch, and its stack ends before the
+        # concrete one; with nothing else to flip the search is over.
+        constraints, stack, im = build_run([(1, eq(0)), (1, None)])
         plan, _ = solve(constraints, stack, im)
+        assert [entry & 1 for entry in plan.stack] == [0]
+        plan, _ = solve(*build_run([(1, None)]))
         assert plan is None
-        assert stack[0] & DONE
 
     def test_all_constraints_in_prefix_respected(self):
         # (x0 > 0) then (x1 == 0): flipping the second must keep x0 > 0.

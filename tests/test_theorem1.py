@@ -13,6 +13,7 @@
 import pytest
 
 from repro import DartOptions, dart_check
+from repro.dart.config import STRATEGIES
 from repro.dart.runner import Dart
 from repro.programs import samples
 from repro.programs.ac_controller import AC_CONTROLLER_SOURCE
@@ -104,6 +105,44 @@ class TestCompleteness:
         all_locs = result.flags[1]
         assert not all_locs
         assert result.status == "exhausted"
+
+
+class TestWrapWindows:
+    """A widened conjunct's guards hold its operands in the wrap window of
+    the run that recorded it, so an UNSAT flip proves infeasibility
+    only where no such window limits the query."""
+
+    #: ``x * 4 > 5`` holds in several wrap windows; in some of them
+    #: ``x > 1000000`` cannot fail, but x = 2 reaches abort().
+    PINNED_PREFIX = """
+    int f(int x) {
+      if (x * 4 > 5) { if (x > 1000000) { return 1; } abort(); }
+      return 0;
+    }
+    """
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_anchored_prefix_window_is_no_proof(self, strategy, seed):
+        result = dart_check(self.PINNED_PREFIX, "f", strategy=strategy,
+                            max_iterations=200, seed=seed)
+        assert result.status != "complete"
+
+    def test_truncated_enumeration_with_a_sat_window_is_no_loss(self):
+        # ``x * 100000`` has too many wrap windows to enumerate, but the
+        # anchored one flips the branch: both orders find all three paths
+        # and keep every flag.
+        source = """
+        int f(int x, int y) {
+          if (x * 100000 > 5) { if (y == 7) return 1; return 2; }
+          return 0;
+        }
+        """
+        dfs, bfs = (dart_check(source, "f", strategy=strategy,
+                               max_iterations=200, seed=0)
+                    for strategy in ("dfs", "bfs"))
+        assert (dfs.status, dfs.flags) == (bfs.status, bfs.flags)
+        assert dfs.status == "complete" and dfs.iterations == 3
 
 
 class TestInvariant:
