@@ -17,10 +17,11 @@ source code* for a driver that simulates the most general environment:
 
 The driver text is appended to the program text and the combination is
 compiled into a single self-executable module — "there is no need to write
-any test driver or harness code".  The program is lexed, parsed and
-analysed once (:class:`repro.minic.SourceUnit`): the interface comes from
-that analysis, and only the driver text is lexed again, its tokens spliced
-after the program's.
+any test driver or harness code".  The program is lexed, parsed, analysed
+and lowered once (:class:`repro.minic.SourceUnit`): the interface comes
+from that analysis, and only the driver text is lexed, parsed, analysed
+(in the program's scope) and lowered per driver, its functions appended
+to the program's module.
 """
 
 from repro.minic import SourceUnit
@@ -308,10 +309,13 @@ def build_test_program(source, toplevel, depth=1, filename="<program>",
 
     Returns the compiled :class:`repro.minic.ir.Module` of the combined
     program+driver, whose entry point is :data:`DRIVER_ENTRY`: the module
-    ``compile_program(source + driver)`` gives, with the program lexed once.
-    ``source`` is the program text or a :class:`repro.minic.SourceUnit` of
-    it (whose own filename then applies), so a caller can share the
-    unit's analysis with :func:`repro.dart.independence.coupling_classes`.
+    ``compile_program(source + driver)`` gives, built by
+    :meth:`repro.minic.SourceUnit.compile_with` from the unit's lowered
+    program and the driver alone.  ``source`` is the program text or a
+    :class:`repro.minic.SourceUnit` of it (whose own filename then
+    applies), so callers can share one unit across sessions and with
+    :func:`repro.dart.independence.coupling_classes`; the unit is not
+    changed.
     """
     unit = SourceUnit.of(source, filename)
     interface, _ = extract_interface(unit, toplevel, filename=filename)

@@ -14,8 +14,8 @@ and a character literal holding a raw newline can span lines, so line
 and column tracking costs one ``str.count`` per token.
 
 :func:`tokenize` can start at a given location, so text appended to an
-already lexed source (a generated test driver) is lexed on its own and
-its tokens spliced after the source's: when the appended text starts
+already lexed source (a generated test driver) is lexed on its own, with
+the locations it has in the combination: when the appended text starts
 with a newline, ``tokenize(a)[:-1] + tokenize(b, start=tokenize(a)[-1]
 .location)`` equals ``tokenize(a + b)``.
 """

@@ -10,11 +10,19 @@ Constant subexpressions are folded here, and only here, by
 :func:`repro.minic.consts.const_value`, so both execution engines run the
 same folded IR.  A bare enum constant stays a name, for ``--disasm``.
 
+Lowering leaves the analysed AST as it found it: an expression is
+rewritten as a copy, so the AST stays what the parser and the analyzer
+made of the source (the independence analysis walks it after the source
+is lowered).  A ``return`` converts its value to the function's return
+type, as an assignment converts to its target's.
+
 Side-effect ordering note: when a short-circuit or ternary expression is
 used in value position its evaluation is hoisted in front of the enclosing
 full expression.  C leaves the relative order of such side effects
 unspecified, so this is a legal evaluation order.
 """
+
+import copy
 
 from repro.minic import ast_nodes as ast
 from repro.minic import typesys as ts
@@ -210,7 +218,8 @@ class FunctionLowerer:
     def _lower_return(self, stmt):
         value = None
         if stmt.value is not None:
-            value = self._flatten(stmt.value)
+            value = self._flatten(
+                _converted(stmt.value, self._def.ftype.return_type))
         self._emit(Ret(value, stmt.location))
 
     def _lower_break(self, stmt):
@@ -334,6 +343,8 @@ class FunctionLowerer:
         if isinstance(expr, ast.StringLit):
             expr.intern_index = self._string_indexes[id(expr)]
             return expr
+        if isinstance(expr, _WITH_OPERANDS):
+            expr = copy.copy(expr)  # the AST keeps its own operands
         if isinstance(expr, (ast.Unary, ast.Postfix, ast.Cast)):
             expr.operand = self._flatten(expr.operand)
         elif isinstance(expr, ast.Binary):
@@ -398,6 +409,23 @@ class FunctionLowerer:
         self._emit(Eval(assign, location))
 
 
+#: The expressions _flatten rewrites the operands of.
+_WITH_OPERANDS = (ast.Unary, ast.Postfix, ast.Cast, ast.Binary, ast.Assign,
+                  ast.Call, ast.Index, ast.Member)
+
+
+def _converted(expr, ctype):
+    """``expr`` converted to the integer type ``ctype`` where its own
+    type differs (other returns need no conversion: the analyzer admits
+    only a pointer, or a literal 0, to a pointer, and only the same
+    struct type to a struct)."""
+    if not ctype.is_integer() or expr.ctype.decay() == ctype:
+        return expr
+    cast = ast.Cast(None, expr, expr.location)
+    cast.ctype = ctype
+    return cast
+
+
 def _literal(value, ctype, location):
     lit = ast.IntLit(value, location)
     lit.ctype = ctype
@@ -416,17 +444,24 @@ def _global_init(expr, string_indexes):
     return value
 
 
-def lower_program(program, info):
-    """Lower an analyzed Program to an executable :class:`Module`."""
-    strings = []
+def lower_program(program, info, base=None):
+    """Lower an analyzed Program to an executable :class:`Module`.
+
+    With ``base``, the Module of a program that ``program`` was appended
+    to (``info`` then extends ``base.info``, see
+    :func:`repro.minic.semantic.analyze`), only ``program`` is lowered:
+    the result holds ``base``'s functions, globals and strings, then
+    ``program``'s, and ``base`` is left unchanged.
+    """
+    strings = [] if base is None else list(base.strings)
     string_indexes = {}
     for literal in info.string_literals:
         string_indexes[id(literal)] = len(strings)
         strings.append(literal.data)
 
-    functions = {}
-    global_vars = []
-    seen_globals = set()
+    functions = {} if base is None else dict(base.functions)
+    global_vars = [] if base is None else list(base.globals)
+    index_of = {var.name: index for index, var in enumerate(global_vars)}
     for decl in program.declarations:
         if isinstance(decl, ast.FunctionDef):
             functions[decl.name] = FunctionLowerer(
@@ -434,19 +469,27 @@ def lower_program(program, info):
             ).lower()
         elif isinstance(decl, ast.VarDecl):
             symbol = decl.symbol
-            if symbol is None or symbol.name in seen_globals:
+            if symbol is None:
                 continue
-            seen_globals.add(symbol.name)
-            if symbol.is_extern:
-                # External variables are inputs; the driver initializes them.
-                global_vars.append(GlobalVar(symbol, None))
+            index = index_of.get(symbol.name)
+            if index is not None and global_vars[index].symbol is symbol:
                 continue
-            # The defining declaration (semantic analysis points the symbol
-            # at it, even when an extern declaration came first).
-            defining = symbol.decl if isinstance(symbol.decl, ast.VarDecl) \
-                else decl
+            # A global is listed where it is first declared.  Semantic
+            # analysis points its symbol at the defining declaration, even
+            # when an extern declaration came first; appended declarations
+            # that define a global of ``base`` rebind it to a symbol of
+            # their own.
             init = None
-            if defining.init is not None:
-                init = _global_init(defining.init, string_indexes)
-            global_vars.append(GlobalVar(symbol, init))
+            if not symbol.is_extern:
+                defining = symbol.decl \
+                    if isinstance(symbol.decl, ast.VarDecl) else decl
+                if defining.init is not None:
+                    init = _global_init(defining.init, string_indexes)
+            # External variables are inputs; the driver initializes them.
+            var = GlobalVar(symbol, init)
+            if index is None:
+                index_of[symbol.name] = len(global_vars)
+                global_vars.append(var)
+            else:
+                global_vars[index] = var
     return Module(functions, global_vars, strings, info)

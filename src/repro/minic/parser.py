@@ -62,11 +62,13 @@ _BINARY_PRECEDENCE = {
 class Parser:
     """Parses a token stream into a :class:`repro.minic.ast_nodes.Program`."""
 
-    def __init__(self, tokens, filename="<source>"):
+    def __init__(self, tokens, filename="<source>", typedefs=()):
         self._tokens = tokens
         self._pos = 0
         self._filename = filename
-        self._typedefs = set()
+        #: Typedef names seen so far (``typedefs``: those of the program
+        #: the tokens are appended to).
+        self.typedefs = set(typedefs)
         self._struct_tags = set()
 
     # -- token helpers -------------------------------------------------
@@ -160,7 +162,7 @@ class Parser:
         base = self._parse_type_specifier()
         name_token, type_expr = self._parse_declarator(base)
         self._expect_punct(";")
-        self._typedefs.add(name_token.text)
+        self.typedefs.add(name_token.text)
         return ast.TypedefDecl(name_token.text, type_expr, location)
 
     def _try_parse_bare_struct(self):
@@ -303,7 +305,7 @@ class Parser:
         token = token or self._peek()
         if token.kind == KEYWORD and token.text in _TYPE_KEYWORDS:
             return True
-        return token.kind == IDENT and token.text in self._typedefs
+        return token.kind == IDENT and token.text in self.typedefs
 
     def _parse_type_specifier(self):
         """Parse the base type (no pointers/arrays, which declarators add)."""
@@ -339,7 +341,7 @@ class Parser:
                 if word != "const":
                     words.append(word)
             result = ast.BaseTypeExpr(" ".join(words))
-        elif token.kind == IDENT and token.text in self._typedefs:
+        elif token.kind == IDENT and token.text in self.typedefs:
             self._advance()
             result = ast.NamedTypeExpr(token.text)
         else:
@@ -472,7 +474,7 @@ class Parser:
         token = self._peek()
         if token.kind != IDENT:
             return False
-        if token.text not in self._typedefs:
+        if token.text not in self.typedefs:
             return True
         following = self._peek(1)
         return not (

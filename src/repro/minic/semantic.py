@@ -12,6 +12,8 @@ of the paper) needs:
   (``malloc``, ``strlen``, ...), treated as deterministic black boxes.
 """
 
+from collections import ChainMap
+
 from repro.minic import ast_nodes as ast
 from repro.minic import typesys as ts
 from repro.minic.consts import const_value, wrap
@@ -104,24 +106,42 @@ class Interface:
 
 
 class ProgramInfo:
-    """Everything later passes need: symbols, types and the interface."""
+    """Everything later passes need: symbols, types and the interface.
 
-    def __init__(self):
-        self.globals_scope = Scope()
-        self.struct_types = {}  # tag -> StructType
-        self.typedefs = {}  # name -> CType
-        self.functions = {}  # name -> FunctionDef (defined only)
-        self.function_types = {}  # name -> FunctionType (defined + declared)
+    The info of declarations appended to an analysed program extends that
+    program's ``base`` info: the base's symbols and tables show through
+    this info's, which describes the two together, but every write lands
+    in this info's own layer, so the base is never changed.
+    """
+
+    def __init__(self, base=None):
+        def table(name):
+            return {} if base is None else ChainMap({}, getattr(base, name))
+
+        self.globals_scope = Scope(
+            base=None if base is None else base.globals_scope)
+        self.struct_types = table("struct_types")  # tag -> StructType
+        self.typedefs = table("typedefs")  # name -> CType
+        #: name -> FunctionDef (defined only)
+        self.functions = table("functions")
+        #: name -> FunctionType (defined + declared)
+        self.function_types = table("function_types")
         self.interface = Interface()
-        self.string_literals = []  # collected in order of appearance
+        #: This layer's string literals, in order of appearance.
+        self.string_literals = []
 
 
 class SemanticAnalyzer:
-    """Checks a parsed Program and produces a :class:`ProgramInfo`."""
+    """Checks a parsed Program and produces a :class:`ProgramInfo`.
 
-    def __init__(self, program):
+    With ``base``, the Program's declarations are appended to the program
+    ``base`` describes, and are checked in its scope (see ProgramInfo).
+    """
+
+    def __init__(self, program, base=None):
         self._program = program
-        self.info = ProgramInfo()
+        self._base = base
+        self.info = ProgramInfo(base)
         self._current_function = None
         self._loop_depth = 0
         self._break_depth = 0  # loops + switches
@@ -214,6 +234,11 @@ class SemanticAnalyzer:
         return self.info
 
     def _declare_struct(self, decl):
+        if decl.fields is not None and self._base is not None \
+                and decl.tag in self._base.struct_types:
+            raise SemanticError(
+                "{!r} is declared by the program the declarations are "
+                "appended to".format(decl.tag), decl.location)
         struct = self.info.struct_types.get(decl.tag)
         if struct is None:
             struct = ts.StructType(decl.tag, is_union=decl.is_union)
@@ -280,7 +305,7 @@ class SemanticAnalyzer:
                     decl.location,
                 )
             self.info.functions[decl.name] = decl
-            existing_symbol = self.info.globals_scope.lookup_local(decl.name)
+            existing_symbol = self.info.globals_scope.own(decl.name)
             if existing_symbol is None:
                 self.info.globals_scope.define(
                     Symbol(decl.name, FUNCTION, ftype, decl=decl),
@@ -314,6 +339,7 @@ class SemanticAnalyzer:
                     decl.location,
                 )
             if not decl.is_extern:
+                existing = self.info.globals_scope.own(decl.name)
                 existing.is_extern = False
                 existing.decl = decl
             decl.symbol = existing
@@ -811,6 +837,11 @@ def _zero_divisor(expr):
     )
 
 
-def analyze(program):
-    """Run semantic analysis; returns the :class:`ProgramInfo`."""
-    return SemanticAnalyzer(program).analyze()
+def analyze(program, base=None):
+    """Run semantic analysis; returns the :class:`ProgramInfo`.
+
+    With ``base``, the ProgramInfo of an analysed program, ``program``
+    holds declarations appended to that program; ``base`` and the nodes
+    it describes are left unchanged.
+    """
+    return SemanticAnalyzer(program, base).analyze()

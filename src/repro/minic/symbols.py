@@ -1,5 +1,8 @@
 """Symbol tables for mini-C semantic analysis."""
 
+import copy
+from collections import ChainMap
+
 from repro.minic.errors import SemanticError
 
 # Symbol kinds.
@@ -47,11 +50,17 @@ class Symbol:
 
 
 class Scope:
-    """One lexical scope; chains to its parent for lookups."""
+    """One lexical scope; chains to its parent for lookups.
 
-    def __init__(self, parent=None):
+    A scope may extend a finished ``base`` scope, as appended declarations
+    extend a program's global scope: the base's names are this scope's
+    own for lookups and redefinition checks, but the base is never
+    written (see :meth:`own`).
+    """
+
+    def __init__(self, parent=None, base=None):
         self.parent = parent
-        self._entries = {}
+        self._entries = {} if base is None else ChainMap({}, base._entries)
 
     def define(self, symbol, location=None):
         if symbol.name in self._entries:
@@ -72,6 +81,16 @@ class Scope:
 
     def lookup_local(self, name):
         return self._entries.get(name)
+
+    def own(self, name):
+        """The symbol ``name`` binds in this scope (None if none), safe to
+        change: a symbol of the base scope is first replaced, in this
+        scope only, by a copy."""
+        symbol = self._entries.get(name)
+        if symbol is not None and isinstance(self._entries, ChainMap) \
+                and name not in self._entries.maps[0]:
+            symbol = self._entries[name] = copy.copy(symbol)
+        return symbol
 
     def symbols(self):
         return list(self._entries.values())

@@ -40,9 +40,10 @@ on every generated program (the fault-containment probe on a sample):
    across a full directed search (not a single vector) is caught as a
    verdict/coverage disagreement.
 6. **Fault containment** (sampled) — see :meth:`OracleBattery.check_chaos`.
-7. **Front-end identity** — a session lexes its program once and splices
-   the generated driver's tokens after the program's
-   (:class:`repro.minic.SourceUnit`).  The module that builds must list
+7. **Front-end identity** — a session's program is lexed, parsed,
+   analysed and lowered once (:class:`repro.minic.SourceUnit`), and only
+   the generated driver is compiled per session, in the program's scope
+   and appended to the program's module.  The module that builds must list
    (disassembly, driver included, plus every instruction's source
    location, the globals and the strings) exactly as the module
    ``compile_program(source + driver)`` builds from the plain text, and the
@@ -223,9 +224,10 @@ def front_end_divergence(source, toplevel, depth=1, max_init_depth=None):
 
     The session side is what :class:`repro.dart.runner.Dart` does, once
     per session (pool workers are forked with it, so they never rebuild
-    it): one :class:`SourceUnit` serves ``build_test_program`` and then
-    ``coupling_classes``.  The reference compiles ``source + driver`` as
-    plain text and computes the classes from the source text.
+    it): one :class:`SourceUnit`, which sessions over the same text
+    share, serves ``build_test_program`` and then ``coupling_classes``.
+    The reference compiles ``source + driver`` as plain text and computes
+    the classes from the source text.
     """
     unit = SourceUnit(source, "<program>")
     module = build_test_program(unit, toplevel, depth=depth,

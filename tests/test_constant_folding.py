@@ -143,11 +143,12 @@ class TestMachineSemantics:
         assert isinstance(value, ast.IntLit) and value.value == 1
 
     def test_folded_literal_keeps_the_node_type(self):
-        value = folded_return("sizeof(int) - 5")
+        # Returned from an unsigned function: an int one would convert it.
+        value = folded_return("sizeof(int) - 5", "unsigned")
         assert value.ctype == ts.UINT and value.value == 2 ** 32 - 1
 
     def test_cast_folds(self):
-        value = folded_return("(char)300")
+        value = folded_return("(char)300", "char")
         assert isinstance(value, ast.IntLit)
         assert value.value == 44 and value.ctype == ts.CHAR
 

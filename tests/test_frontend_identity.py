@@ -1,13 +1,15 @@
-"""The session front end lexes its program once and changes nothing.
+"""The session front end builds its program once and changes nothing.
 
-A session builds one :class:`repro.minic.SourceUnit`: its single lex,
-parse and analysis give the driver's interface and the AST that the
-independence analysis walks, and only the generated driver text is lexed
-again, its tokens spliced after the program's.  These tests pin that the
-resulting module lists exactly as ``compile_program(source + driver)``
-and that the coupling classes are those computed from the source text
+A session takes its :class:`repro.minic.SourceUnit` from a process-wide
+memo: the unit's single lex, parse, analysis and lowering give the
+driver's interface, the AST that the independence analysis walks and the
+source's module, and a session lexes, parses, analyses and lowers only
+its generated driver.  These tests pin that the resulting module lists
+exactly as ``compile_program(source + driver)`` and that the coupling
+classes are those computed from the source text
 (``repro.testgen.oracles.front_end_divergence``, also run by the fuzz
-battery), and that the session really does lex and parse that little.
+battery), that sessions sharing a unit leave it and each other alone,
+and that a sweep really does lex and parse that little.
 """
 
 import random
@@ -20,8 +22,11 @@ from hypothesis import given, settings
 import repro.minic
 from repro.dart.config import DartOptions
 from repro.dart.independence import coupling_classes
-from repro.dart.runner import Dart
-from repro.minic import SourceUnit, parse_program
+from repro.dart.driver import build_test_program, generate_driver
+from repro.dart.interface import extract_interface
+from repro.dart.runner import UNITS_KEPT, Dart, source_unit
+from repro.minic import SourceUnit, compile_program, parse_program
+from repro.minic.errors import SemanticError
 from repro.programs import samples
 from repro.programs.ac_controller import (
     AC_CONTROLLER_SOURCE,
@@ -30,7 +35,7 @@ from repro.programs.ac_controller import (
 from repro.programs.needham_schroeder import ns_source
 from repro.programs.osip import OsipLibrary
 from repro.testgen import generate_program
-from repro.testgen.oracles import front_end_divergence
+from repro.testgen.oracles import _module_listing, front_end_divergence
 
 _OSIP = OsipLibrary()
 
@@ -91,17 +96,28 @@ ELIGIBLE = [
      "    if (t == 4) { if (b > 2) abort(); }\n"
      "    return c / 2;\n"
      "}", "f"),
+    # Lowering hoists the && into branches and a temporary, and folds
+    # 3 - 1; the AST the walk sees must not show either.
+    ("int f(int a, int b, int c) {\n"
+     "    int t;\n"
+     "    t = a > 0 && b == 3 - 1;\n"
+     "    if (t) { if (c > 2) abort(); }\n"
+     "    return c / 2;\n"
+     "}", "f"),
 ]
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("source,toplevel", ELIGIBLE,
-                         ids=["z", "foobar", "guards"])
+                         ids=["z", "foobar", "guards", "hoisted"])
 def test_classes_from_the_analysed_ast_equal_an_unanalysed_walk(
         source, toplevel, depth):
     # The shared AST has been through semantic analysis, which only
-    # annotates nodes; a walk over a fresh, unanalysed parse must agree.
-    shared = coupling_classes(SourceUnit(source), toplevel, depth)
+    # annotates nodes, and the unit has been lowered, which leaves it as
+    # it was; a walk over a fresh, unanalysed parse must agree.
+    unit = SourceUnit(source)
+    build_test_program(unit, toplevel, depth)
+    shared = coupling_classes(unit, toplevel, depth)
     assert shared is not None
     analysis = SourceUnit.analysis
 
@@ -119,8 +135,17 @@ def test_session_classes_equal_those_from_the_source_text():
         source, samples.FOOBAR_TOPLEVEL, 2)
 
 
-def test_a_session_lexes_its_source_once_and_parses_twice():
-    _, source, toplevel, _, max_init_depth = WORKLOADS[0]
+#: The benchmark's oSIP sample (perfbench/workloads.py): 30 functions
+#: drawn with seed 0, from 8 module sources.
+SWEEP = random.Random(0).sample(_OSIP.functions, 30)
+
+
+def sweep_options():
+    return DartOptions(max_iterations=1000, seed=1, max_steps=200_000,
+                       max_init_depth=4)
+
+
+def test_a_sweep_lexes_and_parses_each_module_and_each_driver_once():
     lexed = []
     real_tokenize = repro.minic.tokenize
 
@@ -128,15 +153,149 @@ def test_a_session_lexes_its_source_once_and_parses_twice():
         lexed.append(text)
         return real_tokenize(text, *args, **kwargs)
 
+    source_unit.cache_clear()
     with mock.patch.object(repro.minic, "tokenize", counting_tokenize), \
             mock.patch.object(repro.minic.Parser, "parse_program",
                               autospec=True,
                               side_effect=repro.minic.Parser.parse_program
                               ) as parses:
-        Dart(source, toplevel, DartOptions(max_init_depth=max_init_depth))
-    # The source, then the generated driver text alone.
-    assert lexed[0] == source
-    assert len(lexed) == 2 and len(lexed[1]) < len(source)
-    assert lexed[1].startswith("\n/* ---- DART-generated test driver")
-    # The source alone (interface + independence), then source + driver.
-    assert parses.call_count == 2
+        for entry in SWEEP:
+            Dart(_OSIP.source_for_function(entry.name), entry.name,
+                 sweep_options())
+    modules = {_OSIP.source_for_module(entry.module) for entry in SWEEP}
+    assert len(modules) == 8
+    sources = [text for text in lexed if text in modules]
+    drivers = [text for text in lexed if text not in modules]
+    assert sorted(sources) == sorted(modules)
+    assert len(drivers) == len(SWEEP)
+    assert all(text.startswith("\n/* ---- DART-generated test driver")
+               for text in drivers)
+    assert parses.call_count == len(modules) + len(SWEEP)
+
+
+#: A program with an external function: a driver stubs it, and the
+#: stub's definition must bind in that driver's session alone.
+DECLARED = """
+int ext(int x);
+extern int e;
+int g = 7;
+int twice(int a) { return ext(a) + ext(a + 1); }
+int plain(int a, int b) { if (a == b + g) abort(); return a; }
+"""
+
+
+def _reference_listing(source, toplevel, depth=1, max_init_depth=None,
+                       filename="<program>"):
+    interface, _ = extract_interface(source, toplevel)
+    return _module_listing(compile_program(
+        source + generate_driver(interface, depth=depth,
+                                 max_init_depth=max_init_depth), filename))
+
+
+def _unit_state(unit):
+    """What building a session must leave alone: the source's symbols,
+    its tables and its module."""
+    _, info = unit.analysis()
+    symbols = [(s.name, s.kind, str(s.ctype), id(s.decl), s.is_extern)
+               for s in info.globals_scope.symbols()]
+    return (symbols, dict(info.functions), dict(info.function_types),
+            _module_listing(unit.module), dict(unit.module.functions),
+            list(unit.module.globals), list(unit.module.strings))
+
+
+#: Two sessions over DECLARED: their drivers stub ``ext`` differently
+#: (a bounded driver passes the init depth on).
+SESSIONS = [("twice", DartOptions(depth=2)),
+            ("plain", DartOptions(max_init_depth=3))]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)],
+                         ids=["twice-first", "plain-first"])
+def test_sessions_sharing_a_unit_stay_isolated(order):
+    source_unit.cache_clear()
+    unit = source_unit(DECLARED, "<program>")
+    before = _unit_state(unit)
+    darts = {}
+    for index in order:
+        toplevel, options = SESSIONS[index]
+        darts[toplevel] = Dart(DECLARED, toplevel, options)
+        assert source_unit(DECLARED, "<program>") is unit
+        assert _unit_state(unit) == before
+    for toplevel, options in SESSIONS:
+        module = darts[toplevel].module
+        assert _module_listing(module) == _reference_listing(
+            DECLARED, toplevel, options.depth, options.max_init_depth)
+        assert "ext" in module.functions
+        assert module.interface.external_functions == {}
+    assert darts["twice"].module.functions["ext"] is not \
+        darts["plain"].module.functions["ext"]
+    # The source's own analysis and module still see ext as external.
+    assert "ext" not in unit.module.functions
+    assert unit.analysis()[1].globals_scope.lookup("ext").kind == \
+        "external_function"
+    assert darts["plain"].run().found_error
+
+
+def _globals(module):
+    return [(var.name, var.init) for var in module.globals]
+
+
+def test_appended_definitions_bind_in_their_module_alone():
+    unit = SourceUnit(DECLARED)
+    stub = "\nint ext(int x) { return x; }\nint h(void) { return ext(1); }\n"
+    call = "\nint h(void) { return twice(1); }\n"
+    define = "\nint e = 5;\nint h(void) { return e; }\n"
+    before = _unit_state(unit)
+    for text in (stub, call, define, stub):
+        module = unit.compile_with(text)
+        reference = compile_program(DECLARED + text)
+        assert _unit_state(unit) == before
+        assert _module_listing(module) == _module_listing(reference)
+        assert _globals(module) == _globals(reference)
+        assert ("ext" in module.functions) == (text == stub)
+        assert ("ext" in module.interface.external_functions) == \
+            (text != stub)
+        assert ("e" in module.interface.external_variables) == \
+            (text != define)
+    assert _globals(unit.module) == [("e", None), ("g", 7)]
+
+
+@pytest.mark.parametrize("text,error", [
+    ("\nstruct S { int a; };\n", SemanticError),
+    ("\nchar *name = \"x\";\n", ValueError),
+    ("int h(void) { return 0; }\n", ValueError),
+], ids=["completes-a-struct", "string-global", "no-newline"])
+def test_appended_text_the_unit_cannot_take_is_refused(text, error):
+    unit = SourceUnit("struct S;\nint f(struct S *p) { return p == 0; }\n")
+    before = _unit_state(unit)
+    with pytest.raises(error):
+        unit.compile_with(text)
+    assert _unit_state(unit) == before
+    assert not unit.analysis()[1].struct_types["S"].is_complete()
+
+
+def test_the_unit_memo_is_bounded():
+    assert source_unit.cache_info().maxsize == UNITS_KEPT >= 9
+    source_unit.cache_clear()
+    texts = ["int f{}(int x) {{ return x; }}".format(index)
+             for index in range(UNITS_KEPT + 1)]
+    first = source_unit(texts[0], "<program>")
+    for text in texts[1:]:
+        source_unit(text, "<program>")
+    assert source_unit.cache_info().currsize == UNITS_KEPT
+    assert source_unit(texts[0], "<program>") is not first
+
+
+def test_a_filename_makes_a_unit_of_its_own():
+    source = samples.FOOBAR_SOURCE
+    first = Dart(source, samples.FOOBAR_TOPLEVEL, DartOptions(), "a.c")
+    second = Dart(source, samples.FOOBAR_TOPLEVEL, DartOptions(), "b.c")
+    assert source_unit(source, "a.c") is not source_unit(source, "b.c")
+    for dart, name in ((first, "a.c"), (second, "b.c")):
+        files = {instr.location.filename
+                 for function in dart.module.functions.values()
+                 for instr in function.instrs}
+        assert files == {name}
+        assert _module_listing(dart.module) == _reference_listing(
+            source, samples.FOOBAR_TOPLEVEL, filename=name)
+    assert first.fingerprint == second.fingerprint
