@@ -25,14 +25,13 @@ workload is the whole search tree, not just the run that finds the bug):
   monotone non-decreasing and its largest budget must reach the
   full-exploration reference C1 — coverage accounting that drifts, or a
   search that stops discovering, fails the gate.
-* **phases** — one profiled (``profile_phases=True``) depth-2 dfs run
-  recording where the session's wall time goes (the exclusive layers of
-  :mod:`repro.obs.clock`: execute / compile / plan / cache / solver /
-  checkpoint / commit), gating that the layers attribute >= 90% of it,
-  plus two overhead rows against the plain search: the clock alone
-  (``clock_overhead``) and the clock with JSONL tracing
-  (``instrumentation_overhead``), each a best-of-N wall to damp
-  scheduler jitter.
+* **phases** — one depth-2 dfs run recording where the session's wall
+  time goes (the exclusive layers of :mod:`repro.obs.clock`, which every
+  session runs: execute / compile / plan / cache / solver / checkpoint /
+  commit), gating that the layers attribute >= 90% of it, plus the
+  overhead of JSONL tracing against the plain search
+  (``instrumentation_overhead``), a best-of-N wall to damp scheduler
+  jitter.
 * **throughput** — the PR 7 compiled-engine gate: the same oSIP-shaped
   compute kernel (symbolic command dispatch around concrete parse/
   checksum loops) searched to completion under the compiled engine and
@@ -329,12 +328,12 @@ def subsumption_section(failures):
 
 
 def phases_section(failures):
-    """Layer breakdown of a profiled run, plus the overhead rows."""
+    """Layer breakdown of one run, plus the tracing overhead row."""
     common = dict(depth=2, max_iterations=1000, seed=0, strategy="dfs",
                   stop_on_first_error=False)
 
     dart = Dart(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
-                DartOptions(profile_phases=True, **common))
+                DartOptions(**common))
     start = time.perf_counter()
     result = dart.run()
     wall = time.perf_counter() - start
@@ -355,9 +354,7 @@ def phases_section(failures):
         return min(walls)
 
     plain = best_of(WALL_RUNS)
-    clocked = best_of(WALL_RUNS, profile_phases=True)
-    instrumented = best_of(WALL_RUNS, trace_file=os.devnull,
-                           profile_phases=True)
+    instrumented = best_of(WALL_RUNS, trace_file=os.devnull)
     row = {
         "program": "sec. 4.1 AC controller, depth 2, dfs, full exploration",
         "wall_s": round(wall, 4),
@@ -365,8 +362,6 @@ def phases_section(failures):
         "phase_coverage": round(coverage, 4),
         "runs": WALL_RUNS,
         "plain_wall_s": round(plain, 4),
-        "clocked_wall_s": round(clocked, 4),
-        "clock_overhead": round(clocked / plain - 1.0, 4),
         "instrumented_wall_s": round(instrumented, 4),
         "instrumentation_overhead": round(instrumented / plain - 1.0, 4),
     }
@@ -451,15 +446,15 @@ def throughput_section(failures):
     """Compiled vs. interpreted engine on the throughput kernel.
 
     Each configuration explores the kernel to completion ``WALL_RUNS``
-    times under ``profile_phases=True``; the per-run metric is executed
-    instructions per second over the execute(+compile) layer seconds,
-    and the configuration keeps its best run.  Gates: >= 3x speedup,
+    times; the per-run metric is executed instructions per second over
+    the execute(+compile) layer seconds, and the configuration keeps its
+    best run.  Gates: >= 3x speedup,
     identical status/errors/instruction counts (observational identity
     is enforced separately by the engine-differential oracle; here it
     pins the two sides of the ratio to the same workload).
     """
     common = dict(max_iterations=64, seed=0, stop_on_first_error=False,
-                  handle_signals=False, profile_phases=True)
+                  handle_signals=False)
 
     def session(compiled_execution):
         best = None
@@ -661,12 +656,11 @@ def main(argv=None):
         "/".join(str(entry["budget"]) for entry in curve),
         report["coverage"]["reference"]["c1_percent"]))
     phases = report["phases"]
-    print("phases: {:.1%} of wall attributed ({}); clock overhead "
-          "{:+.1%}, tracing+clock overhead {:+.1%}".format(
+    print("phases: {:.1%} of wall attributed ({}); tracing overhead "
+          "{:+.1%}".format(
               phases["phase_coverage"],
               ", ".join("{} {:.4f}s".format(name, entry["seconds"])
                         for name, entry in phases["phases"].items()),
-              phases["clock_overhead"],
               phases["instrumentation_overhead"]))
     throughput = report["throughput"]
     print("throughput: {:.0f} -> {:.0f} instructions/s "

@@ -107,12 +107,12 @@ def build_parser():
                              "session (render it with "
                              "'python -m repro trace-summary PATH')")
     parser.add_argument("--profile-phases", action="store_true",
-                        help="run the layer clock: exclusive session wall "
-                             "time per layer (execute / compile / plan / "
-                             "cache / solver / checkpoint / commit), "
-                             "printed as a table after the statistics and "
-                             "in --json as stats.phases (a --trace run "
-                             "records it too)")
+                        help="print the layer clock after the "
+                             "statistics: exclusive session wall time per "
+                             "layer (execute / compile / plan / cache / "
+                             "solver / checkpoint / commit); every session "
+                             "records it, in --json as stats.phases and in "
+                             "a --trace run's session_finished event")
     parser.add_argument("--export-suite", default=None, metavar="DIR",
                         dest="export_suite",
                         help="after the campaign (finished or "
@@ -565,7 +565,6 @@ def main(argv=None):
         checkpoint_every=args.checkpoint_every,
         handle_signals=True,
         trace_file=args.trace,
-        profile_phases=args.profile_phases,
         fault_plan=fault_plan,
         export_suite=args.export_suite,
     )
@@ -608,7 +607,7 @@ def main(argv=None):
         "instructions: {instructions_executed} executed / "
         "{instructions_symbolic} symbolic".format(**stats)
     )
-    if "phases" in stats:
+    if args.profile_phases:
         for line in render_layers(stats["phases"], result.stats.elapsed):
             print(line)
     return _exit_code(result)

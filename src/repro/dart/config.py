@@ -47,10 +47,8 @@ class DartOptions:
         subsumption=True,
         jobs=1,
         trace_file=None,
-        profile_phases=False,
         fault_plan=None,
         compiled_execution=True,
-        collect_witnesses=False,
         export_suite=None,
     ):
         if strategy not in STRATEGIES:
@@ -138,11 +136,6 @@ class DartOptions:
         #: (``--trace``); None disables the file sink.  See
         #: docs/OBSERVABILITY.md for the event schema.
         self.trace_file = trace_file
-        #: Run the layer clock (repro.obs.clock): exclusive session wall
-        #: time per engine layer, reported as ``stats.phases``.  Traced
-        #: sessions run it regardless; it reads the time at every layer
-        #: boundary, so it is otherwise opt-in.
-        self.profile_phases = profile_phases
         #: Deterministic fault-injection schedule (``--fault-plan``): a
         #: :class:`repro.faults.plan.FaultPlan`, a spec string
         #: (``"solver.raise@2"`` / ``"seed:7"``) or None.  The runner
@@ -160,17 +153,16 @@ class DartOptions:
         #: engine-differential oracle) — so like ``jobs`` it is excluded
         #: from the checkpoint digest.
         self.compiled_execution = compiled_execution
-        #: Keep a :class:`repro.dart.report.PathWitness` (input vector,
-        #: branch signature, per-run covered set) for every distinct
-        #: (path, error-class) execution, feeding the regression-suite
-        #: exporter (repro.suite).  Off by default: witnesses cost
-        #: memory proportional to the number of distinct paths.
-        self.collect_witnesses = collect_witnesses
         #: Directory to export a deduplicated replayable regression
-        #: suite into when the session ends (implies witness
-        #: collection); None disables the export.  Like the trace
-        #: options it never steers the search, so it is excluded from
-        #: the checkpoint digest — an interrupted plain campaign can be
+        #: suite into when the session ends; None disables the export.
+        #: A session with a destination keeps a
+        #: :class:`repro.dart.report.PathWitness` (input vector, branch
+        #: signature, per-run covered set) for every distinct (path,
+        #: error-class) execution, the exporter's raw material; without
+        #: one it keeps none, since witnesses cost memory proportional
+        #: to the number of distinct paths.  Like ``trace_file`` it
+        #: never steers the search, so it is excluded from the
+        #: checkpoint digest — an interrupted plain campaign can be
         #: resumed with ``export_suite`` set (budget 0 works) to export
         #: whatever the checkpoint holds.
         self.export_suite = export_suite
@@ -185,9 +177,9 @@ class DartOptions:
         instrumentation semantics must be rejected.  Slicing and caching
         are *included*: both can change which model the solver returns
         (never a verdict), so they shape the concrete search trajectory.
-        Observability knobs (``trace_file``, ``profile_phases``) are
-        excluded: watching a search must never change it, and a traced
-        resume of an untraced session is valid.
+        The observability knob ``trace_file`` is excluded: watching a
+        search must never change it, and a traced resume of an untraced
+        session is valid.
         ``fault_plan`` is likewise excluded: the chaos harness resumes
         interrupted sessions across injector installs, and the
         crash-resume equivalence invariant needs a faulted session's
@@ -195,9 +187,9 @@ class DartOptions:
         ``compiled_execution`` is excluded for the same reason as
         ``jobs``: the engines are observationally identical, so a
         ``--no-compile`` resume of a compiled session (and vice versa)
-        must be accepted.  ``collect_witnesses`` and ``export_suite``
-        are excluded like the observability knobs: witnessing records
-        what the search already does, never shapes it, and resuming an
+        must be accepted.  ``export_suite`` is excluded like the
+        observability knob: witnessing records what the search already
+        does, never shapes it, and resuming an
         interrupted plain campaign *with* an export destination is the
         supported way to salvage its artifacts.  ``subsumption`` is
         excluded too: it only prunes work whose outcome is already

@@ -83,7 +83,7 @@ _MP = multiprocessing.get_context("fork")
 # -- worker side --------------------------------------------------------------
 
 
-def _run(dart, index, stack, im, bound, traced, clocked):
+def _run(dart, index, stack, im, bound, traced):
     """Run one dispatched item through the kernel.
 
     The run gets private statistics, flags and (traced) a private bus
@@ -91,7 +91,7 @@ def _run(dart, index, stack, im, bound, traced, clocked):
     commit.  Returns ``(result, stats snapshot, flags snapshot,
     events)``.
     """
-    stats = RunStats(clocked=clocked)
+    stats = RunStats()
     flags = CompletenessFlags()
     bus = sink = None
     if traced:
@@ -139,11 +139,9 @@ def _pool_worker(wid, dart, work_q, result_q, cache_conn):
     client = None
     if cache_conn is not None:
         client = dart.cache = SharedCacheClient(cache_conn)
-    # The session's trace and profile settings, as of the fork.  The
-    # inherited bus and its sinks stay the parent's: a run emits onto
-    # its own bus only.
+    # The session's trace setting, as of the fork.  The inherited bus
+    # and its sinks stay the parent's: a run emits onto its own bus only.
     traced = dart.trace.enabled
-    clocked = traced or dart.options.profile_phases
     while True:
         job = work_q.get()
         if job is None:
@@ -163,7 +161,7 @@ def _pool_worker(wid, dart, work_q, result_q, cache_conn):
             client.begin_item()
         started = time.perf_counter()
         try:
-            out = _run(dart, index, stack, im, bound, traced, clocked)
+            out = _run(dart, index, stack, im, bound, traced)
         except Exception as exc:  # pragma: no cover — second layer
             out = "worker: {}: {}".format(type(exc).__name__, exc)
         busy = time.perf_counter() - started
@@ -324,12 +322,9 @@ class _ProcessExecutor:
         if isinstance(out, str):
             return self._lost(index, stack, im, out)
         clock = self.session.stats.phases
-        timed = clock.enabled
-        if timed:
-            prev = clock.enter(COMMIT)
+        prev = clock.enter(COMMIT)
         result = self._fold(*out)
-        if timed:
-            clock.leave(prev)
+        clock.leave(prev)
         return result
 
     def _fold(self, result, run_stats, run_flags, events):

@@ -8,8 +8,6 @@ histograms (solver latency, path length) and the session's
 :meth:`RunStats.merge` — see ``docs/OBSERVABILITY.md``.
 """
 
-import time
-
 from repro.obs.clock import LayerClock
 from repro.obs.metrics import (
     PATH_LENGTH_BUCKETS,
@@ -150,9 +148,8 @@ class PathWitness:
     """One distinct (path, error-class) execution retained for export.
 
     The searches discard concrete input vectors as soon as a run's
-    children are expanded; with witness collection enabled
-    (``DartOptions(collect_witnesses=True)`` or an ``export_suite``
-    destination) the session instead keeps, for every *new* path — and
+    children are expanded; a session with an ``export_suite``
+    destination instead keeps, for every *new* path — and
     for every error even on an already-seen path — the input vector,
     the branch signature and the per-run covered-branch set, which is
     exactly what :mod:`repro.suite` needs to emit a standalone
@@ -294,10 +291,11 @@ class RunStats:
         "flips_subsumed_core", "worklist_deduped",
     )
 
-    def __init__(self, clocked=False):
+    def __init__(self):
         for name in self.COUNTERS:
             setattr(self, name, 0)
-        #: Wall-clock latency of actual solver calls.
+        #: Wall-clock latency of actual solver calls (their ``solver``
+        #: layer slices).
         self.solver_latency = Histogram(
             "solver_latency_s", SOLVER_LATENCY_BUCKETS_S)
         #: Conditionals executed per completed run.
@@ -306,22 +304,20 @@ class RunStats:
         #: completed path (fixed width, whatever the path length).
         self.distinct_paths = set()
         self.covered_branches = set()
-        #: Coverage rollup dict (BranchCoverage.to_dict()), set by the
-        #: runner when it builds the result; None until then.
+        #: The session's :class:`~repro.dart.coverage.BranchCoverage`,
+        #: set by the runner when it builds the result; None until then.
+        #: :meth:`summary` renders it.
         self.coverage = None
         #: QuarantineRecord list — runs contained at the fault boundary.
         self.quarantined = []
-        self.started_at = time.perf_counter()
+        #: Exclusive wall time per engine layer (repro.obs.clock): the
+        #: session's one time source.  Its window opens here and closes
+        #: at :meth:`finish`, and is the session's ``elapsed`` time.
+        self.phases = LayerClock()
         self.elapsed = 0.0
-        #: Exclusive wall time per engine layer (repro.obs.clock); on
-        #: for ``profile_phases`` and traced sessions.  Its window opens
-        #: after ``started_at`` and closes before ``elapsed`` is read, so
-        #: the layers never sum past the session's wall time.
-        self.phases = LayerClock(clocked)
 
     def finish(self):
-        self.phases.stop()
-        self.elapsed = time.perf_counter() - self.started_at
+        self.elapsed = self.phases.stop()
 
     def snapshot(self):
         """What a pool worker ships home: the non-zero counters, both
@@ -335,17 +331,15 @@ class RunStats:
         }
 
     def merge(self, snapshot):
-        """Fold a :meth:`snapshot` in: counters and histogram buckets
-        add, layer times add when this session's clock runs.  Every rule
-        is commutative, so merging snapshots in any order gives the
-        same statistics."""
+        """Fold a :meth:`snapshot` in: counters, histogram buckets and
+        layer times add.  Every rule is commutative, so merging
+        snapshots in any order gives the same statistics."""
         for name, value in snapshot["counters"].items():
             setattr(self, name, getattr(self, name) + value)
         histograms = snapshot["histograms"]
         for histogram in self._histograms():
             histogram.merge(histograms[histogram.name])
-        if self.phases.enabled:
-            self.phases.merge(snapshot["phases"])
+        self.phases.merge(snapshot["phases"])
 
     def _histograms(self):
         return (self.solver_latency, self.path_length)
@@ -432,11 +426,10 @@ class RunStats:
                 "solver_latency_s": self.solver_latency.to_dict(),
                 "path_length": self.path_length.to_dict(),
             },
+            "phases": self.phases.snapshot(),
         }
-        if self.phases.enabled:
-            summary["phases"] = self.phases.snapshot()
         if self.coverage is not None:
-            summary["coverage"] = self.coverage
+            summary["coverage"] = self.coverage.to_dict()
         return summary
 
 
@@ -444,20 +437,23 @@ class DartResult:
     """Outcome of a DART (or random-testing) session."""
 
     def __init__(self, status, errors, stats, flags_snapshot,
-                 coverage=None, resumed=False, witnesses=None):
+                 resumed=False, witnesses=None):
         self.status = status
         self.errors = errors
         self.stats = stats
         #: (all_linear, all_locs_definite, forcing_ok, all_faithful) at
         #: session end.
         self.flags = flags_snapshot
-        #: Branch-direction coverage of the program under test
-        #: (:class:`repro.dart.coverage.BranchCoverage`), or None.
-        self.coverage = coverage
         #: True when the session picked up a checkpoint and resumed.
         self.resumed = resumed
-        #: :class:`PathWitness` list (witness collection enabled), or [].
+        #: :class:`PathWitness` list (an ``export_suite`` session), or [].
         self.witnesses = witnesses if witnesses is not None else []
+
+    @property
+    def coverage(self):
+        """Branch-direction coverage of the program under test
+        (:class:`repro.dart.coverage.BranchCoverage`), or None."""
+        return self.stats.coverage
 
     @property
     def found_error(self):
@@ -499,8 +495,9 @@ class DartResult:
         }
         if self.coverage is not None:
             # The full rollup: direction coverage plus the per-function
-            # C1 (both-arms) table — see repro.dart.coverage.
-            payload["coverage"] = self.coverage.to_dict()
+            # C1 (both-arms) table — see repro.dart.coverage.  The stats
+            # summary rendered the same object already.
+            payload["coverage"] = payload["stats"]["coverage"]
         return payload
 
     def describe(self):

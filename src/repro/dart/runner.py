@@ -303,8 +303,7 @@ class Dart:
                     engine=engine,
                     iterations=session.stats.iterations,
                     wall_s=round(session.stats.elapsed, 6),
-                    **({"phases": session.stats.phases.snapshot()}
-                       if session.stats.phases.enabled else {}),
+                    phases=session.stats.phases.snapshot(),
                     **({"coverage": {
                         "covered_directions": coverage.covered_directions,
                         "total_directions": coverage.total_directions,
@@ -469,12 +468,10 @@ def run_item(dart, stack, im, bound, rng, stats, flags, bus, iteration,
     options = dart.options
     planned = bool(stack)
     clock = stats.phases
-    timed = clock.enabled
-    if timed:
-        # The execute layer covers per-run setup (hooks, machine) as
-        # well as the run itself: both are per-execution costs.  Lazy
-        # IR lowering inside the run is its own (nested) compile layer.
-        prev = clock.enter(EXECUTE)
+    # The execute layer covers per-run setup (hooks, machine) as well as
+    # the run itself: both are per-execution costs.  Lazy IR lowering
+    # inside the run is its own (nested) compile layer.
+    prev = clock.enter(EXECUTE)
     hooks = DirectedHooks(im, stack, flags, rng, options, dart.track_inputs)
     # The tighter of the per-run limit and the session deadline — so a
     # single pathological run cannot blow past ``time_limit``; the
@@ -533,12 +530,10 @@ def run_item(dart, stack, im, bound, rng, stats, flags, bus, iteration,
             planned=planned, new_path=new_path,
             steps=machine.steps, branches=machine.branches_executed,
         )
-    if timed:
-        clock.leave(prev)
+    clock.leave(prev)
     if result.status == OK or (
             result.status == FAULT and not options.stop_on_first_error):
-        if timed:
-            prev = clock.enter(PLAN)
+        prev = clock.enter(PLAN)
         if options.strategy == "dfs":
             child = solve_path_constraint(
                 hooks.constraints, hooks.stack, im, dart.solver, flags,
@@ -555,8 +550,7 @@ def run_item(dart, stack, im, bound, rng, stats, flags, bus, iteration,
                 subsume=options.subsumption,
                 independence=dart.independence,
             )
-        if timed:
-            clock.leave(prev)
+        clock.leave(prev)
     return result
 
 
@@ -603,11 +597,7 @@ class _Session:
         self.trace = dart.trace
         self.flags = CompletenessFlags()
         self.flags.trace = self.trace
-        # The layer clock runs whenever someone can read it: the stats
-        # summary under ``profile_phases``, or session_finished in a
-        # trace.
-        self.stats = RunStats(
-            clocked=self.options.profile_phases or self.trace.enabled)
+        self.stats = RunStats()
         if dart.compiled is not None:
             dart.compiled.clock = self.stats.phases
         if fault_points.ACTIVE is not None:
@@ -618,14 +608,11 @@ class _Session:
         self.errors = []
         self._seen_error_keys = set()
         #: PathWitness list: distinct (path, error-class) executions,
-        #: retained when witness collection is on (collect_witnesses or
-        #: an export_suite destination) — the exporter's raw material.
+        #: retained for an export_suite destination — the exporter's raw
+        #: material.
         self.witnesses = []
         self._witnessed = set()
-        self._collect_witnesses = (
-            self.options.collect_witnesses
-            or self.options.export_suite is not None
-        )
+        self._collect_witnesses = self.options.export_suite is not None
         #: dfs: every run's slot values; "random": the worklist pops
         #: (worklist items draw from their own seeds).
         self.rng = random.Random(self.options.seed)
@@ -790,14 +777,12 @@ class _Session:
         if self._interrupted and (self._truncated
                                   or self.status == EXHAUSTED):
             self.status = INTERRUPTED
-        coverage = BranchCoverage(self.dart.module,
-                                  self.stats.covered_branches)
-        # Surface the rollup through the stats summary too, so JSON
+        # The stats summary renders the rollup when it is read, so JSON
         # reports built from RunStats alone carry the C1 numbers.
-        self.stats.coverage = coverage.to_dict()
+        self.stats.coverage = BranchCoverage(self.dart.module,
+                                             self.stats.covered_branches)
         return DartResult(
             self.status, self.errors, self.stats, self.flags.snapshot(),
-            coverage=coverage,
             resumed=self.resumed,
             witnesses=self.witnesses,
         )
@@ -835,9 +820,7 @@ class _Session:
         if self.options.state_file is None:
             return
         clock = self.stats.phases
-        timed = clock.enabled
-        if timed:
-            prev = clock.enter(CHECKPOINT)
+        prev = clock.enter(CHECKPOINT)
         try:
             persist.save_checkpoint(self.options.state_file,
                                     self._make_checkpoint())
@@ -855,8 +838,7 @@ class _Session:
                                 detail=str(exc)[:200])
             return
         finally:
-            if timed:
-                clock.leave(prev)
+            clock.leave(prev)
         if self.trace.enabled:
             self.trace.emit(tr.CHECKPOINT, iteration=self.stats.iterations)
 

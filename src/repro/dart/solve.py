@@ -42,7 +42,6 @@ layer.
 """
 
 import hashlib
-import time
 
 from repro.dart.independence import dedup_eligible
 from repro.dart.pathcond import DONE
@@ -72,8 +71,7 @@ def _safe_solve(solver, constraints, domains, stats, trace, **kwargs):
     try:
         return solver.solve(constraints, domains, **kwargs)
     except Exception as exc:
-        if stats is not None:
-            stats.solver_failures += 1
+        stats.solver_failures += 1
         if trace is not None and trace.enabled:
             trace.emit(tr.SOLVER_FAILED, error=type(exc).__name__,
                        detail=str(exc)[:200],
@@ -89,8 +87,7 @@ def _contain_cache_failure(cache, exc, stats, trace):
     The failed access is then treated as a miss (lookup) or dropped
     (store).
     """
-    if stats is not None:
-        stats.cache_failures += 1
+    stats.cache_failures += 1
     if trace is not None and trace.enabled:
         trace.emit(tr.CACHE_FAILED, error=type(exc).__name__,
                    detail=str(exc)[:200])
@@ -100,8 +97,8 @@ def _contain_cache_failure(cache, exc, stats, trace):
         pass
 
 
-def solve_with_retry(solver, constraints, domains, stats=None,
-                     escalation=1, cache=None, trace=None, subsume=False):
+def solve_with_retry(solver, constraints, domains, stats, escalation=1,
+                     cache=None, trace=None, subsume=False):
     """One *logical* solver call with caching and budget resilience.
 
     When ``cache`` is set, the query is first answered from it (exact hit,
@@ -125,20 +122,19 @@ def solve_with_retry(solver, constraints, domains, stats=None,
     event (refutations by a whole query count as
     ``cache_unsat_shortcuts``).
 
-    Observability: actual solver calls are timed into the
-    ``solver_latency_s`` histogram and — when ``trace`` is an enabled
-    bus — a ``solver_answered`` event carries verdict, wall time and
-    (sliced) query size.  The cache emits its own lookup/store events
-    (see :mod:`repro.solver.cache`).  With the stats' layer clock on,
-    cache accesses run in the ``cache`` layer and solver calls in the
-    ``solver`` layer, nested inside the caller's ``plan``.
+    Observability: on the stats' layer clock, cache accesses run in the
+    ``cache`` layer and solver calls in the ``solver`` layer, nested
+    inside the caller's ``plan``.  An actual solver call's ``solver``
+    slice is its wall time: it goes into the ``solver_latency_s``
+    histogram and — when ``trace`` is an enabled bus — into a
+    ``solver_answered`` event with the verdict and (sliced) query size.
+    The cache emits its own lookup/store events (see
+    :mod:`repro.solver.cache`).
     """
-    clock = stats.phases if stats is not None else None
-    timed = clock is not None and clock.enabled
+    clock = stats.phases
     cache_usable = cache is not None
     if cache_usable:
-        if timed:
-            prev = clock.enter(CACHE)
+        prev = clock.enter(CACHE)
         try:
             hit = cache.lookup(constraints, domains)
         except Exception as exc:
@@ -148,60 +144,51 @@ def solve_with_retry(solver, constraints, domains, stats=None,
             _contain_cache_failure(cache, exc, stats, trace)
             cache_usable = False
             hit = None
-        if timed:
-            clock.leave(prev)
+        clock.leave(prev)
         if hit is not None:
             result, tier = hit
             if tier == "unsat-core" and trace is not None \
                     and trace.enabled:
                 trace.emit(tr.FLIP_SUBSUMED,
                            constraints=len(constraints))
-            if stats is not None:
-                if tier == "exact":
-                    stats.cache_hits += 1
-                elif tier == "unsat-core":
-                    stats.flips_subsumed_core += 1
-                else:
-                    stats.cache_unsat_shortcuts += 1
+            if tier == "exact":
+                stats.cache_hits += 1
+            elif tier == "unsat-core":
+                stats.flips_subsumed_core += 1
+            else:
+                stats.cache_unsat_shortcuts += 1
             return result
-        if cache_usable and stats is not None:
+        if cache_usable:
             stats.cache_misses += 1
     escalated = False
-    if timed:
-        prev = clock.enter(SOLVER)
-    started = time.perf_counter()
+    prev = clock.enter(SOLVER)
     result = _safe_solve(solver, constraints, domains, stats, trace)
     if result.status == "unknown" and escalation and escalation > 1:
-        if stats is not None:
-            stats.solver_retries += 1
+        stats.solver_retries += 1
         result = _safe_solve(
             solver, constraints, domains, stats, trace,
             node_budget=solver.node_budget * escalation,
         )
         escalated = True
-        if stats is not None and result.status != "unknown":
+        if result.status != "unknown":
             stats.solver_escalations += 1
-    wall = time.perf_counter() - started
-    if timed:
-        clock.leave(prev)
-    if stats is not None:
-        stats.solver_calls += 1
-        stats.solver_constraints += len(constraints)
-        stats.solver_latency.observe(wall)
-        if result.status == "sat":
-            stats.solver_sat += 1
-        elif result.status == "unsat":
-            stats.solver_unsat += 1
-        else:
-            stats.solver_unknown += 1
+    wall = clock.leave(prev) / 1e9
+    stats.solver_calls += 1
+    stats.solver_constraints += len(constraints)
+    stats.solver_latency.observe(wall)
+    if result.status == "sat":
+        stats.solver_sat += 1
+    elif result.status == "unsat":
+        stats.solver_unsat += 1
+    else:
+        stats.solver_unknown += 1
     if trace is not None and trace.enabled:
         trace.emit(tr.SOLVER_ANSWERED, verdict=result.status,
                    wall_s=round(wall, 6), constraints=len(constraints),
                    escalated=escalated)
     if not cache_usable:
         return result
-    if timed:
-        prev = clock.enter(CACHE)
+    prev = clock.enter(CACHE)
     try:
         cache.store(constraints, domains, result)
     except Exception as exc:
@@ -210,18 +197,15 @@ def solve_with_retry(solver, constraints, domains, stats=None,
     if (subsume and cache_usable and result.status == "unsat"
             and 2 <= len(constraints) <= _CORE_EXTRACT_LIMIT):
         # Core extraction is solver work, nested in the cache layer.
-        if timed:
-            inner = clock.enter(SOLVER)
+        inner = clock.enter(SOLVER)
         core = _extract_core(solver, constraints, domains, stats, trace)
-        if timed:
-            clock.leave(inner)
+        clock.leave(inner)
         if core is not None:
             try:
                 cache.store_core(core, domains, constraints)
             except Exception as exc:
                 _contain_cache_failure(cache, exc, stats, trace)
-    if timed:
-        clock.leave(prev)
+    clock.leave(prev)
     return result
 
 
@@ -362,17 +346,15 @@ def _plan(constraints, stack, im, indices, solver, flags, stats, cache,
             negations, exhaustive = negation_candidates(conjunct, domains)
         else:
             negations, exhaustive = [conjunct.negate()], True
-        if stats is not None:
-            stats.flips_attempted += 1
+        stats.flips_attempted += 1
         queries = []
         unknown = False
         model = None
         for negated in negations:
             if slicer is not None:
                 query = slicer.slice(j, negated)
-                if stats is not None:
-                    stats.sliced_conjuncts_dropped += \
-                        count_before[j] + 1 - len(query)
+                stats.sliced_conjuncts_dropped += \
+                    count_before[j] + 1 - len(query)
             else:
                 query = non_none[: count_before[j]]
                 query.append(negated)
@@ -401,8 +383,7 @@ def _plan(constraints, stack, im, indices, solver, flags, stats, cache,
             flags.clear_linear()
         if model is None:
             continue
-        if stats is not None:
-            stats.flips_sat += 1
+        stats.flips_sat += 1
         child = stack[: j + 1]
         child[j] ^= 1
         fingerprint = None
@@ -419,8 +400,8 @@ def _plan(constraints, stack, im, indices, solver, flags, stats, cache,
     return children
 
 
-def solve_path_constraint(constraints, stack, im, solver, flags,
-                          stats=None, cache=None, slicing=True, trace=None,
+def solve_path_constraint(constraints, stack, im, solver, flags, stats,
+                          cache=None, slicing=True, trace=None,
                           subsume=False):
     """Fig. 5: flip the deepest not-yet-``done`` branch the solver can.
 
@@ -438,8 +419,8 @@ def solve_path_constraint(constraints, stack, im, solver, flags,
 
 
 def expand_worklist_children(stack, constraints, im, bound, solver, flags,
-                             stats=None, cache=None, slicing=True,
-                             trace=None, subsume=False, independence=None):
+                             stats, cache=None, slicing=True, trace=None,
+                             subsume=False, independence=None):
     """Generational expansion: children for indices ``bound..len(stack)``.
 
     The "bfs" and "random" strategies spawn one pending input vector per

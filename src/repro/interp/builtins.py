@@ -9,6 +9,8 @@ memory-movement builtins, an optimization the paper's Section 2.3 hints at).
 """
 
 from repro.interp.faults import InterpreterError
+from repro.minic.consts import wrap
+from repro.minic.typesys import INT
 
 
 class ProgramHalt(Exception):
@@ -150,7 +152,9 @@ def _builtin_printf(machine, args, location):
         value = values[index]
         index += 1
         if spec == "d":
-            out.extend(str(value).encode())
+            # ``%d`` reads its argument as an int, whatever type the
+            # caller passed (an unsigned 0xFFFFFFF8 prints as -8).
+            out.extend(str(wrap(value, INT)).encode())
         elif spec == "u":
             out.extend(str(value & 0xFFFFFFFF).encode())
         elif spec == "x":

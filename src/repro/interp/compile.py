@@ -54,7 +54,7 @@ from repro.minic import ast_nodes as ast
 from repro.minic import ir
 from repro.minic.symbols import ENUM_CONST, GLOBAL
 from repro.minic.typesys import compares_unsigned
-from repro.obs.clock import COMPILE
+from repro.obs.clock import COMPILE, LayerClock
 from repro.symbolic.evaluate import constraint_from_branch
 from repro.symbolic.expr import EQ, LinExpr
 
@@ -985,20 +985,17 @@ class CompiledProgram:
         self._functions = {}
         self._compiler = _Compiler(module)
         self.functions_compiled = 0
-        #: The running session's LayerClock (set by the runner), or None.
-        self.clock = None
+        #: The running session's LayerClock (set by the runner); a clock
+        #: of its own, which nobody reads, until then.
+        self.clock = LayerClock()
 
     def function(self, ir_function):
         """The compiled form of ``ir_function`` (lowered on first use)."""
         compiled = self._functions.get(ir_function.name)
         if compiled is None:
-            clock = self.clock
-            timed = clock is not None and clock.enabled
-            if timed:
-                prev = clock.enter(COMPILE)
+            prev = self.clock.enter(COMPILE)
             compiled = self._compile(ir_function)
-            if timed:
-                clock.leave(prev)
+            self.clock.leave(prev)
             self.functions_compiled += 1
             self._functions[ir_function.name] = compiled
         return compiled

@@ -1,17 +1,19 @@
 """Observability: structured tracing, metrics, and the layer clock.
 
-Three orthogonal instruments, all zero-overhead when unused:
+Three orthogonal instruments:
 
 * :mod:`repro.obs.trace` — the typed event bus (``TraceBus``) with JSONL,
   ring-buffer and in-memory sinks; the window into *why* a directed
   search behaved the way it did (per-query verdicts and latencies, cache
-  tiers, forcing outcomes, flag degradations).
+  tiers, forcing outcomes, flag degradations); with no sink attached
+  it constructs no event.
 * :mod:`repro.obs.metrics` — the fixed-bucket ``Histogram`` that
   ``RunStats`` keeps next to its plain int counters, with a
   deterministic cross-worker merge.
 * :mod:`repro.obs.clock` — the ``LayerClock`` splitting session wall
   time into exclusive per-layer times (execute, compile, plan, cache,
-  solver, checkpoint, commit).
+  solver, checkpoint, commit).  Every session runs it: it is the
+  session's one time source, and ``RunStats.elapsed`` is its window.
 
 ``python -m repro trace-summary TRACE.jsonl`` renders a trace file
 (:mod:`repro.obs.summary`).  The full event schema and metrics catalog

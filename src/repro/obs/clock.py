@@ -10,15 +10,14 @@ solver time nested inside ``plan`` never also counts as ``plan``, and
 the layers plus :data:`OTHER` partition the clock's window to the
 nanosecond.
 
-A disabled clock is never read.  Boundaries follow one idiom, so off
-they cost one attribute test each::
+Every session runs one clock, from the moment its statistics are built
+to :meth:`LayerClock.stop`; it is the session's only time source.  A
+boundary costs two ``perf_counter_ns`` reads, and every boundary follows
+one idiom::
 
-    timed = clock.enabled
-    if timed:
-        prev = clock.enter(PLAN)
+    prev = clock.enter(PLAN)
     ...
-    if timed:
-        clock.leave(prev)
+    clock.leave(prev)
 """
 
 from time import perf_counter_ns
@@ -41,18 +40,16 @@ OTHER = "other"
 class LayerClock:
     """Exclusive nanoseconds and entry counts per layer over one window.
 
-    The window opens when an enabled clock is built and closes at
-    :meth:`stop`.
+    The window opens when the clock is built and closes at :meth:`stop`.
     """
 
-    __slots__ = ("enabled", "_ns", "_entries", "_layer", "_mark")
+    __slots__ = ("_ns", "_entries", "_layer", "_mark", "_opened")
 
-    def __init__(self, enabled=False):
-        self.enabled = enabled
+    def __init__(self):
         self._ns = dict.fromkeys(LAYERS + (OTHER,), 0)
         self._entries = dict.fromkeys(LAYERS, 0)
         self._layer = OTHER
-        self._mark = perf_counter_ns() if enabled else 0
+        self._opened = self._mark = perf_counter_ns()
 
     def enter(self, layer):
         """Make ``layer`` current; returns the layer it interrupts."""
@@ -65,16 +62,22 @@ class LayerClock:
         return prev
 
     def leave(self, prev):
-        """Close the current layer and resume ``prev``."""
+        """Close the current layer and resume ``prev``; returns the
+        nanoseconds of the slice just closed."""
         now = perf_counter_ns()
-        self._ns[self._layer] += now - self._mark
+        closed = now - self._mark
+        self._ns[self._layer] += closed
         self._mark = now
         self._layer = prev
+        return closed
 
     def stop(self):
-        """Close the window: charge the time since the last boundary."""
-        if self.enabled:
-            self.leave(OTHER)
+        """Close the window: charge the time since the last boundary.
+        Returns the window's length in seconds; the layers plus
+        :data:`OTHER` partition it exactly unless :meth:`merge` folded
+        in another clock's times."""
+        self.leave(OTHER)
+        return (self._mark - self._opened) / 1e9
 
     def snapshot(self):
         """``{layer: {"seconds", "entries"}}`` for every layer."""

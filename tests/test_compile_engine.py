@@ -247,7 +247,7 @@ class TestLoweringMechanics:
     def test_lowering_is_lazy_and_cached(self):
         module = build_test_program(self.SOURCE, "top")
         compiled = CompiledProgram(module)
-        compiled.clock = LayerClock(enabled=True)
+        compiled.clock = LayerClock()
         assert compiled.functions_compiled == 0
         im = InputVector()
         im.record(0, "int", 3)

@@ -2,9 +2,9 @@
 
 Covers the trace bus and its sinks (round-trip through the JSONL
 format), the histograms and the deterministic merge of ``RunStats``
-snapshots, the layer clock, and the zero-overhead-when-disabled
-contract: a session without sinks must never construct an event, and a
-session without a clock never reads one.
+snapshots, the layer clock every session runs, and the zero-overhead-when-disabled
+contract of the trace bus: a session without sinks must never construct
+an event.
 """
 
 import io
@@ -31,6 +31,10 @@ from repro.obs import (
 from repro.obs import trace as tr
 from repro.obs.clock import CACHE, OTHER, PLAN, SOLVER
 from repro.programs import samples
+from repro.programs.ac_controller import (
+    AC_CONTROLLER_SOURCE,
+    AC_CONTROLLER_TOPLEVEL,
+)
 
 
 class TestTraceBus:
@@ -155,18 +159,40 @@ class TestDisabledOverheadGuard:
                             max_iterations=50, seed=0)
         assert result.found_error  # the search itself still works
 
-    def test_disabled_clock_records_nothing(self, monkeypatch):
-        def boom(self, layer):  # pragma: no cover - guard
-            raise AssertionError("LayerClock.enter called while disabled")
 
-        monkeypatch.setattr(LayerClock, "enter", boom)
+class TestSessionClock:
+    """Every session runs one layer clock, traced or not, and it is the
+    session's only time source."""
+
+    def test_untraced_session_reports_every_layer(self):
         result = dart_check(samples.H_SOURCE, samples.H_TOPLEVEL,
                             max_iterations=50, seed=0)
         assert result.found_error
-        assert not result.stats.phases.enabled
-        assert "phases" not in result.stats.summary()
-        assert all(entry == {"seconds": 0.0, "entries": 0}
-                   for entry in result.stats.phases.snapshot().values())
+        phases = result.stats.summary()["phases"]
+        assert set(phases) == set(LAYERS)
+        assert phases["execute"]["entries"] == result.iterations
+
+    def test_serial_layers_and_other_partition_elapsed(self):
+        result = dart_check(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
+                            depth=2, seed=7, strategy="dfs",
+                            stop_on_first_error=False)
+        stats = result.stats
+        attributed = sum(entry["seconds"]
+                         for entry in stats.phases.snapshot().values())
+        other = stats.phases._ns[OTHER] / 1e9
+        assert attributed + other == pytest.approx(stats.elapsed,
+                                                    abs=1e-5)
+        assert stats.summary()["elapsed_s"] == round(stats.elapsed, 4)
+
+    def test_solver_latency_observes_every_solver_call(self):
+        result = dart_check(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
+                            depth=2, seed=7, strategy="dfs",
+                            stop_on_first_error=False)
+        summary = result.stats.summary()
+        assert summary["solver_calls"] > 0
+        assert summary["histograms"]["solver_latency_s"]["count"] == \
+            summary["solver_calls"]
+        assert summary["phases"][SOLVER]["seconds"] > 0
 
 
 class TestHistogram:
@@ -221,7 +247,7 @@ class TestRunStatsSnapshot:
 
     @staticmethod
     def stats_of(worker):
-        stats = RunStats(clocked=True)
+        stats = RunStats()
         for name, value in worker["counters"].items():
             setattr(stats, name, value)
         for value in worker["latencies"]:
@@ -234,7 +260,7 @@ class TestRunStatsSnapshot:
 
     @staticmethod
     def folded(snapshots):
-        parent = RunStats(clocked=True)
+        parent = RunStats()
         for snapshot in snapshots:
             parent.merge(snapshot)
         return parent
@@ -286,13 +312,13 @@ class TestRunStatsSnapshot:
         with pytest.raises(ValueError):
             RunStats().merge(snapshot)
 
-    def test_unclocked_parent_ignores_layer_times(self):
-        worker = RunStats(clocked=True)
+    def test_parent_adds_worker_layer_times(self):
+        worker = RunStats()
         worker.phases.merge({PLAN: {"seconds": 0.5, "entries": 2}})
         parent = RunStats()
         parent.merge(worker.snapshot())
-        assert parent.phases.snapshot()[PLAN] == {"seconds": 0.0,
-                                                  "entries": 0}
+        assert parent.phases.snapshot()[PLAN] == {"seconds": 0.5,
+                                                  "entries": 2}
 
 
 class TestLayerClock:
@@ -303,7 +329,7 @@ class TestLayerClock:
             pass
 
     def test_nested_enter_leave_charges_exclusive_time(self):
-        clock = LayerClock(enabled=True)
+        clock = LayerClock()
         outer = clock.enter(PLAN)
         assert outer == OTHER
         self.spin(0.002)
@@ -323,7 +349,7 @@ class TestLayerClock:
         assert snap[SOLVER] == {"seconds": 0.0, "entries": 0}
 
     def test_layers_plus_other_partition_the_window(self):
-        clock = LayerClock(enabled=True)
+        clock = LayerClock()
         opened = clock._mark
         for layer in LAYERS:
             prev = clock.enter(layer)
@@ -336,7 +362,7 @@ class TestLayerClock:
         assert set(clock.snapshot()) == set(LAYERS)
 
     def test_merge_is_additive(self):
-        a, b = LayerClock(enabled=True), LayerClock(enabled=True)
+        a, b = LayerClock(), LayerClock()
         a.merge({PLAN: {"seconds": 0.25, "entries": 2}})
         b.merge({PLAN: {"seconds": 0.75, "entries": 3},
                  CACHE: {"seconds": 0.1, "entries": 1}})

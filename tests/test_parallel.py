@@ -56,7 +56,7 @@ class TestOptionValidation:
 
 
 class TestSamplesParallelMatchesSerial:
-    def test_bfs_same_errors_on_samples(self):
+    def test_bfs_same_errors_on_samples(self, tmp_path):
         for source, toplevel in (
             (samples.H_SOURCE, "h"),
             (samples.FILTER_SOURCE, "entry"),
@@ -64,11 +64,12 @@ class TestSamplesParallelMatchesSerial:
         ):
             serial = run(source, toplevel, 1, strategy="bfs",
                          max_iterations=300, seed=7,
-                         stop_on_first_error=False, collect_witnesses=True)
+                         stop_on_first_error=False,
+                         export_suite=tmp_path / toplevel / "serial")
             parallel = run(source, toplevel, 4, strategy="bfs",
                            max_iterations=300, seed=7,
                            stop_on_first_error=False,
-                           collect_witnesses=True)
+                           export_suite=tmp_path / toplevel / "pool")
             assert serial.witnesses, toplevel
             assert_same_search(serial, parallel, toplevel)
 
@@ -82,12 +83,13 @@ class TestSamplesParallelMatchesSerial:
         assert (serial.stats.distinct_paths
                 == parallel.stats.distinct_paths)
 
-    def test_random_strategy_same_errors(self):
+    def test_random_strategy_same_errors(self, tmp_path):
         serial = run(samples.FILTER_SOURCE, "entry", 1, strategy="random",
-                     max_iterations=300, seed=5, collect_witnesses=True)
+                     max_iterations=300, seed=5,
+                     export_suite=tmp_path / "serial")
         parallel = run(samples.FILTER_SOURCE, "entry", 4,
                        strategy="random", max_iterations=300, seed=5,
-                       collect_witnesses=True)
+                       export_suite=tmp_path / "pool")
         assert serial.errors
         assert_same_search(serial, parallel)
 

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.interp import Machine
+from repro.interp.compile import CompiledProgram
 from repro.minic import compile_program
 
 
-def output_of(source, function="f", args=()):
-    machine = Machine(compile_program(source))
+def output_of(source, function="f", args=(), compiled=False):
+    module = compile_program(source)
+    machine = Machine(module, compiled=CompiledProgram(module)
+                      if compiled else None)
     machine.run(function, args)
     return machine.output
 
@@ -65,3 +68,18 @@ class TestPrintf:
             args=(21,),
         )
         assert out == [b"double(21) = 42"]
+
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["interpreter", "compiled"])
+    def test_decimal_reads_unsigned_argument_as_int(self, compiled):
+        out = output_of(
+            """
+            int f(void) {
+              unsigned p0 = 2147483647;
+              printf("%d %d %u", p0 << 3, p0 + 1, p0 << 3);
+              return 0;
+            }
+            """,
+            compiled=compiled,
+        )
+        assert out == [b"-8 -2147483648 4294967288"]

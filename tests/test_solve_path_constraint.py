@@ -7,6 +7,7 @@ import collections
 from repro import DartOptions
 from repro.dart.inputs import InputVector
 from repro.dart.pathcond import DONE
+from repro.dart.report import RunStats
 from repro.dart.runner import Dart, _Session
 from repro.dart.solve import (
     candidate_indices,
@@ -43,7 +44,7 @@ Plan = collections.namedtuple("Plan", "stack im bound fingerprint")
 def solve(constraints, stack, im, seed=0):
     flags = CompletenessFlags()
     child = solve_path_constraint(constraints, stack, im, Solver(seed=seed),
-                                  flags)
+                                  flags, RunStats())
     return (Plan(*child) if child is not None else None), flags
 
 
@@ -51,7 +52,7 @@ def expand(constraints, stack, im, bound=0):
     """The generational children of a run, as Plans, in enqueue order."""
     children = expand_worklist_children(
         stack, constraints, im, bound, Solver(seed=0),
-        CompletenessFlags())
+        CompletenessFlags(), RunStats())
     return [Plan(*child) for child in children]
 
 

@@ -119,7 +119,7 @@ class TestCoreExtraction:
 
     def test_already_minimal_set_returns_none(self):
         assert _extract_core(Solver(seed=0), list(CORE), self.DOMAINS,
-                             None, None) is None
+                             RunStats(), None) is None
 
     def test_solve_with_retry_records_and_reuses_core(self):
         solver = Solver(seed=0)
@@ -141,7 +141,7 @@ class TestCoreExtraction:
         solver = Solver(seed=0)
         cache = SolverResultCache()
         result = solve_with_retry(solver, CORE + [ge(1, 3)], self.DOMAINS,
-                                  cache=cache, subsume=False)
+                                  RunStats(), cache=cache, subsume=False)
         assert result.status == "unsat"
         assert [tier for _cons, _doms, tier in cache._refutations.values()] \
             == [UNSAT_SUPERSET]

@@ -389,12 +389,12 @@ class TestC1Accounting:
         assert payload["coverage"]["c1_percent"] == \
             pytest.approx(run.coverage.c1_percent, abs=0.01)
 
-    def test_parallel_merge_matches_serial(self):
+    def test_parallel_merge_matches_serial(self, tmp_path):
         def campaign(jobs):
             options = DartOptions(depth=2, strategy="bfs", seed=0,
                                   max_iterations=60,
                                   stop_on_first_error=False, jobs=jobs,
-                                  collect_witnesses=True)
+                                  export_suite=tmp_path / str(jobs))
             return Dart(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
                         options).run()
 

@@ -106,8 +106,7 @@ class TestPhaseAttribution:
     def test_bfs_reports_the_same_layers_at_jobs_1_and_2(self):
         names = []
         for jobs in (1, 2):
-            options = DartOptions(profile_phases=True, strategy="bfs",
-                                  jobs=jobs, **SESSION)
+            options = DartOptions(strategy="bfs", jobs=jobs, **SESSION)
             result = dart_check(AC_CONTROLLER_SOURCE,
                                 AC_CONTROLLER_TOPLEVEL, options)
             names.append(set(result.stats.summary()["phases"]))
