@@ -20,8 +20,10 @@ compiled into a single self-executable module — "there is no need to write
 any test driver or harness code".  The program is lexed, parsed, analysed
 and lowered once (:class:`repro.minic.SourceUnit`): the interface comes
 from that analysis, and only the driver text is lexed, parsed, analysed
-(in the program's scope) and lowered per driver, its functions appended
-to the program's module.
+(in the program's scope) and lowered, its functions appended to the
+program's module.  Init functions and stubs are the same text for every
+toplevel over one program, so the unit builds each once; a driver builds
+its ``__dart_main`` and whatever the unit has not seen.
 """
 
 from repro.minic import SourceUnit
@@ -249,6 +251,15 @@ class DriverGenerator:
     # -- main ------------------------------------------------------------------
 
     def generate(self):
+        return "".join(self.chunks())
+
+    def chunks(self):
+        """The driver text in pieces that join to :meth:`generate`: a
+        banner comment, each init function, each stub, then
+        ``__dart_main``.  Each piece ends with a newline.  An init
+        function's text depends only on its type and the init bound, and
+        a stub's on its function's signature and the bound; only
+        ``__dart_main`` names the toplevel and the depth."""
         chunks = [
             "\n/* ---- DART-generated test driver (Figs. 7-8) ---- */\n"
         ]
@@ -295,7 +306,7 @@ class DriverGenerator:
             chunks.append(self._emitted[name])
         chunks.extend(stubs)
         chunks.append("".join(main_lines))
-        return "".join(chunks)
+        return chunks
 
 
 def generate_driver(interface, depth=1, max_init_depth=None):
@@ -311,14 +322,18 @@ def build_test_program(source, toplevel, depth=1, filename="<program>",
     program+driver, whose entry point is :data:`DRIVER_ENTRY`: the module
     ``compile_program(source + driver)`` gives, built by
     :meth:`repro.minic.SourceUnit.compile_with` from the unit's lowered
-    program and the driver alone.  ``source`` is the program text or a
-    :class:`repro.minic.SourceUnit` of it (whose own filename then
-    applies), so callers can share one unit across sessions and with
-    :func:`repro.dart.independence.coupling_classes`; the unit is not
-    changed.
+    program and the driver's chunks (:meth:`DriverGenerator.chunks`).
+    ``__dart_main`` names the toplevel and is built on every call; the
+    unit builds each init function and stub once per text and line and
+    reuses it in every later driver that places it there.
+    ``source`` is the program text or a :class:`repro.minic.SourceUnit`
+    of it (whose own filename then applies), so callers can share one
+    unit across sessions and with
+    :func:`repro.dart.independence.coupling_classes`; the source's
+    analysis and module are not changed.
     """
     unit = SourceUnit.of(source, filename)
     interface, _ = extract_interface(unit, toplevel, filename=filename)
-    driver = generate_driver(interface, depth=depth,
-                             max_init_depth=max_init_depth)
-    return unit.compile_with(driver)
+    *reusable, main = DriverGenerator(
+        interface, depth, max_init_depth).chunks()
+    return unit.compile_with(main, reusable)

@@ -159,8 +159,8 @@ class Dart:
         with collector_paused():
             # One unit of the source, shared by every session over the
             # same text, serves the driver's interface, the compiled
-            # module and the independence analysis; only the driver is
-            # built here.
+            # module and the independence analysis; of the driver, only
+            # __dart_main and what the unit has not seen are built here.
             unit = source_unit(source, filename)
             self.module = build_test_program(
                 unit, toplevel, depth=options.depth, filename=filename,
@@ -184,9 +184,10 @@ class Dart:
         if self.cache is not None:
             self.cache.trace = self.trace
         #: The compiled execution engine (repro.interp.compile): functions
-        #: are lowered once and the closures reused across runs.  None
+        #: are lowered once and the closures reused across runs, and
+        #: across the sessions over the unit where they bind alike.  None
         #: selects the tree-walking interpreter (``--no-compile``).
-        self.compiled = CompiledProgram(self.module) \
+        self.compiled = CompiledProgram(self.module, unit.closures) \
             if options.compiled_execution else None
         #: The module's post-load memory (repro.interp.machine.LoadImage),
         #: taken from the first machine and restored into every later
@@ -530,10 +531,10 @@ def run_item(dart, stack, im, bound, rng, stats, flags, bus, iteration,
             planned=planned, new_path=new_path,
             steps=machine.steps, branches=machine.branches_executed,
         )
-    clock.leave(prev)
     if result.status == OK or (
             result.status == FAULT and not options.stop_on_first_error):
-        prev = clock.enter(PLAN)
+        # Execute hands the clock to plan at one instant.
+        clock.enter(PLAN)
         if options.strategy == "dfs":
             child = solve_path_constraint(
                 hooks.constraints, hooks.stack, im, dart.solver, flags,
@@ -550,7 +551,7 @@ def run_item(dart, stack, im, bound, rng, stats, flags, bus, iteration,
                 subsume=options.subsumption,
                 independence=dart.independence,
             )
-        clock.leave(prev)
+    clock.leave(prev)
     return result
 
 

@@ -133,8 +133,10 @@ def solve_with_retry(solver, constraints, domains, stats, escalation=1,
     """
     clock = stats.phases
     cache_usable = cache is not None
+    # The cache and the solver hand the clock to each other at one
+    # instant (``switch``); the one ``leave`` at the end resumes ``prev``.
+    prev = clock.enter(CACHE if cache_usable else SOLVER)
     if cache_usable:
-        prev = clock.enter(CACHE)
         try:
             hit = cache.lookup(constraints, domains)
         except Exception as exc:
@@ -144,8 +146,8 @@ def solve_with_retry(solver, constraints, domains, stats, escalation=1,
             _contain_cache_failure(cache, exc, stats, trace)
             cache_usable = False
             hit = None
-        clock.leave(prev)
         if hit is not None:
+            clock.leave(prev)
             result, tier = hit
             if tier == "unsat-core" and trace is not None \
                     and trace.enabled:
@@ -160,8 +162,8 @@ def solve_with_retry(solver, constraints, domains, stats, escalation=1,
             return result
         if cache_usable:
             stats.cache_misses += 1
+        clock.switch(SOLVER)
     escalated = False
-    prev = clock.enter(SOLVER)
     result = _safe_solve(solver, constraints, domains, stats, trace)
     if result.status == "unknown" and escalation and escalation > 1:
         stats.solver_retries += 1
@@ -172,7 +174,8 @@ def solve_with_retry(solver, constraints, domains, stats, escalation=1,
         escalated = True
         if result.status != "unknown":
             stats.solver_escalations += 1
-    wall = clock.leave(prev) / 1e9
+    wall = (clock.switch(CACHE) if cache_usable
+            else clock.leave(prev)) / 1e9
     stats.solver_calls += 1
     stats.solver_constraints += len(constraints)
     stats.solver_latency.observe(wall)
@@ -188,7 +191,6 @@ def solve_with_retry(solver, constraints, domains, stats, escalation=1,
                    escalated=escalated)
     if not cache_usable:
         return result
-    prev = clock.enter(CACHE)
     try:
         cache.store(constraints, domains, result)
     except Exception as exc:

@@ -199,6 +199,11 @@ class _Compiler:
         }
         #: Frame size of the function being lowered (set per function).
         self.frame_size = 0
+        #: What the function being lowered bound from the module: its
+        #: callees as (name, IRFunction or None) and its direct global
+        #: slots as (name, index, GlobalVar) (reset per function).
+        self.callees = []
+        self.slots = []
 
     # -- generic expression dispatch ------------------------------------
 
@@ -335,8 +340,9 @@ class _Compiler:
         symbol = e.symbol
         if symbol.kind == GLOBAL:
             index = self._global_index.get(symbol.name)
-            if index is None or \
-                    size > self.module.globals[index].ctype.size:
+            var = None if index is None else self.module.globals[index]
+            self.slots.append((symbol.name, index, var))
+            if var is None or size > var.ctype.size:
                 return None
             return _global_access(index, size, signed)
         off = symbol.frame_offset
@@ -798,6 +804,7 @@ class _Compiler:
         arg_evs = [self.expr(arg) for arg in e.args]
         location = e.location
         function = self.module.functions.get(name)
+        self.callees.append((name, function))
         if function is not None:
             converters = [
                 self._convert_fn(arg.ctype.decay(), ptype)
@@ -955,14 +962,18 @@ _StructValue = None
 
 class CompiledFunction:
     """One lowered function: a closure per instruction, plus locations
-    (for NonTermination / RunTimeout / fault-location anchoring)."""
+    (for NonTermination / RunTimeout / fault-location anchoring) and
+    what its closures bound from the module (``callees`` and ``slots``,
+    see :class:`_Compiler`)."""
 
-    __slots__ = ("name", "steps", "locations")
+    __slots__ = ("name", "steps", "locations", "callees", "slots")
 
-    def __init__(self, name, steps, locations):
+    def __init__(self, name, steps, locations, callees, slots):
         self.name = name
         self.steps = steps
         self.locations = locations
+        self.callees = callees
+        self.slots = slots
 
     def __repr__(self):
         return "CompiledFunction({!r}, {} steps)".format(
@@ -975,15 +986,28 @@ class CompiledProgram:
 
     One instance is shared by every :class:`Machine` a session creates
     (closures bake in only module-level facts — types, offsets, operator
-    shapes — never per-machine state, which always arrives through the
-    ``m`` argument).  Functions are lowered lazily on first call, inside
-    the ``compile`` layer of ``clock``.
+    shapes, callee IRFunctions and global slots — never per-machine
+    state, which always arrives through the ``m`` argument).  Functions
+    are lowered lazily on first call, inside the ``compile`` layer of
+    ``clock``.
+
+    ``shared`` is a store kept across modules that hold the same
+    IRFunction objects (those of one :class:`repro.minic.SourceUnit`):
+    its keys are the functions whose compiled form may be shared, each
+    mapped to None until one module compiles it.  On a miss in its own
+    table the program takes the shared compiled form when every callee
+    and global slot its closures bound is the same object in this
+    module, and compiles its own otherwise; the first compiled form of a
+    shared function is the one the store keeps.
     """
 
-    def __init__(self, module):
+    def __init__(self, module, shared=None):
         self.module = module
         self._functions = {}
         self._compiler = _Compiler(module)
+        self._shared = {} if shared is None else shared
+        #: Functions this program lowered itself (not taken from
+        #: ``shared``).
         self.functions_compiled = 0
         #: The running session's LayerClock (set by the runner); a clock
         #: of its own, which nobody reads, until then.
@@ -994,18 +1018,42 @@ class CompiledProgram:
         compiled = self._functions.get(ir_function.name)
         if compiled is None:
             prev = self.clock.enter(COMPILE)
-            compiled = self._compile(ir_function)
+            shared = self._shared.get(ir_function)
+            if shared is not None and self._binds_alike(shared):
+                compiled = shared
+            else:
+                compiled = self._compile(ir_function)
+                self.functions_compiled += 1
+                if shared is None and ir_function in self._shared:
+                    self._shared[ir_function] = compiled
             self.clock.leave(prev)
-            self.functions_compiled += 1
             self._functions[ir_function.name] = compiled
         return compiled
+
+    def _binds_alike(self, compiled):
+        """Whether ``compiled``'s closures bound what this module holds."""
+        functions = self.module.functions
+        for name, function in compiled.callees:
+            if functions.get(name) is not function:
+                return False
+        index = self._compiler._global_index
+        globals_ = self.module.globals
+        for name, slot, var in compiled.slots:
+            if index.get(name) != slot or (
+                    slot is not None and globals_[slot] is not var):
+                return False
+        return True
 
     def _compile(self, function):
         compiler = self._compiler
         compiler.frame_size = function.frame_size
+        compiler.callees = []
+        compiler.slots = []
         steps = []
         locations = []
         for pc, instruction in enumerate(function.instrs):
             locations.append(instruction.location)
             steps.append(compiler.instr(instruction, pc, function))
-        return CompiledFunction(function.name, steps, locations)
+        return CompiledFunction(function.name, steps, locations,
+                                tuple(compiler.callees),
+                                tuple(compiler.slots))

@@ -444,14 +444,17 @@ def _global_init(expr, string_indexes):
     return value
 
 
-def lower_program(program, info, base=None):
+def lower_program(program, info, base=None, lowered=None):
     """Lower an analyzed Program to an executable :class:`Module`.
 
     With ``base``, the Module of a program that ``program`` was appended
     to (``info`` then extends ``base.info``, see
     :func:`repro.minic.semantic.analyze`), only ``program`` is lowered:
     the result holds ``base``'s functions, globals and strings, then
-    ``program``'s, and ``base`` is left unchanged.
+    ``program``'s, and ``base`` is left unchanged.  ``lowered`` maps a
+    function definition lowered before (against the same ``base``, with
+    no string literal) to its :class:`IRFunction`, which the result
+    holds in the definition's place.
     """
     strings = [] if base is None else list(base.strings)
     string_indexes = {}
@@ -464,7 +467,8 @@ def lower_program(program, info, base=None):
     index_of = {var.name: index for index, var in enumerate(global_vars)}
     for decl in program.declarations:
         if isinstance(decl, ast.FunctionDef):
-            functions[decl.name] = FunctionLowerer(
+            function = lowered.get(decl) if lowered else None
+            functions[decl.name] = function or FunctionLowerer(
                 decl, string_indexes
             ).lower()
         elif isinstance(decl, ast.VarDecl):

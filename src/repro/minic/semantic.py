@@ -136,11 +136,15 @@ class SemanticAnalyzer:
 
     With ``base``, the Program's declarations are appended to the program
     ``base`` describes, and are checked in its scope (see ProgramInfo).
+    A function definition in ``checked`` was analysed before, against
+    the same ``base``: it is bound under the type it has, and its body
+    is not checked again.
     """
 
-    def __init__(self, program, base=None):
+    def __init__(self, program, base=None, checked=()):
         self._program = program
         self._base = base
+        self._checked = checked
         self.info = ProgramInfo(base)
         self._current_function = None
         self._loop_depth = 0
@@ -221,7 +225,10 @@ class SemanticAnalyzer:
             elif isinstance(decl, ast.FunctionDecl):
                 self._declare_function(decl, defined=False)
             elif isinstance(decl, ast.FunctionDef):
-                self._declare_function(decl, defined=True)
+                if decl in self._checked:
+                    self._bind_function(decl, defined=True)
+                else:
+                    self._declare_function(decl, defined=True)
             elif isinstance(decl, ast.VarDecl):
                 self._declare_global(decl)
             else:
@@ -229,7 +236,8 @@ class SemanticAnalyzer:
                                     decl.location)
         self._compute_interface()
         for decl in self._program.declarations:
-            if isinstance(decl, ast.FunctionDef):
+            if isinstance(decl, ast.FunctionDef) \
+                    and decl not in self._checked:
                 self._check_function(decl)
         return self.info
 
@@ -289,8 +297,12 @@ class SemanticAnalyzer:
             # A prototype for a builtin is harmless; accept and ignore it.
             decl.ftype = self._function_type(decl)
             return
-        ftype = self._function_type(decl)
-        decl.ftype = ftype
+        decl.ftype = self._function_type(decl)
+        self._bind_function(decl, defined)
+
+    def _bind_function(self, decl, defined):
+        """Enter ``decl``, whose ``ftype`` is resolved, in the tables."""
+        ftype = decl.ftype
         existing = self.info.function_types.get(decl.name)
         if existing is not None and existing != ftype:
             raise SemanticError(
@@ -354,15 +366,33 @@ class SemanticAnalyzer:
             self._check_assignable(ctype, decl.init, decl.location)
 
     def _compute_interface(self):
-        interface = self.info.interface
-        for name, ftype in self.info.function_types.items():
-            if name in self.info.functions:
+        """The interface of the program, with ``base`` that of the base
+        program changed by this info's own layer alone: a name the layer
+        declares or binds is classified again, and every other keeps the
+        class the base gave it."""
+        info = self.info
+        interface = info.interface
+        if self._base is None:
+            function_types = info.function_types
+            symbols = info.globals_scope.symbols()
+        else:
+            base = self._base.interface
+            interface.defined_functions.update(base.defined_functions)
+            interface.external_functions.update(base.external_functions)
+            interface.external_variables.update(base.external_variables)
+            function_types = info.function_types.maps[0]
+            symbols = info.globals_scope.own_symbols()
+        for name, ftype in function_types.items():
+            if name in info.functions:
+                interface.external_functions.pop(name, None)
                 interface.defined_functions[name] = ftype
             else:
                 interface.external_functions[name] = ftype
-        for symbol in self.info.globals_scope.symbols():
+        for symbol in symbols:
             if symbol.kind == GLOBAL and symbol.is_extern:
                 interface.external_variables[symbol.name] = symbol.ctype
+            else:
+                interface.external_variables.pop(symbol.name, None)
 
     # -- function bodies ---------------------------------------------------
 
@@ -837,11 +867,13 @@ def _zero_divisor(expr):
     )
 
 
-def analyze(program, base=None):
+def analyze(program, base=None, checked=()):
     """Run semantic analysis; returns the :class:`ProgramInfo`.
 
     With ``base``, the ProgramInfo of an analysed program, ``program``
     holds declarations appended to that program; ``base`` and the nodes
-    it describes are left unchanged.
+    it describes are left unchanged.  The function definitions in
+    ``checked`` were analysed before against the same ``base`` and are
+    bound as they are (see :class:`SemanticAnalyzer`).
     """
-    return SemanticAnalyzer(program, base).analyze()
+    return SemanticAnalyzer(program, base, checked).analyze()

@@ -94,3 +94,11 @@ class Scope:
 
     def symbols(self):
         return list(self._entries.values())
+
+    def own_symbols(self):
+        """The symbols bound in this scope's own layer: those defined
+        or made :meth:`own` here, not the base scope's."""
+        entries = self._entries
+        if isinstance(entries, ChainMap):
+            entries = entries.maps[0]
+        return list(entries.values())

@@ -18,6 +18,11 @@ one idiom::
     prev = clock.enter(PLAN)
     ...
     clock.leave(prev)
+
+A hand-off between two layers at one instant is one read: the second
+layer is entered (or :meth:`LayerClock.switch`-ed to) without leaving
+the first, and the one ``leave(prev)`` at the end resumes the outer
+layer.
 """
 
 from time import perf_counter_ns
@@ -60,6 +65,19 @@ class LayerClock:
         self._layer = layer
         self._entries[layer] += 1
         return prev
+
+    def switch(self, layer):
+        """Close the current layer's slice and make ``layer`` current in
+        one read, as :meth:`enter` does, but return the nanoseconds of
+        the slice just closed.  The caller's ``prev`` stays the layer
+        the closing :meth:`leave` resumes."""
+        now = perf_counter_ns()
+        closed = now - self._mark
+        self._ns[self._layer] += closed
+        self._mark = now
+        self._layer = layer
+        self._entries[layer] += 1
+        return closed
 
     def leave(self, prev):
         """Close the current layer and resume ``prev``; returns the

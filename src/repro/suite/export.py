@@ -127,7 +127,7 @@ def export_suite(dart, result, out_dir):
     if trace.enabled:
         coverage = manifest_body["coverage"]
         trace.emit(
-            tr.SUITE_EXPORTED, dir=out_dir, artifacts=len(kept),
+            tr.SUITE_EXPORTED, dir=os.fspath(out_dir), artifacts=len(kept),
             errors=manifest_body["counts"]["errors"],
             deduped=len(duplicates), pruned=len(pruned),
             c1_percent=round(coverage["c1_percent"], 2),

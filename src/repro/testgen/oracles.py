@@ -43,12 +43,14 @@ on every generated program (the fault-containment probe on a sample):
 7. **Front-end identity** — a session's program is lexed, parsed,
    analysed and lowered once (:class:`repro.minic.SourceUnit`), and only
    the generated driver is compiled per session, in the program's scope
-   and appended to the program's module.  The module that builds must list
-   (disassembly, driver included, plus every instruction's source
-   location, the globals and the strings) exactly as the module
-   ``compile_program(source + driver)`` builds from the plain text, and the
-   coupling classes computed from the session's shared AST must equal those
-   computed from the source text alone.
+   and appended to the program's module; its init functions and stubs
+   are built once per unit and reused by later sessions.  Over two
+   sessions sharing a unit, each module must list (disassembly, driver
+   included, plus every instruction's source location, the globals and
+   the strings) exactly as the module ``compile_program(source + driver)``
+   builds from the plain text, and the coupling classes computed from the
+   session's shared AST must equal those computed from the source text
+   alone.
 
 **Soundness.** Every oracle compares two independent derivations of the
 same fact (two executions, two configurations, a model vs. its
@@ -205,7 +207,7 @@ def _substitution_error(constraints, domains, model):
     return None
 
 
-def _module_listing(module):
+def module_listing(module):
     """What must not change when the front end changes: the disassembly
     with the driver, each instruction's source location, the globals and
     the interned strings."""
@@ -226,20 +228,37 @@ def front_end_divergence(source, toplevel, depth=1, max_init_depth=None):
     per session (pool workers are forked with it, so they never rebuild
     it): one :class:`SourceUnit`, which sessions over the same text
     share, serves ``build_test_program`` and then ``coupling_classes``.
-    The reference compiles ``source + driver`` as plain text and computes
-    the classes from the source text.
+    Two sessions share the unit here, so that the second reuses the init
+    functions and stubs the first built: ``toplevel``, then the first
+    other function the program defines (whose driver may place a reused
+    chunk at the same line or a shifted one), or ``toplevel`` at
+    ``depth + 1`` when there is none.  Each module must list as
+    ``compile_program(source + driver)`` compiles the plain text (a
+    second toplevel the driver generator refuses is skipped), and the
+    classes from the shared AST must equal those computed from the
+    source text.
     """
     unit = SourceUnit(source, "<program>")
-    module = build_test_program(unit, toplevel, depth=depth,
-                                max_init_depth=max_init_depth)
+    others = sorted(set(unit.analysis()[1].interface.defined_functions)
+                    - {toplevel})
+    second = (others[0], depth) if others else (toplevel, depth + 1)
+    for name, at_depth in ((toplevel, depth), second):
+        interface, _ = extract_interface(source, name)
+        try:
+            driver = generate_driver(interface, depth=at_depth,
+                                     max_init_depth=max_init_depth)
+        except MiniCError:
+            if name == toplevel:
+                raise
+            continue
+        module = build_test_program(unit, name, depth=at_depth,
+                                    max_init_depth=max_init_depth)
+        reference = compile_program(source + driver, "<program>")
+        if module_listing(module) != module_listing(reference):
+            return ("the module built from one lex differs from "
+                    "compile_program(source + driver) for {} at depth "
+                    "{}".format(name, at_depth))
     shared = coupling_classes(unit, toplevel, depth)
-    interface, _ = extract_interface(source, toplevel)
-    reference = compile_program(source + generate_driver(
-        interface, depth=depth, max_init_depth=max_init_depth),
-        "<program>")
-    if _module_listing(module) != _module_listing(reference):
-        return ("the module built from one lex differs from "
-                "compile_program(source + driver)")
     alone = coupling_classes(source, toplevel, depth)
     if shared != alone:
         return "coupling classes from the shared AST {} != {} from the " \

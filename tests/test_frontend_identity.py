@@ -22,10 +22,12 @@ from hypothesis import given, settings
 import repro.minic
 from repro.dart.config import DartOptions
 from repro.dart.independence import coupling_classes
-from repro.dart.driver import build_test_program, generate_driver
+from repro.dart.driver import DRIVER_ENTRY, build_test_program, \
+    generate_driver
 from repro.dart.interface import extract_interface
 from repro.dart.runner import UNITS_KEPT, Dart, source_unit
 from repro.minic import SourceUnit, compile_program, parse_program
+from repro.minic.ast_nodes import FunctionDef
 from repro.minic.errors import SemanticError
 from repro.programs import samples
 from repro.programs.ac_controller import (
@@ -35,7 +37,7 @@ from repro.programs.ac_controller import (
 from repro.programs.needham_schroeder import ns_source
 from repro.programs.osip import OsipLibrary
 from repro.testgen import generate_program
-from repro.testgen.oracles import _module_listing, front_end_divergence
+from repro.testgen.oracles import front_end_divergence, module_listing
 
 _OSIP = OsipLibrary()
 
@@ -147,30 +149,75 @@ def sweep_options():
 
 def test_a_sweep_lexes_and_parses_each_module_and_each_driver_once():
     lexed = []
+    parsed = []
     real_tokenize = repro.minic.tokenize
+    real_parse = repro.minic.Parser.parse_program
 
     def counting_tokenize(text, *args, **kwargs):
         lexed.append(text)
         return real_tokenize(text, *args, **kwargs)
 
+    def counting_parse(parser):
+        program = real_parse(parser)
+        parsed.append([decl.name for decl in program.declarations
+                       if isinstance(decl, FunctionDef)])
+        return program
+
+    def sweep():
+        del lexed[:], parsed[:]
+        with mock.patch.object(repro.minic, "tokenize", counting_tokenize), \
+                mock.patch.object(repro.minic.Parser, "parse_program",
+                                  counting_parse):
+            for entry in SWEEP:
+                Dart(_OSIP.source_for_function(entry.name), entry.name,
+                     sweep_options())
+        return list(lexed), list(parsed)
+
     source_unit.cache_clear()
-    with mock.patch.object(repro.minic, "tokenize", counting_tokenize), \
-            mock.patch.object(repro.minic.Parser, "parse_program",
-                              autospec=True,
-                              side_effect=repro.minic.Parser.parse_program
-                              ) as parses:
-        for entry in SWEEP:
-            Dart(_OSIP.source_for_function(entry.name), entry.name,
-                 sweep_options())
+    first_lexed, first_parsed = sweep()
     modules = {_OSIP.source_for_module(entry.module) for entry in SWEEP}
     assert len(modules) == 8
-    sources = [text for text in lexed if text in modules]
-    drivers = [text for text in lexed if text not in modules]
+    sources = [text for text in first_lexed if text in modules]
+    chunks = [text for text in first_lexed if text not in modules]
     assert sorted(sources) == sorted(modules)
-    assert len(drivers) == len(SWEEP)
-    assert all(text.startswith("\n/* ---- DART-generated test driver")
-               for text in drivers)
-    assert parses.call_count == len(modules) + len(SWEEP)
+    mains = [text for text in chunks
+             if text.startswith("void {}(void)".format(DRIVER_ENTRY))]
+    assert len(mains) == len(SWEEP)
+    # Every other driver chunk (banner, init function) was lexed once
+    # for its unit and place: each of those lexes is one kept chunk.
+    units = [source_unit(text, "<program>") for text in modules]
+    assert len(chunks) - len(mains) == sum(len(unit._chunks)
+                                           for unit in units)
+    assert any(text.startswith("\n/* ---- DART-generated test driver")
+               for text in chunks)
+    assert len(first_parsed) == len(first_lexed)
+    # A second pass lexes and parses the 30 entry points and nothing else.
+    second_lexed, second_parsed = sweep()
+    assert second_lexed == mains
+    assert second_parsed == [[DRIVER_ENTRY]] * len(SWEEP)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_shuffled_sweep_lists_as_the_plain_pipeline(seed):
+    # Every session over a unit reuses the chunks earlier sessions kept,
+    # in whatever order the toplevels come; each module still lists as
+    # the plain text compiles, and the source's analysis and module are
+    # left alone.
+    order = list(SWEEP)
+    random.Random(seed).shuffle(order)
+    source_unit.cache_clear()
+    before = {}
+    for entry in order:
+        source = _OSIP.source_for_function(entry.name)
+        unit = source_unit(source, "<program>")
+        if unit not in before:
+            unit.module
+            before[unit] = _unit_state(unit)
+        dart = Dart(source, entry.name, sweep_options())
+        assert module_listing(dart.module) == _reference_listing(
+            source, entry.name, max_init_depth=4)
+        assert _unit_state(unit) == before[unit]
+    assert all(_unit_state(unit) == state for unit, state in before.items())
 
 
 #: A program with an external function: a driver stubs it, and the
@@ -187,7 +234,7 @@ int plain(int a, int b) { if (a == b + g) abort(); return a; }
 def _reference_listing(source, toplevel, depth=1, max_init_depth=None,
                        filename="<program>"):
     interface, _ = extract_interface(source, toplevel)
-    return _module_listing(compile_program(
+    return module_listing(compile_program(
         source + generate_driver(interface, depth=depth,
                                  max_init_depth=max_init_depth), filename))
 
@@ -199,7 +246,7 @@ def _unit_state(unit):
     symbols = [(s.name, s.kind, str(s.ctype), id(s.decl), s.is_extern)
                for s in info.globals_scope.symbols()]
     return (symbols, dict(info.functions), dict(info.function_types),
-            _module_listing(unit.module), dict(unit.module.functions),
+            module_listing(unit.module), dict(unit.module.functions),
             list(unit.module.globals), list(unit.module.strings))
 
 
@@ -223,7 +270,7 @@ def test_sessions_sharing_a_unit_stay_isolated(order):
         assert _unit_state(unit) == before
     for toplevel, options in SESSIONS:
         module = darts[toplevel].module
-        assert _module_listing(module) == _reference_listing(
+        assert module_listing(module) == _reference_listing(
             DECLARED, toplevel, options.depth, options.max_init_depth)
         assert "ext" in module.functions
         assert module.interface.external_functions == {}
@@ -234,6 +281,89 @@ def test_sessions_sharing_a_unit_stay_isolated(order):
     assert unit.analysis()[1].globals_scope.lookup("ext").kind == \
         "external_function"
     assert darts["plain"].run().found_error
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)],
+                         ids=["twice-first", "plain-first"])
+def test_a_closure_bound_to_another_sessions_stub_is_not_reused(order):
+    # ``twice`` is the source's own IRFunction in both modules, but it
+    # calls ``ext``, which each driver stubs differently: its closures
+    # must be compiled again, while ``plain`` (no callee, one global
+    # slot, bound alike in both) is compiled once for the unit.
+    source_unit.cache_clear()
+    compiled = {}
+    for index in order:
+        toplevel, options = SESSIONS[index]
+        dart = Dart(DECLARED, toplevel, options)
+        functions = dart.module.functions
+        compiled[toplevel] = {name: dart.compiled.function(functions[name])
+                              for name in ("twice", "plain")}
+        assert dict(compiled[toplevel]["twice"].callees) == {
+            "ext": functions["ext"]}
+        assert functions["twice"] is source_unit(
+            DECLARED, "<program>").module.functions["twice"]
+    assert compiled["twice"]["twice"] is not compiled["plain"]["twice"]
+    assert compiled["twice"]["plain"] is compiled["plain"]["plain"]
+    assert dict(compiled["plain"]["plain"].callees) == {}
+    assert [name for name, _, _ in compiled["plain"]["plain"].slots] == \
+        ["g"]
+
+
+def test_the_appended_interface_is_the_whole_programs():
+    # The session interface comes from the source's plus the appended
+    # layer's own names; it must be the one a whole-program analysis of
+    # the text finds.
+    unit = SourceUnit(DECLARED)
+    texts = [
+        "\nint ext(int x) { return x; }\n",
+        "\nint e = 5;\nint h(void) { return e; }\n",
+        "\nextern int e;\nextern int f2;\nint more(int y);\n",
+        "\nint twice(int a);\nint h(void) { return twice(1); }\n",
+    ]
+    for text in texts:
+        layered = unit.compile_with(text).interface
+        whole = compile_program(DECLARED + text).interface
+        for table in ("defined_functions", "external_functions",
+                      "external_variables"):
+            assert getattr(layered, table) == getattr(whole, table), \
+                (text, table)
+
+
+def test_a_reusable_chunk_is_built_once_per_place():
+    unit = SourceUnit(DECLARED)
+    helper = "int helper(int v) {\n    return v + g;\n}\n"
+    main = "int h(void) { return helper(2); }\n"
+    first = unit.compile_with(main, ["\n", helper])
+    again = unit.compile_with(main, ["\n", helper])
+    shifted = unit.compile_with(main, ["\n\n", helper])
+    assert again.functions["helper"] is first.functions["helper"]
+    assert shifted.functions["helper"] is not first.functions["helper"]
+    assert again.functions["h"] is not first.functions["h"]
+    for module, lead in ((again, "\n"), (shifted, "\n\n")):
+        assert module_listing(module) == module_listing(
+            compile_program(DECLARED + lead + helper + main))
+    # Appended text that declares anything but functions is built whole,
+    # since a chunk's body may see what it declares (even further on);
+    # nor is a chunk whose build failed kept.
+    typedef = "\ntypedef int T;\n"
+    user = "T twice_g(void) { return 2 * g; }\n"
+    module = unit.compile_with(main, [typedef, user, helper])
+    assert module_listing(module) == module_listing(
+        compile_program(DECLARED + typedef + user + helper + main))
+    later = "int uses(void) { return later; }\n"
+    caller = "int h(void) { return uses(); }\n"
+    module = unit.compile_with("int later = 3;\n" + caller, ["\n", later])
+    assert module_listing(module) == module_listing(compile_program(
+        DECLARED + "\n" + later + "int later = 3;\n" + caller))
+    with pytest.raises(SemanticError):
+        unit.compile_with(caller, ["\n", later])
+    with pytest.raises(SemanticError):
+        unit.compile_with("int h(void) { return 0; }\n",
+                          ["\n", "int bad(void) { return nope; }\n"])
+    kept = {chunk for chunk, _, _ in unit._chunks}
+    assert kept == {"\n", "\n\n", helper}
+    with pytest.raises(ValueError):
+        unit.compile_with(main, ["\n", "int w(void) { return 1; }"])
 
 
 def _globals(module):
@@ -250,7 +380,7 @@ def test_appended_definitions_bind_in_their_module_alone():
         module = unit.compile_with(text)
         reference = compile_program(DECLARED + text)
         assert _unit_state(unit) == before
-        assert _module_listing(module) == _module_listing(reference)
+        assert module_listing(module) == module_listing(reference)
         assert _globals(module) == _globals(reference)
         assert ("ext" in module.functions) == (text == stub)
         assert ("ext" in module.interface.external_functions) == \
@@ -296,6 +426,6 @@ def test_a_filename_makes_a_unit_of_its_own():
                  for function in dart.module.functions.values()
                  for instr in function.instrs}
         assert files == {name}
-        assert _module_listing(dart.module) == _reference_listing(
+        assert module_listing(dart.module) == _reference_listing(
             source, samples.FOOBAR_TOPLEVEL, filename=name)
     assert first.fingerprint == second.fingerprint

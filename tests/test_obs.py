@@ -348,6 +348,22 @@ class TestLayerClock:
         assert snap[PLAN]["entries"] == 1 and snap[CACHE]["entries"] == 1
         assert snap[SOLVER] == {"seconds": 0.0, "entries": 0}
 
+    def test_switch_hands_over_in_one_read_and_returns_the_slice(self):
+        clock = LayerClock()
+        opened = clock._mark
+        outer = clock.enter(CACHE)
+        clock.switch(SOLVER)
+        self.spin(0.01)
+        solver_ns = clock.switch(CACHE)
+        clock.leave(outer)
+        clock.stop()
+        # The solver's one slice is what switching away from it returned,
+        # and the window is still partitioned to the nanosecond.
+        assert clock._ns[SOLVER] == solver_ns >= 0.01e9
+        assert sum(clock._ns.values()) == clock._mark - opened
+        snap = clock.snapshot()
+        assert snap[CACHE]["entries"] == 2 and snap[SOLVER]["entries"] == 1
+
     def test_layers_plus_other_partition_the_window(self):
         clock = LayerClock()
         opened = clock._mark

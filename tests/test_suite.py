@@ -25,6 +25,7 @@ must produce the same witnesses and the same coverage rollup as the
 serial engine, and the C1 numbers must surface through ``RunStats``.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -211,6 +212,22 @@ class TestCampaignSuites:
         coverage, _manifest, _quarantined = suite_coverage(out)
         assert coverage.c1_percent >= result.coverage.c1_percent
         assert replay_suite(out)["ok"]
+
+    def test_traced_export_to_a_path_records_its_directory(self, tmp_path):
+        # DartOptions.export_suite may be a pathlib.Path; the trace event
+        # carries it as a string, as the CLI would have passed it.
+        out = tmp_path / "s"
+        trace_file = tmp_path / "trace.jsonl"
+        Dart(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
+             DartOptions(export_suite=out, trace_file=str(trace_file),
+                         depth=2, max_iterations=50)).run()
+        with open(trace_file) as handle:
+            events = [json.loads(line) for line in handle]
+        exported = [event for event in events
+                    if event["type"] == "suite_exported"]
+        assert len(exported) == 1
+        assert exported[0]["dir"] == str(out)
+        assert load_manifest(str(out))["artifacts"]
 
     def test_ac_suite_runs_under_plain_pytest(self, tmp_path):
         out = str(tmp_path / "suite")

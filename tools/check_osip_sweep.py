@@ -11,18 +11,25 @@ against the generator's ground truth:
   crashable;
 * no run may be quarantined;
 * every reported error must replay, on its recorded inputs, with the
-  same kind at the same location.
+  same kind at the same location;
+* every session's module must list (disassembly, driver included, each
+  instruction's source location, the globals and the strings) exactly
+  as ``compile_program(source + driver)`` compiles the plain text.
 
 All sessions over one module source share its front end (one lex, parse,
-analysis and lowering per module), so the sweep costs about as much as
-its runs.
+analysis and lowering per module) and the driver init functions earlier
+sessions built, so the sweep costs about as much as its runs; the
+listing check is where chunks reused across toplevels are compared with
+the plain pipeline at scale.
 
 Usage::
 
     PYTHONPATH=src python tools/check_osip_sweep.py [--limit N]
 
-``--limit`` checks only the first N functions.  Exits 0 when every
-session agrees, 1 after listing every mismatch otherwise.
+``--limit`` checks only the first N functions.  The summary line gives
+the check's wall time and, of it, the time the DART sessions took to
+build and run (the sweep itself).  Exits 0 when every session agrees,
+1 after listing every mismatch otherwise.
 """
 
 import argparse
@@ -30,7 +37,12 @@ import sys
 import time
 
 from repro import Dart, DartOptions
+from repro.dart.driver import generate_driver
+from repro.dart.interface import extract_interface
+from repro.dart.runner import source_unit
+from repro.minic import compile_program
 from repro.programs.osip import OsipLibrary
+from repro.testgen.oracles import module_listing
 
 
 def sweep_options():
@@ -40,11 +52,26 @@ def sweep_options():
 
 
 def check_function(library, entry):
-    """The problems of one session, as lines (empty when it agrees)."""
-    dart = Dart(library.source_for_function(entry.name), entry.name,
-                sweep_options(), "<osip>")
+    """The problems of one session, as lines (empty when it agrees), its
+    result, and the seconds the session took to build and run."""
+    source = library.source_for_function(entry.name)
+    options = sweep_options()
+    started = time.perf_counter()
+    dart = Dart(source, entry.name, options, "<osip>")
     result = dart.run()
+    session_s = time.perf_counter() - started
     problems = []
+    # The driver is generated from the session's unit as the session's
+    # was (that the unit's interface is the plain pipeline's is oracle
+    # 7's to check); the reference compiles source and driver as text.
+    interface, _ = extract_interface(source_unit(source, "<osip>"),
+                                     entry.name)
+    reference = compile_program(source + generate_driver(
+        interface, depth=options.depth,
+        max_init_depth=options.max_init_depth), "<osip>")
+    if module_listing(dart.module) != module_listing(reference):
+        problems.append("module differs from compile_program(source + "
+                        "driver)")
     if result.found_error != entry.crashable:
         problems.append("found_error {} != crashable {}".format(
             result.found_error, entry.crashable))
@@ -57,7 +84,7 @@ def check_function(library, entry):
                 or str(fault.location) != str(error.location):
             problems.append("error {} does not replay".format(
                 error.describe()))
-    return problems, result
+    return problems, result, session_s
 
 
 def main(argv=None):
@@ -71,8 +98,10 @@ def main(argv=None):
     mismatches = 0
     crashed = 0
     runs = 0
+    sessions_s = 0.0
     for entry in functions:
-        problems, result = check_function(library, entry)
+        problems, result, session_s = check_function(library, entry)
+        sessions_s += session_s
         crashed += result.found_error
         runs += result.iterations
         for problem in problems:
@@ -80,10 +109,11 @@ def main(argv=None):
             print("{} ({}): {}".format(entry.name, entry.module, problem))
     elapsed = time.perf_counter() - started
     print("{} function(s) over {} module(s), {} run(s): {} crashed "
-          "({:.0%}), {} mismatch(es) in {:.1f} s".format(
+          "({:.0%}), {} mismatch(es) in {:.1f} s ({:.1f} s in the "
+          "sessions)".format(
               len(functions), len({entry.module for entry in functions}),
               runs, crashed, crashed / max(len(functions), 1), mismatches,
-              elapsed))
+              elapsed, sessions_s))
     return 1 if mismatches else 0
 
 
