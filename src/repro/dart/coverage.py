@@ -173,8 +173,9 @@ class BranchCoverage:
                         missing.append((name, pc, taken, instr.location))
         return missing
 
-    def to_dict(self):
-        """JSON-ready coverage block (reports, manifests, traces)."""
+    def totals(self):
+        """The JSON-ready session totals, without the per-function rows
+        (the ``session_finished`` trace event's coverage block)."""
         return {
             "covered_directions": self.covered_directions,
             "total_directions": self.total_directions,
@@ -182,8 +183,14 @@ class BranchCoverage:
             "total_branches": self.total_branches,
             "branches_both_arms": self.branches_both_arms,
             "c1_percent": round(self.c1_percent, 2),
-            "functions": [row.to_dict() for row in self.functions()],
         }
+
+    def to_dict(self):
+        """JSON-ready coverage block (reports, manifests): the
+        :meth:`totals` plus the per-function rows."""
+        block = self.totals()
+        block["functions"] = [row.to_dict() for row in self.functions()]
+        return block
 
     def describe(self):
         return ("{}/{} branch directions ({:.1f}%), "

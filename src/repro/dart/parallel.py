@@ -100,8 +100,7 @@ def _run(dart, index, stack, im, bound, traced):
         flags.trace = bus
     if dart.cache is not None:
         dart.cache.trace = bus
-    if dart.compiled is not None:
-        dart.compiled.clock = stats.phases
+    dart.compiled.clock = stats.phases
     result = run_item(
         dart, stack, im, bound,
         random.Random(_item_seed(dart.options.seed, index)),

@@ -375,59 +375,27 @@ class RunStats:
         return self.solver_constraints / self.solver_calls
 
     def summary(self):
-        summary = {
-            "iterations": self.iterations,
+        """Every counter under its own name, plus the derived figures;
+        ``paths``, ``branches`` and ``steps`` repeat
+        ``paths_explored``, ``branches_executed`` and
+        ``instructions_executed`` under their older names."""
+        summary = {name: getattr(self, name) for name in self.COUNTERS}
+        summary.update({
             "paths": self.paths_explored,
             "distinct_paths": len(self.distinct_paths),
-            "solver_calls": self.solver_calls,
-            "solver_sat": self.solver_sat,
-            "solver_unsat": self.solver_unsat,
-            "solver_unknown": self.solver_unknown,
-            "solver_retries": self.solver_retries,
-            "solver_escalations": self.solver_escalations,
-            "avg_constraints_per_call":
-                round(self.avg_constraints_per_call, 2),
-            "sliced_conjuncts_dropped": self.sliced_conjuncts_dropped,
-            "cache_hits": self.cache_hits,
-            "flips_subsumed_core": self.flips_subsumed_core,
-            "cache_unsat_shortcuts": self.cache_unsat_shortcuts,
-            "cache_model_reuses": self.cache_model_reuses,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "forcing_failures": self.forcing_failures,
-            "random_restarts": self.random_restarts,
             "branches": self.branches_executed,
             "steps": self.instructions_executed,
-            "instructions_executed": self.instructions_executed,
-            "instructions_symbolic": self.instructions_symbolic,
+            "avg_constraints_per_call":
+                round(self.avg_constraints_per_call, 2),
+            "cache_hit_rate": round(self.cache_hit_rate, 4),
             "quarantined": len(self.quarantined),
             "elapsed_s": round(self.elapsed, 4),
-            "flips_attempted": self.flips_attempted,
-            "flips_sat": self.flips_sat,
-            "runs_forced": self.runs_forced,
-            "runs_new_path": self.runs_new_path,
-            "conjuncts_widened": self.conjuncts_widened,
-            "conjuncts_dropped_unfaithful":
-                self.conjuncts_dropped_unfaithful,
-            "faults_injected": self.faults_injected,
-            "solver_failures": self.solver_failures,
-            "cache_failures": self.cache_failures,
-            "checkpoint_failures": self.checkpoint_failures,
-            "checkpoints_rejected": self.checkpoints_rejected,
-            "pool_retries": self.pool_retries,
-            "pool_steals": self.pool_steals,
-            "pool_workers_lost": self.pool_workers_lost,
-            "witnesses_recorded": self.witnesses_recorded,
-            "artifacts_exported": self.artifacts_exported,
-            "artifacts_deduped": self.artifacts_deduped,
-            "artifacts_pruned": self.artifacts_pruned,
-            "worklist_deduped": self.worklist_deduped,
             "histograms": {
                 "solver_latency_s": self.solver_latency.to_dict(),
                 "path_length": self.path_length.to_dict(),
             },
             "phases": self.phases.snapshot(),
-        }
+        })
         if self.coverage is not None:
             summary["coverage"] = self.coverage.to_dict()
         return summary

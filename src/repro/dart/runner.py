@@ -88,7 +88,7 @@ from repro.dart.solve import (
 from repro.faults import points as fault_points
 from repro.faults.points import FaultInjector
 from repro.interp.faults import ExecutionFault, RestoredFault, RunTimeout
-from repro.interp.compile import CompiledProgram
+from repro.interp.compile import CompiledProgram, InterpretedProgram
 from repro.interp.machine import Machine, MachineOptions
 from repro.minic import SourceUnit
 from repro.obs import trace as tr
@@ -183,12 +183,14 @@ class Dart:
         self.cache = SolverResultCache() if options.solver_cache else None
         if self.cache is not None:
             self.cache.trace = self.trace
-        #: The compiled execution engine (repro.interp.compile): functions
-        #: are lowered once and the closures reused across runs, and
-        #: across the sessions over the unit where they bind alike.  None
-        #: selects the tree-walking interpreter (``--no-compile``).
+        #: The session's program (repro.interp.compile), whose functions
+        #: are lowered once and reused across runs: the compiled engine,
+        #: whose closures are also shared across the sessions over the
+        #: unit where they bind alike, or the interpreter
+        #: (``--no-compile``), which shares nothing.
         self.compiled = CompiledProgram(self.module, unit.closures) \
-            if options.compiled_execution else None
+            if options.compiled_execution \
+            else InterpretedProgram(self.module)
         #: The module's post-load memory (repro.interp.machine.LoadImage),
         #: taken from the first machine and restored into every later
         #: one; it lives and dies with this session, so no other session
@@ -305,14 +307,8 @@ class Dart:
                     iterations=session.stats.iterations,
                     wall_s=round(session.stats.elapsed, 6),
                     phases=session.stats.phases.snapshot(),
-                    **({"coverage": {
-                        "covered_directions": coverage.covered_directions,
-                        "total_directions": coverage.total_directions,
-                        "percent": round(coverage.percent, 2),
-                        "total_branches": coverage.total_branches,
-                        "branches_both_arms": coverage.branches_both_arms,
-                        "c1_percent": round(coverage.c1_percent, 2),
-                    }} if coverage is not None else {}),
+                    **({"coverage": coverage.totals()}
+                       if coverage is not None else {}),
                 )
                 self.trace.flush()
             if owned_injector is not None:
@@ -599,8 +595,7 @@ class _Session:
         self.flags = CompletenessFlags()
         self.flags.trace = self.trace
         self.stats = RunStats()
-        if dart.compiled is not None:
-            dart.compiled.clock = self.stats.phases
+        dart.compiled.clock = self.stats.phases
         if fault_points.ACTIVE is not None:
             # Injected faults count into this session's statistics and
             # trace stream (a harness-owned injector is re-bound per

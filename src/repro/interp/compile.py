@@ -1,12 +1,15 @@
-"""The compiled execution engine: IR lowered once to Python closures.
+"""Both execution engines: IR lowered once to Python step closures.
 
-The tree-walking interpreter in :mod:`repro.interp.machine` re-dispatches
-on instruction and AST-node types on *every* step; at osip scale (§4.3 of
-the paper) that dispatch — not the solver — dominates session wall time.
-This module lowers each :class:`repro.minic.ir.IRFunction` once into a
-flat list of specialized step closures: operand shapes, C types, frame
-offsets, wrap masks, signedness and operator functions are all resolved
-at lowering time, so executing an instruction is a single closure call.
+Each :class:`repro.minic.ir.IRFunction` is lowered once into a flat list
+of step closures, one per instruction (:meth:`_Compiler.instr`, the
+instruction layer of both engines), run by the machine's one step loop.
+:class:`CompiledProgram` also lowers each expression to a specialised
+closure — operand shapes, C types, frame offsets, wrap masks and
+operators resolved at lowering time, since at osip scale (§4.3 of the
+paper) per-node dispatch would dominate session wall time.
+:class:`InterpretedProgram` (``--no-compile``) evaluates every
+expression with the tree walker ``Machine._eval``.
+
 Every closure is called as ``closure(m, frame_region)``: the executing
 machine and the current frame's live region, whose bytes scalar locals
 are read and written in place (see :class:`_Compiler`).
@@ -26,18 +29,18 @@ like the interpreter — including every completeness-flag transition.
 ``M``, symbolic memory ``S``, hooks, widener, flags, frames, counters)
 and must produce identical concrete state, branch events, coverage sets,
 faults and fault locations, counters and completeness flags on every
-program.  The concrete fast paths below are therefore exact inlinings of
-the interpreter's semantics — the untainted early-outs mirror the
-evaluator combinators' ``_both_concrete`` returns (which neither build
-expressions nor touch flags), so skipping them is observationally
-equivalent.  The equivalence is pinned by the engine-differential oracle
+program.  The instruction steps are one code path, so for them that
+holds by construction; the expression closures below are exact
+inlinings of the tree walker's semantics — the untainted early-outs
+mirror the evaluator combinators' ``_both_concrete`` returns (which
+neither build expressions nor touch flags).  That equivalence is
+pinned by the engine-differential oracle
 (``repro.testgen.oracles``) and a Hypothesis property over generated
 programs (``tests/test_compile_engine.py``).
 
-Lowering is lazy — a function is compiled on its first call — and
-:class:`CompiledProgram` enters the session's ``compile`` layer
-(:mod:`repro.obs.clock`) around it, so lowering never counts as
-``execute``.
+Lowering is lazy — a function is lowered on its first call — and a
+program enters the session's ``compile`` layer (:mod:`repro.obs.clock`)
+around it, so lowering never counts as ``execute``.
 """
 
 import operator
@@ -942,6 +945,14 @@ _Compiler._DISPATCH = {
 }
 
 
+class _TreeWalker(_Compiler):
+    """The interpreter's lowering: every expression is evaluated by
+    the machine's tree walker (``Machine._eval``)."""
+
+    def expr(self, e):
+        return lambda m, r: m._eval(e)
+
+
 def _struct_value(data, addr):
     """Build the machine's struct rvalue (lazy import avoids a cycle at
     module-definition time; the class object is cached on first use)."""
@@ -982,7 +993,8 @@ class CompiledFunction:
 
 
 class CompiledProgram:
-    """Per-module cache of :class:`CompiledFunction` artifacts.
+    """The compiled engine: a per-module cache of
+    :class:`CompiledFunction` artifacts.
 
     One instance is shared by every :class:`Machine` a session creates
     (closures bake in only module-level facts — types, offsets, operator
@@ -1001,10 +1013,13 @@ class CompiledProgram:
     shared function is the one the store keeps.
     """
 
+    #: The lowering this program's functions go through.
+    lowering = _Compiler
+
     def __init__(self, module, shared=None):
         self.module = module
         self._functions = {}
-        self._compiler = _Compiler(module)
+        self._compiler = self.lowering(module)
         self._shared = {} if shared is None else shared
         #: Functions this program lowered itself (not taken from
         #: ``shared``).
@@ -1057,3 +1072,14 @@ class CompiledProgram:
         return CompiledFunction(function.name, steps, locations,
                                 tuple(compiler.callees),
                                 tuple(compiler.slots))
+
+
+class InterpretedProgram(CompiledProgram):
+    """The interpreter (``--no-compile``): the instruction steps over
+    the tree walker.  It takes no ``shared`` store, so it never runs nor
+    leaves behind a :class:`repro.minic.SourceUnit`'s closures."""
+
+    lowering = _TreeWalker
+
+    def __init__(self, module):
+        super().__init__(module)

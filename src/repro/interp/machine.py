@@ -5,6 +5,10 @@ concrete semantics over the byte-addressable memory ``M`` while maintaining
 the symbolic memory ``S`` side by side.  Every expression evaluates to a
 pair ``(concrete value, symbolic expression or None)``.
 
+Instructions run as step closures (:mod:`repro.interp.compile`) in one
+step loop; the tree walker here (``Machine._eval``) is the interpreter
+and the reference C expression semantics.
+
 Two extension points connect the machine to the testing layers:
 
 * ``hooks.acquire_input(kind)`` is called by the ``__dart_*`` intrinsics the
@@ -26,13 +30,12 @@ from repro.interp.builtins import (
     INPUT_INTRINSICS,
     ProgramHalt,
 )
+from repro.interp.compile import InterpretedProgram
 from repro.interp.faults import (
-    AssertionViolation,
     DivisionByZero,
     ExecutionFault,
     InterpreterError,
     NonTermination,
-    ProgramAbort,
     RunTimeout,
 )
 from repro.interp.memory import Memory, MemoryOptions
@@ -41,7 +44,7 @@ from repro.minic import ast_nodes as ast
 from repro.minic import ir
 from repro.minic import typesys as ts
 from repro.minic.symbols import BUILTIN, ENUM_CONST, GLOBAL
-from repro.symbolic.evaluate import SymbolicEvaluator, constraint_from_branch
+from repro.symbolic.evaluate import SymbolicEvaluator
 from repro.symbolic.expr import EQ, LinExpr
 from repro.symbolic.flags import CompletenessFlags
 from repro.symbolic.symmem import SymbolicMemory
@@ -59,6 +62,10 @@ _COMPARISONS = {
 #: Byte width -> value mask, for the in-place scalar parameter stores.
 _MASKS = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
 
+#: Steps between the step loop's watchdog probes (fault seam, interrupt
+#: check, deadline); bounds how far past the deadline a run can drift.
+WATCHDOG_INTERVAL = 1024
+
 _INPUT_KIND_TYPES = {
     "int": ts.INT,
     "uint": ts.UINT,
@@ -74,8 +81,8 @@ class MachineOptions:
     """Tunables for one execution."""
 
     def __init__(self, max_steps=1_000_000, transparent_memory=False,
-                 memory=None, deadline=None, watchdog_interval=1024,
-                 interrupt_check=None, trace=None):
+                 memory=None, deadline=None, interrupt_check=None,
+                 trace=None):
         #: RAM-machine step budget; exceeding it reports NonTermination,
         #: the paper's timer-based non-termination detection (§4.3).
         self.max_steps = max_steps
@@ -84,13 +91,10 @@ class MachineOptions:
         self.transparent_memory = transparent_memory
         self.memory = memory or MemoryOptions()
         #: Absolute ``time.perf_counter()`` deadline for this execution, or
-        #: None.  Enforced amortized (every ``watchdog_interval`` steps) in
+        #: None.  Enforced amortized (every ``WATCHDOG_INTERVAL`` steps) in
         #: the step loop; tripping it raises :class:`RunTimeout`, which the
         #: DART run loop contains instead of aborting the session.
         self.deadline = deadline
-        #: Steps between wall-clock checks; bounds how far past the
-        #: deadline a run can drift (one interval's worth of steps).
-        self.watchdog_interval = watchdog_interval
         #: Optional callable probed at the watchdog cadence; it may raise
         #: to abort the run (the DART session uses it to observe SIGINT/
         #: SIGTERM mid-run instead of only between runs).
@@ -167,14 +171,12 @@ class _StructValue:
 class Machine:
     """Executes a lowered module; one instance per program execution.
 
-    Two execution engines share every piece of machine state (memory,
-    symbolic store, hooks, widener, flags, frames, counters): the
-    tree-walking interpreter below (``_execute``/``_eval``) and the
-    compiled engine (:mod:`repro.interp.compile`), selected by passing a
-    ``CompiledProgram`` for the same module as ``compiled``.  The engines
-    are observationally identical — same concrete state, branch events,
-    faults, counters and completeness-flag transitions — which the
-    engine-differential oracle pins (see ``repro.testgen.oracles``).
+    ``compiled`` is the program for this module whose step closures
+    the one step loop (``_execute_compiled``) runs: a
+    ``CompiledProgram``, or an ``InterpretedProgram`` (built here when
+    none is passed), whose every expression is evaluated by ``_eval``.
+    The engine-differential oracle (``repro.testgen.oracles``) checks
+    the compiled expression closures against that tree walker.
     """
 
     def __init__(self, module, options=None, hooks=None, flags=None,
@@ -183,11 +185,12 @@ class Machine:
         self.options = options or MachineOptions()
         self.hooks = hooks or ExecutionHooks()
         self.flags = flags or CompletenessFlags()
-        if compiled is not None and compiled.module is not module:
+        if compiled is None:
+            compiled = InterpretedProgram(module)
+        elif compiled.module is not module:
             raise InterpreterError(
                 "compiled program was lowered from a different module"
             )
-        #: repro.interp.compile.CompiledProgram or None (interpreter).
         self.compiled = compiled
         self.symbolic = SymbolicMemory()
         self.evaluator = SymbolicEvaluator(self.flags)
@@ -200,7 +203,7 @@ class Machine:
         self.output = []
         self.steps = 0
         #: Instructions whose result carried a symbolic expression — the
-        #: taint-gated slow path.  Counted identically by both engines.
+        #: taint-gated slow path.
         self.symbolic_steps = 0
         self.branches_executed = 0
         #: (function name, pc, taken) triples — branch-direction coverage.
@@ -212,11 +215,12 @@ class Machine:
         self._global_addrs = {}
         self._globals = []
         self._string_addrs = []
-        #: Set by _step_ret just before _execute unwinds (re-entrant calls
-        #: are safe: the value is read immediately after the setting step).
+        #: Set by a return step just before the step loop unwinds
+        #: (re-entrant calls are safe: the value is read immediately after
+        #: the setting step).
         self._return_value = (0, None)
         #: Step count at which the wall-clock watchdog next fires.
-        self._next_watchdog = self.options.watchdog_interval
+        self._next_watchdog = WATCHDOG_INTERVAL
         if image is None:
             self._load_module()
         else:
@@ -347,12 +351,9 @@ class Machine:
                                              slot.ctype, value, sym)
         self._frames.append(frame)
         try:
-            compiled = self.compiled
-            if compiled is not None:
-                return self._execute_compiled(
-                    compiled.function(function), frame
-                )
-            return self._execute(function, frame)
+            return self._execute_compiled(
+                self.compiled.function(function), frame
+            )
         finally:
             self._frames.pop()
             self.memory.pop_frame(region, frame.alloca_regions)
@@ -373,58 +374,11 @@ class Machine:
         self.memory.write_int(addr, value, size, signed)
         self.symbolic.write(addr, size, sym)
 
-    def _execute(self, function, frame):
-        instrs = function.instrs
-        dispatch = self._STEP_DISPATCH
-        pc = 0
-        limit = self.options.max_steps
-        deadline = self.options.deadline
-        interrupt_check = self.options.interrupt_check
-        injector = fault_points.ACTIVE
-        watchdog = deadline is not None or interrupt_check is not None \
-            or injector is not None
-        while True:
-            self.steps += 1
-            instr = instrs[pc]
-            if self.steps > limit:
-                raise NonTermination(self.steps, instr.location)
-            if watchdog and self.steps >= self._next_watchdog:
-                self._next_watchdog = \
-                    self.steps + self.options.watchdog_interval
-                if injector is not None:
-                    # Fault seam: resource exhaustion mid-execution, at
-                    # watchdog cadence so deep runs are also exposed.
-                    injector.machine_probe()
-                if interrupt_check is not None:
-                    interrupt_check()
-                if deadline is not None:
-                    now = time.perf_counter()
-                    if now > deadline:
-                        raise RunTimeout(now - deadline, instr.location)
-            step = dispatch.get(type(instr))
-            if step is None:
-                raise InterpreterError(
-                    "unknown instruction {!r}".format(instr)
-                )
-            try:
-                pc = step(self, instr, pc, function)
-            except ExecutionFault as fault:
-                # Attach the faulting statement's location so reports and
-                # crash-site deduplication have a precise anchor.
-                if fault.location is None:
-                    fault.location = instr.location
-                raise
-            if pc < 0:
-                return self._return_value
-
     def _execute_compiled(self, cfunc, frame):
-        """Step loop for the compiled engine (repro.interp.compile).
-
-        Mirrors ``_execute`` exactly — same step accounting, watchdog
-        cadence, fault-location attachment — but each pc indexes a
-        pre-lowered closure ``step(machine, frame_region) -> next pc``
-        instead of re-dispatching on the instruction type.
-        """
+        """The step loop of both engines: each pc of ``cfunc`` indexes a
+        closure ``step(machine, frame_region) -> next pc`` (negative =
+        return); the step budget, watchdog and fault locations are
+        enforced here for both."""
         steps = cfunc.steps
         locations = cfunc.locations
         fregion = frame.region
@@ -440,11 +394,10 @@ class Machine:
             if self.steps > limit:
                 raise NonTermination(self.steps, locations[pc])
             if watchdog and self.steps >= self._next_watchdog:
-                self._next_watchdog = \
-                    self.steps + self.options.watchdog_interval
+                self._next_watchdog = self.steps + WATCHDOG_INTERVAL
                 if injector is not None:
-                    # Fault seam: same cadence as the interpreter so fault
-                    # plans replay identically under either engine.
+                    # Fault seam: resource exhaustion mid-execution, at
+                    # watchdog cadence so deep runs are also exposed.
                     injector.machine_probe()
                 if interrupt_check is not None:
                     interrupt_check()
@@ -455,58 +408,13 @@ class Machine:
             try:
                 pc = steps[pc](self, fregion)
             except ExecutionFault as fault:
+                # Attach the faulting statement's location so reports and
+                # crash-site deduplication have a precise anchor.
                 if fault.location is None:
                     fault.location = locations[pc]
                 raise
             if pc < 0:
                 return self._return_value
-
-    # -- step handlers (one per instruction type; see _STEP_DISPATCH) --------
-
-    #: Sentinel pc returned by _step_ret: unwind with self._return_value.
-    _PC_RETURN = -1
-
-    def _step_eval(self, instr, pc, function):
-        if self._eval(instr.expr)[1] is not None:
-            self.symbolic_steps += 1
-        return pc + 1
-
-    def _step_branch(self, instr, pc, function):
-        value, sym = self._eval(instr.cond)
-        taken = value != 0
-        if sym is None:
-            constraint = None
-        else:
-            self.symbolic_steps += 1
-            constraint = constraint_from_branch(
-                sym, taken, widener=self.widener, value=value,
-                unsigned=ts.compares_unsigned(instr.cond.ctype),
-            )
-        self.branches_executed += 1
-        self.covered_branches.add((function.name, pc, taken))
-        trace = self.options.trace
-        if trace is not None and trace.enabled:
-            trace.emit("branch", function=function.name, pc=pc,
-                       taken=taken, symbolic=constraint is not None)
-        self.hooks.on_branch(taken, constraint, instr.location)
-        return instr.target if taken else pc + 1
-
-    def _step_jump(self, instr, pc, function):
-        return instr.target
-
-    def _step_ret(self, instr, pc, function):
-        if instr.value is None:
-            self._return_value = (0, None)
-        else:
-            self._return_value = self._eval(instr.value)
-            if self._return_value[1] is not None:
-                self.symbolic_steps += 1
-        return self._PC_RETURN
-
-    def _step_abort(self, instr, pc, function):
-        if instr.reason == "assertion violation":
-            raise AssertionViolation("assertion violated", instr.location)
-        raise ProgramAbort("abort() reached", instr.location)
 
     # -- expression evaluation ----------------------------------------------
 
@@ -916,9 +824,8 @@ class Machine:
         self.widener.note_input(var.ordinal, value, var.lo, var.hi)
         return value, LinExpr.variable(var.ordinal)
 
-    # Dispatch tables, built once.
+    # Dispatch table, built once.
     _DISPATCH = {}
-    _STEP_DISPATCH = {}
 
 
 Machine._DISPATCH = {
@@ -933,12 +840,4 @@ Machine._DISPATCH = {
     ast.Index: Machine._eval_index,
     ast.Member: Machine._eval_member,
     ast.Call: Machine._eval_call,
-}
-
-Machine._STEP_DISPATCH = {
-    ir.Eval: Machine._step_eval,
-    ir.Branch: Machine._step_branch,
-    ir.Jump: Machine._step_jump,
-    ir.Ret: Machine._step_ret,
-    ir.AbortInstr: Machine._step_abort,
 }

@@ -27,6 +27,10 @@ UNKNOWN = "unknown"
 #: Domain width below which a variable is enumerated exhaustively.
 _ENUMERATE_WIDTH = 32
 
+#: Seeded pseudo-random candidates probed per large domain, after the
+#: structured ones (bounds, zero, midpoint).
+_PROBE_SAMPLES = 4
+
 
 class SolverResult:
     """Outcome of one solve call."""
@@ -70,10 +74,9 @@ BUDGET_ESCALATION = 4
 class Solver:
     """Decides conjunctions of CmpExpr constraints over bounded integers."""
 
-    def __init__(self, seed=0, node_budget=NODE_BUDGET, probe_samples=4):
+    def __init__(self, seed=0, node_budget=NODE_BUDGET):
         self._seed = seed
         self._node_budget = node_budget
-        self._probe_samples = probe_samples
 
     @property
     def node_budget(self):
@@ -179,7 +182,7 @@ class Solver:
         if lo <= 0 <= hi:
             picks.append(0)
         picks.append(lo + (hi - lo) // 2)
-        for _ in range(self._probe_samples):
+        for _ in range(_PROBE_SAMPLES):
             picks.append(rng.randint(lo, hi))
         seen = set()
         ordered = []

@@ -48,7 +48,8 @@ UNSTABLE = {"elapsed_s", "phases", "histograms", "resumed"}
 #: on resume.
 CACHE_SHAPED = {
     "solver_calls", "solver_sat", "solver_unsat", "solver_unknown",
-    "solver_retries", "solver_escalations", "avg_constraints_per_call",
+    "solver_retries", "solver_escalations", "solver_constraints",
+    "avg_constraints_per_call",
     "cache_hits", "cache_misses", "cache_hit_rate",
     "cache_unsat_shortcuts", "flips_subsumed_core",
 }

@@ -30,11 +30,16 @@ from repro.dart.config import DartOptions
 from repro.dart.driver import DRIVER_ENTRY, build_test_program
 from repro.dart.inputs import InputVector
 from repro.dart.instrument import DirectedHooks
-from repro.dart.runner import Dart
-from repro.interp.compile import CompiledProgram
+from repro.dart.runner import Dart, source_unit
+from repro.interp.compile import (
+    CompiledProgram,
+    InterpretedProgram,
+    _Compiler,
+)
 from repro.interp.faults import (
     ExecutionFault,
     InterpreterError,
+    NonTermination,
     SegFault,
     UninitializedRead,
 )
@@ -235,6 +240,90 @@ class TestCampaignAblation:
         self._assert_identical(compiled, interpreted)
 
 
+class TestOneStepLoop:
+    """The interpreter is the compiled engine's instruction steps over
+    the tree walker, and shares nothing with the compiled engine."""
+
+    SOURCE = """
+        int helper(int x) { return x * 3 + 1; }
+        int top(int a) {
+            if (a > 10) return helper(a);
+            return a - 1;
+        }
+    """
+
+    @staticmethod
+    def _ac_session(**overrides):
+        from repro.programs.ac_controller import (
+            AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL)
+
+        return Dart(AC_CONTROLLER_SOURCE, AC_CONTROLLER_TOPLEVEL,
+                    DartOptions(**dict(DART_OPTIONS, depth=2,
+                                       max_iterations=60, **overrides)))
+
+    def test_the_interpreter_evaluates_only_through_the_tree_walker(
+            self, monkeypatch):
+        module = compile_program(self.SOURCE)
+
+        def machine_run():
+            machine = Machine(module)
+            value = machine.run("top", (50,))
+            return value, machine.steps, machine.branches_executed, \
+                frozenset(machine.covered_branches)
+
+        def session():
+            result = self._ac_session(compiled_execution=False).run()
+            return (result.status, [e.describe() for e in result.errors],
+                    result.stats.covered_branches, tuple(result.flags),
+                    {key: result.stats.summary()[key]
+                     for key in TestCampaignAblation.KEYS})
+
+        expected = machine_run(), session()
+        assert expected[0][0] == 151
+
+        def refuse(compiler, e):
+            raise AssertionError("expression closure lowered")
+
+        for node in list(_Compiler._DISPATCH):
+            monkeypatch.setitem(_Compiler._DISPATCH, node, refuse)
+        with pytest.raises(AssertionError):
+            Machine(module, compiled=CompiledProgram(module)).run(
+                "top", (50,))
+        assert (machine_run(), session()) == expected
+
+    def test_an_interpreted_session_shares_no_unit_closure(self):
+        from repro.programs.ac_controller import AC_CONTROLLER_SOURCE
+
+        source_unit.cache_clear()
+        interpreted = self._ac_session(compiled_execution=False)
+        interpreted.run()
+        unit = source_unit(AC_CONTROLLER_SOURCE, "<program>")
+        assert isinstance(interpreted.compiled, InterpretedProgram)
+        assert interpreted.compiled.functions_compiled > 0
+        assert unit.closures and \
+            all(entry is None for entry in unit.closures.values())
+
+        first = self._ac_session()
+        first.run()
+        assert first.compiled.functions_compiled > 0
+        shared = {function: entry
+                  for function, entry in unit.closures.items()
+                  if entry is not None}
+        assert shared
+        second = self._ac_session()
+        second.run()
+        assert second.compiled.functions_compiled < \
+            first.compiled.functions_compiled
+        for function, entry in shared.items():
+            assert second.compiled.function(function) is entry
+
+        # An interpreted session after them takes none of those entries.
+        again = self._ac_session(compiled_execution=False)
+        again.run()
+        for function, entry in shared.items():
+            assert again.compiled.function(function) is not entry
+
+
 class TestLoweringMechanics:
     SOURCE = """
         int helper(int x) { return x * 3 + 1; }
@@ -306,17 +395,38 @@ class TestDirectSlotFaults:
 
     @staticmethod
     def _run_both(source, function="f", args=(), options=MACHINE_OPTIONS):
-        """``function``'s result (or the fault raised) per engine."""
+        """``function``'s result (or the fault raised) per engine; the
+        fault's location and the step count must agree too."""
         module = compile_program(source)
         outcomes = []
         for compiled in (None, CompiledProgram(module)):
             machine = Machine(module, options, compiled=compiled)
             try:
-                outcomes.append(machine.run(function, args))
+                outcome = machine.run(function, args)
             except ExecutionFault as fault:
-                outcomes.append((type(fault), str(fault)))
+                outcome = (type(fault), str(fault))
+                location = str(fault.location)
+            else:
+                location = None
+            outcomes.append((outcome, location, machine.steps))
         assert outcomes[0] == outcomes[1]
-        return outcomes[1]
+        return outcomes[1][0]
+
+    def test_non_termination_stops_at_the_same_step_and_place(self):
+        # The budget runs out inside a callee's loop, so the location is
+        # the callee's and the step count spans both frames.
+        source = """
+            int spin(int n) {
+              int i; i = 0;
+              while (i < n) i = i + 1;
+              return i;
+            }
+            int f(void) { int r; r = 1; r = r + spin(1000000); return r; }
+        """
+        kind, message = self._run_both(
+            source, options=MachineOptions(max_steps=5000))
+        assert kind is NonTermination
+        assert message == "no progress after 5001 RAM-machine steps"
 
     def test_pointer_to_popped_local_is_a_dead_frame(self):
         # ``*q = v`` leaves the dying frame as the memory's last-used

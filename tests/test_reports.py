@@ -63,6 +63,19 @@ class TestRunStats:
                     "forcing_failures", "random_restarts"):
             assert key in summary
 
+    def test_summary_reports_every_counter(self):
+        stats = RunStats()
+        for offset, name in enumerate(RunStats.COUNTERS):
+            setattr(stats, name, 100 + offset)
+        stats.finish()
+        summary = stats.summary()
+        for offset, name in enumerate(RunStats.COUNTERS):
+            assert summary[name] == 100 + offset, name
+        # The older names stay, as aliases.
+        assert summary["paths"] == stats.paths_explored
+        assert summary["branches"] == stats.branches_executed
+        assert summary["steps"] == stats.instructions_executed
+
 
 class TestDartResult:
     def test_statuses(self):
