@@ -46,7 +46,7 @@ def _builtin_alloca(machine, args, location):
     region = machine.memory.alloca(size)
     if region is None:
         return 0  # allocation failed: NULL, as in the oSIP bug of §4.3
-    machine.current_frame.alloca_regions.append(region)
+    machine._allocas.setdefault(machine.current_frame, []).append(region)
     return region.start
 
 

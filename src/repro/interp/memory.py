@@ -184,11 +184,26 @@ class Memory:
                     self.options.stack_limit
                 )
             )
-        region = self._place("stack", size, "stack", label)
-        self._stack_used += region.size
+        # _place for the stack segment, inlined: frames are the machine's
+        # most frequent allocation.
+        size = max(size, 1)
+        start = self._bumps["stack"]
+        end = start + ((size + 7) & ~7)
+        if end > ADDRESS_LIMIT:
+            raise SegFault("address space exhausted", start)
+        self._bumps["stack"] = end
+        region = Region(start, size, "stack", label,
+                        track_writes=self.options.track_uninitialized)
+        self._regions[start] = region
+        starts = self._starts
+        if starts and start < starts[-1]:
+            bisect.insort(starts, start)
+        else:
+            starts.append(start)  # the stack is the highest segment
+        self._stack_used += size
         return region
 
-    def pop_frame(self, region, alloca_regions):
+    def pop_frame(self, region, alloca_regions=()):
         region.live = False
         self._stack_used -= region.size
         for block in alloca_regions:
