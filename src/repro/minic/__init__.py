@@ -69,9 +69,14 @@ class SourceUnit:
         #: (chunk, start line, start column) -> (((FunctionDef,
         #: IRFunction), ...), end location) of each kept chunk.
         self._chunks = {}
+        #: (appended text, start line, start column) -> the IRFunctions
+        #: its first build defined.
+        self._texts = {}
         #: The compiled closures of the functions every module of this
         #: unit may share, for :class:`repro.interp.compile.CompiledProgram`:
-        #: its keys are the source's and the kept chunks' IRFunctions.
+        #: its keys are the source's and the kept chunks' IRFunctions, and
+        #: those the first build of each appended text defined (a later
+        #: build's functions name theirs as their ``origin``).
         self.closures = {}
 
     @classmethod
@@ -118,10 +123,12 @@ class SourceUnit:
         A function the appended text defines that the source only
         declares is bound to that definition in this module alone.
 
-        ``text`` is built on every call.  When the appended text defines
-        functions and nothing else, and ``reusable`` holds no string
-        literal, each chunk of ``reusable`` is built once per unit and
-        start location: a later call that appends the same chunk at the
+        ``text`` is built on every call; the functions it defines name
+        the first build of the same text at the same place as their
+        ``origin`` (they are identical to it).  When the appended text
+        defines functions and nothing else, and ``reusable`` holds no
+        string literal, each chunk of ``reusable`` is built once per unit
+        and start location: a later call that appends the same chunk at the
         same line and column binds the definitions and IRFunctions built
         then, in this module's tables and in the same order, without
         lexing, parsing, checking or lowering them again.  No type,
@@ -162,8 +169,8 @@ class SourceUnit:
                 pairs, start = entry
                 kept.update(pairs)
                 declarations.extend(decl for decl, _ in pairs)
-        parsed, _, _ = self._parse(text, start, typedefs)
-        declarations.extend(parsed)
+        appended, _, _ = self._parse(text, start, typedefs)
+        declarations.extend(appended)
         if reusable and (
                 any('"' in chunk for chunk in reusable) or not all(
                     isinstance(decl, FunctionDef) for decl in declarations)):
@@ -180,6 +187,19 @@ class SourceUnit:
                           for decl in parsed)
             self._chunks[key] = pairs, end
             self.closures.update((function, None) for _, function in pairs)
+        # The functions ``text`` defines are built anew, but from the same
+        # text at the same place they come out the same: the first build's
+        # stand for them in ``closures``.
+        defined = tuple(module.functions[decl.name] for decl in appended
+                        if isinstance(decl, FunctionDef))
+        key = (text, start.line, start.column)
+        first = self._texts.get(key)
+        if first is None:
+            self._texts[key] = defined
+            self.closures.update(dict.fromkeys(defined))
+        else:
+            for origin, function in zip(first, defined):
+                function.origin = origin
         return module
 
     def _parse(self, text, start, typedefs):

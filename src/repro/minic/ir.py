@@ -142,6 +142,9 @@ class IRFunction:
         )
         self.instrs = instrs
         self.location = location
+        #: An IRFunction built earlier from the same text at the same
+        #: place, which this one is identical to, or None.
+        self.origin = None
 
     def __repr__(self):
         return "IRFunction({!r}, {} instrs, frame={})".format(
